@@ -27,6 +27,7 @@ from .errors import (
     PreconditionError,
     SizeTooLarge,
     SurveyTooLarge,
+    TooManyGenerators,
     TooShort,
     ZeroVector,
 )

@@ -8,7 +8,8 @@ The survey driver enumerates chains with some entry >= 0 (chains containing
 -1 are blown down before classification unless --exclude-minus-one drops
 them); the enumeration size is capped by PLUMBTORIC_MAX_SURVEY (default
 10^6).  Rows are sorted by the chain tuple, so output does not depend on
-the worker count.
+the worker count.  The reeb-orbits generator search stops once it passes
+PLUMBTORIC_MAX_GENERATORS generators (default 10^5).
 """
 
 from __future__ import annotations
@@ -28,9 +29,11 @@ from .errors import (
     NoNonnegativeEntry,
     PreconditionError,
     SurveyTooLarge,
+    TooManyGenerators,
 )
 
 DEFAULT_SURVEY_CAP = 10**6
+DEFAULT_GENERATOR_CAP = 10**5
 
 
 def _parse_int_list(text: str, what: str) -> tuple:
@@ -38,6 +41,21 @@ def _parse_int_list(text: str, what: str) -> tuple:
         return tuple(int(part) for part in text.split(","))
     except ValueError:
         raise MalformedDocument("bad %s %r; expected comma-separated integers" % (what, text))
+
+
+def _env_cap(name: str, default: int) -> int:
+    text = os.environ.get(name)
+    if text is None:
+        return default
+    try:
+        cap = int(text)
+        if cap < 0:
+            raise ValueError
+    except ValueError:
+        raise MalformedDocument(
+            "%s must be a nonnegative integer, got %r" % (name, text)
+        ) from None
+    return cap
 
 
 def _parse_range(text: str) -> tuple:
@@ -108,7 +126,7 @@ def _cmd_survey(args) -> int:
         raise MalformedDocument("survey needs n >= 2 and a nonempty value range")
     if args.jobs < 1:
         raise MalformedDocument("--jobs must be at least 1")
-    cap = int(os.environ.get("PLUMBTORIC_MAX_SURVEY", DEFAULT_SURVEY_CAP))
+    cap = _env_cap("PLUMBTORIC_MAX_SURVEY", DEFAULT_SURVEY_CAP)
     values = range(v_lo, v_hi + 1)
     total = sum(len(values) ** n for n in range(n_lo, n_hi + 1))
     if total > cap:
@@ -152,6 +170,7 @@ def _load_json(path: str) -> dict:
 
 
 def _cmd_reeb_orbits(args) -> int:
+    cap = _env_cap("PLUMBTORIC_MAX_GENERATORS", DEFAULT_GENERATOR_CAP)
     itinerary = docio.itinerary_from_doc(_load_json(args.itinerary))
     bound = docio.parse_fraction(args.action_bound)
     if bound <= 0:
@@ -160,6 +179,10 @@ def _cmd_reeb_orbits(args) -> int:
     orbits = []
     for fc in families:
         orbits.extend(reeb.perturb_split(fc.family))
+    try:
+        generators = reeb.enumerate_generators(orbits, bound, max_generators=cap)
+    except TooManyGenerators as exc:
+        raise TooManyGenerators("%s (PLUMBTORIC_MAX_GENERATORS)" % exc) from None
     doc = {
         "action_bound": docio.format_fraction(bound),
         "families": docio.families_to_doc(families),
@@ -174,9 +197,7 @@ def _cmd_reeb_orbits(args) -> int:
             }
             for o in orbits
         ],
-        "generators": [
-            docio.current_to_doc(g) for g in reeb.enumerate_generators(orbits, bound)
-        ],
+        "generators": [docio.current_to_doc(g) for g in generators],
     }
     _write_output(docio.dumps(doc), args.output)
     return 0

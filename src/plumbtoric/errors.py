@@ -85,6 +85,10 @@ class SurveyTooLarge(PreconditionError):
     pass
 
 
+class TooManyGenerators(PreconditionError):
+    """The ECH generator search passed its cap on the number of generators."""
+
+
 class MalformedDocument(PreconditionError):
     pass
 

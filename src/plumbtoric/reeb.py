@@ -18,12 +18,15 @@ perturbation size tends to zero; recorded as a modeling assumption).
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
+from math import lcm
+from operator import itemgetter
 from typing import List, Optional, Sequence, Tuple
 
-from .errors import ActionBoundHit, InvalidItinerary, ZeroVector
+from .errors import ActionBoundHit, InvalidItinerary, TooManyGenerators, ZeroVector
 from .lattice import Cmp, WindingVerdict, cross, dot, primitive
 
 
@@ -277,7 +280,9 @@ class ReebCurrent:
 EMPTY_CURRENT = ReebCurrent(())
 
 
-def enumerate_generators(orbits: Sequence[PerturbedOrbit], bound) -> List[ReebCurrent]:
+def enumerate_generators(
+    orbits: Sequence[PerturbedOrbit], bound, *, max_generators: Optional[int] = None
+) -> List[ReebCurrent]:
     """ECH generators of action below the bound, including the empty one.
 
     Hyperbolic multiplicities are at most one.  The total action is the pair
@@ -287,6 +292,20 @@ def enumerate_generators(orbits: Sequence[PerturbedOrbit], bound) -> List[ReebCu
     epsilon sum also counts as above: the second-order correction of every
     nonempty current is strictly positive, so such a total really exceeds
     the bound.
+
+    All base actions and the bound are scaled once to integers over a
+    common denominator, so the search and the final sort compare ints.  The
+    search emits a current and then branches only into later orbits (in
+    base-action order) whose action still fits in the room left below the
+    bound; each node of the search is an emitted generator.
+
+    Order: generators are sorted by total action, then entry count, then
+    sorted entry keys.  That key ties often, and ties keep the emission
+    order, which is lexicographic in the multiplicity vector over the orbits
+    sorted by (base action, eps exponent, CZ, kind).
+
+    With ``max_generators`` set, the search raises
+    :class:`TooManyGenerators` as soon as it emits one more than that.
     """
     bound = Fraction(bound)
     if bound <= 0:
@@ -298,50 +317,42 @@ def enumerate_generators(orbits: Sequence[PerturbedOrbit], bound) -> List[ReebCu
     for o in ordered:
         if o.base_action <= 0:
             raise ValueError("orbit actions must be positive")
-    out: List[ReebCurrent] = []
+    actions = [Fraction(o.base_action) for o in ordered]
+    scale = lcm(bound.denominator, *(a.denominator for a in actions))
+    top = bound.numerator * (scale // bound.denominator)
+    scaled = [a.numerator * (scale // a.denominator) for a in actions]
 
-    def extend(idx: int, chosen, base: Fraction, eps: int) -> None:
-        if base > bound:
-            return
-        if base == bound:
-            if eps >= 0:
-                return
-            out.append(ReebCurrent(tuple(chosen)))
-            return  # adding anything else only increases the base total
-        if idx == len(ordered):
-            out.append(ReebCurrent(tuple(chosen)))
-            return
-        orbit = ordered[idx]
-        max_mult = 1 if orbit.kind is not OrbitKind.ELLIPTIC else None
-        mult = 0
-        while True:
-            if mult == 0:
-                extend(idx + 1, chosen, base, eps)
-            else:
-                chosen.append((orbit, mult))
-                extend(
-                    idx + 1,
-                    chosen,
-                    base + mult * orbit.base_action,
-                    eps + mult * orbit.eps_exponent,
+    found = []  # (canonical key, current), in emission order
+    # a node: entries, their sort keys, base and eps totals, last orbit index;
+    # children are pushed in reverse so that they pop in emission order
+    stack = [((), (), 0, 0, -1)]
+    while stack:
+        entries, keys, base, eps, last = stack.pop()
+        found.append((((base, eps), len(keys), sorted(keys)), ReebCurrent(entries)))
+        if max_generators is not None and len(found) > max_generators:
+            raise TooManyGenerators(
+                "more than %d ECH generators below action %s" % (max_generators, bound)
+            )
+        room = top - base
+        for k in range(last + 1, bisect_right(scaled, room, last + 1)):
+            orbit, action = ordered[k], scaled[k]
+            top_mult = room // action if orbit.kind is OrbitKind.ELLIPTIC else 1
+            for mult in range(top_mult, 0, -1):
+                child_eps = eps + mult * orbit.eps_exponent
+                if mult * action == room and child_eps >= 0:
+                    continue
+                stack.append(
+                    (
+                        entries + ((orbit, mult),),
+                        keys + ((action, orbit.eps_exponent, orbit.kind.value, mult),),
+                        base + mult * action,
+                        child_eps,
+                        k,
+                    )
                 )
-                chosen.pop()
-            mult += 1
-            if max_mult is not None and mult > max_mult:
-                break
-            if base + mult * orbit.base_action > bound:
-                break
 
-    extend(0, [], Fraction(0), 0)
-
-    def canonical(c: ReebCurrent):
-        entry_keys = sorted(
-            (o.base_action, o.eps_exponent, o.kind.value, m) for o, m in c.entries
-        )
-        return (c.action_key(), len(c.entries), entry_keys)
-
-    out.sort(key=canonical)
-    return out
+    found.sort(key=itemgetter(0))
+    return [current for _, current in found]
 
 
 @dataclass(frozen=True)
@@ -359,18 +370,11 @@ class IndexInput:
     beta: ReebCurrent
 
 
-def _cz_of_iterate(orbit: PerturbedOrbit, k: int) -> int:
-    # constant across iterates in this model: CZ(h^k) = 0, CZ(e^k) = 1
-    return orbit.cz
-
-
 def _cz_sum(current: ReebCurrent, upto_full: bool) -> int:
-    total = 0
-    for orbit, mult in current.entries:
-        top = mult if upto_full else mult - 1
-        for k in range(1, top + 1):
-            total += _cz_of_iterate(orbit, k)
-    return total
+    # CZ is constant across iterates in this model (CZ(h^k) = 0, CZ(e^k) = 1),
+    # so the sum over iterates 1..m (or 1..m-1) is a product
+    drop = 0 if upto_full else 1
+    return sum((mult - drop) * orbit.cz for orbit, mult in current.entries)
 
 
 def ech_index(inp: IndexInput) -> int:

@@ -1,5 +1,7 @@
 import json
 
+import pytest
+
 from plumbtoric import moment_polygon
 from plumbtoric.cli import main
 from plumbtoric.docio import polygon_from_doc, polygon_to_doc, render_svg
@@ -95,6 +97,13 @@ class TestSurveyCommand:
         assert code == 2
         assert json.loads(err)["error"]["type"] == "SurveyTooLarge"
 
+    @pytest.mark.parametrize("value", ["abc", "-1", "1.5", ""])
+    def test_bad_cap_exits_2(self, capsys, monkeypatch, value):
+        monkeypatch.setenv("PLUMBTORIC_MAX_SURVEY", value)
+        code, _, err = run(capsys, "survey", "--n", "2", "--range", "0..1")
+        assert code == 2
+        assert json.loads(err)["error"]["type"] == "MalformedDocument"
+
     def test_exclude_minus_one(self, capsys):
         code, out, _ = run(
             capsys, "survey", "--n", "2", "--range", "-2..1", "--exclude-minus-one"
@@ -105,17 +114,21 @@ class TestSurveyCommand:
             assert -1 not in chain
 
 
+def write_dip(tmp_path):
+    doc = {
+        "vertices": [["-2", "0"], ["0", "-2"], ["2", "0"]],
+        "start_ray": [-1, 0],
+        "end_ray": [1, 0],
+    }
+    path = tmp_path / "itinerary.json"
+    path.write_text(json.dumps(doc))
+    return str(path)
+
+
 class TestReebOrbitsCommand:
     def test_listing(self, capsys, tmp_path):
-        doc = {
-            "vertices": [["-2", "0"], ["0", "-2"], ["2", "0"]],
-            "start_ray": [-1, 0],
-            "end_ray": [1, 0],
-        }
-        path = tmp_path / "itinerary.json"
-        path.write_text(json.dumps(doc))
         code, out, _ = run(
-            capsys, "reeb-orbits", "--itinerary", str(path), "--action-bound", "5"
+            capsys, "reeb-orbits", "--itinerary", write_dip(tmp_path), "--action-bound", "5"
         )
         assert code == 0
         listing = json.loads(out)
@@ -125,18 +138,34 @@ class TestReebOrbitsCommand:
         assert [] in listing["generators"]  # the empty current
 
     def test_exact_bound_exits_2(self, capsys, tmp_path):
-        doc = {
-            "vertices": [["-2", "0"], ["0", "-2"], ["2", "0"]],
-            "start_ray": [-1, 0],
-            "end_ray": [1, 0],
-        }
-        path = tmp_path / "itinerary.json"
-        path.write_text(json.dumps(doc))
         code, _, err = run(
-            capsys, "reeb-orbits", "--itinerary", str(path), "--action-bound", "2"
+            capsys, "reeb-orbits", "--itinerary", write_dip(tmp_path), "--action-bound", "2"
         )
         assert code == 2
         assert json.loads(err)["error"]["type"] == "ActionBoundHit"
+
+    def test_generator_cap(self, capsys, monkeypatch, tmp_path):
+        path = write_dip(tmp_path)
+        monkeypatch.setenv("PLUMBTORIC_MAX_GENERATORS", "2000")
+        # 315,247 generators lie below 91/3; the search stops at the cap
+        code, _, err = run(capsys, "reeb-orbits", "--itinerary", path, "--action-bound", "91/3")
+        assert code == 2
+        error = json.loads(err)["error"]
+        assert error["type"] == "TooManyGenerators"
+        assert "PLUMBTORIC_MAX_GENERATORS" in error["message"]
+        monkeypatch.setenv("PLUMBTORIC_MAX_GENERATORS", "175")  # exactly the count
+        code, out, _ = run(capsys, "reeb-orbits", "--itinerary", path, "--action-bound", "31/3")
+        assert code == 0
+        assert len(json.loads(out)["generators"]) == 175
+
+    @pytest.mark.parametrize("value", ["abc", "-5", "1e5"])
+    def test_bad_generator_cap_exits_2(self, capsys, monkeypatch, tmp_path, value):
+        monkeypatch.setenv("PLUMBTORIC_MAX_GENERATORS", value)
+        code, _, err = run(
+            capsys, "reeb-orbits", "--itinerary", write_dip(tmp_path), "--action-bound", "5"
+        )
+        assert code == 2
+        assert json.loads(err)["error"]["type"] == "MalformedDocument"
 
     def test_malformed_document_exits_2(self, capsys, tmp_path):
         path = tmp_path / "bad.json"

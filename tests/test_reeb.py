@@ -2,7 +2,7 @@ from fractions import Fraction
 from math import gcd
 
 import pytest
-from hypothesis import given, assume, strategies as st
+from hypothesis import given, assume, settings, strategies as st
 
 from plumbtoric import (
     ActionBoundHit,
@@ -13,6 +13,7 @@ from plumbtoric import (
     PerturbedOrbit,
     ReebCurrent,
     ReebItinerary,
+    TooManyGenerators,
     TorsionBound,
     ZeroVector,
     classify,
@@ -186,6 +187,107 @@ class TestEnumerateGenerators:
             total, eps = g.action_key()
             assert total < bound or (total == bound and eps < 0)
             assert g.is_ech_generator()
+
+    def test_cap_stops_the_search(self):
+        orbits = [hyperbolic_orbit(2), elliptic_orbit(2)]
+        assert len(enumerate_generators(orbits, 5, max_generators=5)) == 5
+        with pytest.raises(TooManyGenerators):
+            enumerate_generators(orbits, 5, max_generators=4)
+
+
+def oracle_generators(orbits, bound):
+    """The exhaustive recursion enumerate_generators used before pruning: it
+    visits multiplicity 0 of every remaining orbit under every generator."""
+    bound = Fraction(bound)
+    if bound <= 0:
+        raise ValueError("action bound must be positive")
+    ordered = sorted(
+        set(orbits),
+        key=lambda o: (o.base_action, o.eps_exponent, o.cz, o.kind.value),
+    )
+    for o in ordered:
+        if o.base_action <= 0:
+            raise ValueError("orbit actions must be positive")
+    out = []
+
+    def extend(idx: int, chosen, base: Fraction, eps: int) -> None:
+        if base > bound:
+            return
+        if base == bound:
+            if eps >= 0:
+                return
+            out.append(ReebCurrent(tuple(chosen)))
+            return  # adding anything else only increases the base total
+        if idx == len(ordered):
+            out.append(ReebCurrent(tuple(chosen)))
+            return
+        orbit = ordered[idx]
+        max_mult = 1 if orbit.kind is not OrbitKind.ELLIPTIC else None
+        mult = 0
+        while True:
+            if mult == 0:
+                extend(idx + 1, chosen, base, eps)
+            else:
+                chosen.append((orbit, mult))
+                extend(
+                    idx + 1,
+                    chosen,
+                    base + mult * orbit.base_action,
+                    eps + mult * orbit.eps_exponent,
+                )
+                chosen.pop()
+            mult += 1
+            if max_mult is not None and mult > max_mult:
+                break
+            if base + mult * orbit.base_action > bound:
+                break
+
+    extend(0, [], Fraction(0), 0)
+
+    def canonical(c: ReebCurrent):
+        entry_keys = sorted(
+            (o.base_action, o.eps_exponent, o.kind.value, m) for o, m in c.entries
+        )
+        return (c.action_key(), len(c.entries), entry_keys)
+
+    out.sort(key=canonical)
+    return out
+
+
+def split_orbits(itinerary, bound):
+    return [
+        orbit
+        for fc in enumerate_orbits(itinerary, bound)
+        for orbit in perturb_split(fc.family)
+    ]
+
+
+class TestGeneratorOracle:
+    """The pruned search against the exhaustive recursion, order included:
+    the order of generators with equal sort keys reaches the CLI output."""
+
+    @pytest.mark.parametrize("k", range(10, 18))
+    def test_readme_itinerary(self, k):
+        bound = Fraction(3 * k + 1, 3)  # never an action of this itinerary
+        orbits = split_orbits(DIP, bound)
+        assert enumerate_generators(orbits, bound) == oracle_generators(orbits, bound)
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.lists(
+            st.builds(
+                PerturbedOrbit,
+                st.sampled_from(OrbitKind),
+                st.fractions(min_value=Fraction(1, 2), max_value=5, max_denominator=3),
+                st.integers(-2, 2),
+                st.integers(0, 2),
+            ),
+            max_size=7,
+        ),
+        st.fractions(min_value=Fraction(1, 3), max_value=4, max_denominator=3),
+    )
+    def test_random_orbit_sets(self, orbits, bound):
+        assert enumerate_generators(orbits, bound) == oracle_generators(orbits, bound)
 
 
 def current(*entries):
