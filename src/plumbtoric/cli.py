@@ -1,15 +1,16 @@
 """Command-line front end.
 
 Subcommands: classify, construct, survey, reeb-orbits, index.  Exit status
-0 on success, 2 on precondition errors or malformed input (with a
-machine-readable error record on stderr), 1 on internal assertion failure.
+0 on success, 2 on precondition errors, malformed input or bad usage (with
+a machine-readable error record on stderr), 1 on internal assertion failure.
 
 The survey driver enumerates chains with some entry >= 0 (chains containing
 -1 are blown down before classification unless --exclude-minus-one drops
 them); the enumeration size is capped by PLUMBTORIC_MAX_SURVEY (default
 10^6).  Rows are sorted by the chain tuple, so output does not depend on
-the worker count.  The reeb-orbits generator search stops once it passes
-PLUMBTORIC_MAX_GENERATORS generators (default 10^5).
+the worker count (--jobs, at most the CPU count).  The reeb-orbits
+generator search stops once it passes PLUMBTORIC_MAX_GENERATORS generators
+(default 10^5).
 """
 
 from __future__ import annotations
@@ -128,11 +129,13 @@ def _cmd_survey(args) -> int:
         raise MalformedDocument("--jobs must be at least 1")
     cap = _env_cap("PLUMBTORIC_MAX_SURVEY", DEFAULT_SURVEY_CAP)
     values = range(v_lo, v_hi + 1)
-    total = sum(len(values) ** n for n in range(n_lo, n_hi + 1))
-    if total > cap:
-        raise SurveyTooLarge(
-            "survey of %d chains exceeds cap %d (PLUMBTORIC_MAX_SURVEY)" % (total, cap)
-        )
+    total = 0
+    for n in range(n_lo, n_hi + 1):
+        total += len(values) ** n
+        if total > cap:
+            raise SurveyTooLarge(
+                "survey has more than %d chains (PLUMBTORIC_MAX_SURVEY)" % cap
+            )
     chains = []
     for n in range(n_lo, n_hi + 1):
         for chain in itertools.product(values, repeat=n):
@@ -141,16 +144,18 @@ def _cmd_survey(args) -> int:
             if args.exclude_minus_one and -1 in chain:
                 continue
             chains.append(chain)
-    if args.jobs > 1 and len(chains) > 1:
-        size = max(1, len(chains) // (4 * args.jobs))
+    chains.sort()  # chunks and pool.map keep this order, so rows come out sorted
+    # the pool forks all its workers at once
+    jobs = min(args.jobs, os.cpu_count() or 1)
+    if jobs > 1 and len(chains) > 1:
+        size = max(1, len(chains) // (4 * jobs))
         chunks = [chains[i : i + size] for i in range(0, len(chains), size)]
         rows = []
-        with ProcessPoolExecutor(max_workers=args.jobs) as pool:
+        with ProcessPoolExecutor(max_workers=jobs) as pool:
             for part in pool.map(_survey_chunk, chunks):
                 rows.extend(part)
     else:
         rows = _survey_chunk(chains)
-    rows.sort(key=lambda r: tuple(int(v) for v in r[0].split(",")))
     if args.format == "json":
         doc = [dict(zip(docio.SURVEY_COLUMNS, row)) for row in rows]
         _write_output(docio.dumps(doc), args.output)
@@ -233,8 +238,15 @@ def _cmd_index(args) -> int:
     return 0
 
 
+class _Parser(argparse.ArgumentParser):
+    """Usage errors exit 2 with a JSON record; subparsers inherit the class."""
+
+    def error(self, message):
+        raise MalformedDocument("%s: %s" % (self.prog, message))
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="plumbtoric",
         description="Classify concave boundaries of linear plumbings and "
         "compute ECH index data, exactly.",
@@ -296,11 +308,10 @@ def _merge_flag_values(argv) -> list:
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    parser = build_parser()
     if argv is None:
         argv = sys.argv[1:]
-    args = parser.parse_args(_merge_flag_values(list(argv)))
     try:
+        args = build_parser().parse_args(_merge_flag_values(list(argv)))
         return args.func(args)
     except PreconditionError as exc:
         record = {"error": {"type": type(exc).__name__, "message": str(exc)}}

@@ -68,7 +68,7 @@ def report_to_doc(report: BoundaryReport) -> dict:
         "winding": winding_to_doc(report.winding),
         "verdict": report.verdict.value,
         "lens": {"k": report.lens[0], "l": report.lens[1]},
-        "det": det_intersection(report.chain),
+        "det": report.det,
         "det_check": report.det_check,
         "cone_is_whole_plane": report.cone_is_whole_plane,
         "torsion": torsion_to_doc(reeb.torsion_verdict(report.winding)),

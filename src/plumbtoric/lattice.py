@@ -52,6 +52,13 @@ def primitive(v) -> Vec2:
     return (x // g, y // g)
 
 
+def primitive_of_rational(v) -> Vec2:
+    """Primitive integer vector in the direction of a rational vector."""
+    fx, fy = Fraction(v[0]), Fraction(v[1])
+    d = fx.denominator * fy.denominator  # any common denominator will do
+    return primitive((int(fx * d), int(fy * d)))
+
+
 def is_primitive(v) -> bool:
     return gcd(abs(v[0]), abs(v[1])) == 1
 

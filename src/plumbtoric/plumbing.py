@@ -41,7 +41,10 @@ def intersection_matrix(s: Sequence[int]):
 
 def det_intersection(s: Sequence[int]) -> int:
     """det Q via the tridiagonal recurrence d_k = s_k d_{k-1} - d_{k-2}."""
-    s = as_chain(s)
+    return _det(as_chain(s))
+
+
+def _det(s: Chain) -> int:
     prev2, prev1 = 1, s[0]
     for v in s[1:]:
         prev2, prev1 = prev1, v * prev1 - prev2
@@ -121,6 +124,22 @@ def neumann_move(s: Sequence[int], move: NeumannMove, site: int) -> Chain:
     raise MovePreconditionFailed("unknown move %r" % (move,))
 
 
+def area_vector(s: Chain, z: Sequence) -> list:
+    """a = -Q z for heights z; checks only that the lengths agree."""
+    n = len(s)
+    if len(z) != n:
+        raise ValueError("heights length %d != chain length %d" % (len(z), n))
+    out = []
+    for j in range(n):
+        a = -s[j] * z[j]
+        if j > 0:
+            a -= z[j - 1]
+        if j + 1 < n:
+            a -= z[j + 1]
+        out.append(a)
+    return out
+
+
 @dataclass(frozen=True)
 class GSViolation:
     """Failed negative-GS witness check: 1-based index and failing side."""
@@ -137,21 +156,10 @@ def negative_gs_check(s: Sequence[int], z: Sequence):
     naming the first failing component.  This checks a supplied witness;
     ``toric.choose_heights`` constructs one in the concave case.
     """
-    s = as_chain(s)
-    n = len(s)
-    if len(z) != n:
-        raise ValueError("witness length %d != chain length %d" % (len(z), n))
+    areas = area_vector(as_chain(s), z)
     for i, zi in enumerate(z):
         if not zi < 0:
             return GSViolation(index=i + 1, side="height", value=zi)
-    areas = []
-    for i in range(n):
-        a = -s[i] * z[i]
-        if i > 0:
-            a -= z[i - 1]
-        if i + 1 < n:
-            a -= z[i + 1]
-        areas.append(a)
     for i, a in enumerate(areas):
         if not a > 0:
             return GSViolation(index=i + 1, side="area", value=a)

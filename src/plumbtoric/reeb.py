@@ -27,7 +27,7 @@ from operator import itemgetter
 from typing import List, Optional, Sequence, Tuple
 
 from .errors import ActionBoundHit, InvalidItinerary, TooManyGenerators, ZeroVector
-from .lattice import Cmp, WindingVerdict, cross, dot, primitive
+from .lattice import Cmp, WindingVerdict, cross, dot, primitive, primitive_of_rational
 
 
 def reeb_direction(tangent) -> tuple:
@@ -109,13 +109,6 @@ def validate_itinerary(it: ReebItinerary) -> List[ItineraryViolation]:
                     )
                 )
     return out
-
-
-def primitive_of_rational(v) -> tuple:
-    """Primitive integer vector in the direction of a rational vector."""
-    fx, fy = Fraction(v[0]), Fraction(v[1])
-    d = fx.denominator * fy.denominator  # any common denominator will do
-    return primitive((int(fx * d), int(fy * d)))
 
 
 @dataclass(frozen=True)

@@ -8,6 +8,11 @@ and the normalized terminal rays identify the lens space on the boundary.
 
 Chain positions and pivot indices are 1-based throughout, matching the
 notation (s_1, ..., s_n).
+
+One gate checks every chain, in this order: a -1 entry raises MinusOnePresent,
+length below 2 raises TooShort, and the valid pivots are the i with s_i >= 0.
+With none, ``classify`` and ``lens_invariant`` raise NotConcaveCase; a
+construction given an invalid pivot raises NoNonnegativeEntry.
 """
 
 from __future__ import annotations
@@ -15,7 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from math import gcd, lcm
+from math import gcd
 from typing import Optional, Sequence, Tuple
 
 from . import lattice
@@ -32,7 +37,7 @@ from .errors import (
     TooShort,
 )
 from .lattice import Cmp, MatSL2Z, SL2Z_IDENTITY, WindingVerdict, cross
-from .plumbing import as_chain, blow_down, is_negative_definite
+from .plumbing import _det, area_vector, as_chain, blow_down, is_negative_definite
 
 
 def gluing_matrix(s_j: int) -> MatSL2Z:
@@ -48,18 +53,30 @@ def _prefixes(s):
     return pref
 
 
-def _check_chain(s, i: int):
-    n = len(s)
-    if n < 2:
-        raise TooShort("the L-shape construction needs a chain of length >= 2")
+def _valid_pivots(s) -> list:
+    """The chain gate of the module docstring; returns the valid pivots."""
     if -1 in s:
         raise MinusOnePresent(
             "chain %s contains a -1 sphere; blow it down first" % (s,)
         )
-    if not 1 <= i <= n:
-        raise NoNonnegativeEntry("pivot %d out of range 1..%d" % (i, n))
-    if s[i - 1] < 0:
-        raise NoNonnegativeEntry("pivot entry s_%d = %d is negative" % (i, s[i - 1]))
+    if len(s) < 2:
+        raise TooShort("the L-shape construction needs a chain of length >= 2")
+    return [i for i in range(1, len(s) + 1) if s[i - 1] >= 0]
+
+
+def _concave_pivots(s) -> list:
+    pivots = _valid_pivots(s)
+    if not pivots:
+        raise NotConcaveCase(
+            "no entry of %s is >= 0; the boundary is not concave" % (s,),
+            negative_definite=is_negative_definite(s),
+        )
+    return pivots
+
+
+def _check_chain(s, i: int):
+    if i not in _valid_pivots(s):
+        raise NoNonnegativeEntry("pivot %r is not an index i of %s with s_i >= 0" % (i, s))
 
 
 @dataclass(frozen=True)
@@ -142,20 +159,10 @@ def _validate_heights(s, i: int, z) -> None:
 
 def areas(s: Sequence[int], z: Sequence) -> tuple:
     """Symplectic areas a_j = -s_j z_j - z_{j+1} - z_{j-1} (ends omit a term)."""
-    s = as_chain(s)
-    n = len(s)
-    if len(z) != n:
-        raise ValueError("heights length %d != chain length %d" % (len(z), n))
-    out = []
-    for j in range(n):
-        a = -s[j] * z[j]
-        if j > 0:
-            a -= z[j - 1]
-        if j + 1 < n:
-            a -= z[j + 1]
+    out = area_vector(as_chain(s), z)
+    for j, a in enumerate(out, start=1):
         if not a > 0:
-            raise NonpositiveArea("area a_%d = %s is not positive" % (j + 1, a))
-        out.append(a)
+            raise NonpositiveArea("area a_%d = %s is not positive" % (j, a))
     return tuple(out)
 
 
@@ -217,18 +224,7 @@ def lens_invariant(s: Sequence[int]) -> Tuple[int, int]:
     fraction k/l = [s_1, ..., s_n] whenever the latter is defined.
     """
     s = as_chain(s)
-    if len(s) < 2:
-        raise TooShort("the L-shape construction needs a chain of length >= 2")
-    if -1 in s:
-        raise MinusOnePresent(
-            "chain %s contains a -1 sphere; blow it down first" % (s,)
-        )
-    pivots = [i for i in range(1, len(s) + 1) if s[i - 1] >= 0]
-    if not pivots:
-        raise NotConcaveCase(
-            "no entry of %s is >= 0" % (s,), negative_definite=is_negative_definite(s)
-        )
-    r2 = _rays_for_pivot(s, pivots[0], _prefixes(s))[-1]
+    r2 = _rays_for_pivot(s, _concave_pivots(s)[0], _prefixes(s))[-1]
     return _lens_from_terminal_ray(s, r2)
 
 
@@ -280,6 +276,7 @@ class BoundaryReport:
     winding: WindingVerdict
     verdict: Verdict
     lens: Tuple[int, int]
+    det: int  # det Q of ``chain``
     det_check: bool
     cone_is_whole_plane: bool
 
@@ -294,21 +291,10 @@ def classify(s: Sequence[int], reduce: bool = False) -> BoundaryReport:
     so the standing assumption s_j != -1 stays visible to the caller.
     """
     s = as_chain(s)
-    if -1 in s:
-        if not reduce:
-            raise MinusOnePresent(
-                "chain %s contains a -1 sphere; pass reduce=True to blow down" % (s,)
-            )
+    if reduce and -1 in s:
         s = blow_down(s)
+    pivots = _concave_pivots(s)
     n = len(s)
-    if n < 2:
-        raise TooShort("chain reduces to fewer than two vertices")
-    pivots = [i for i in range(1, n + 1) if s[i - 1] >= 0]
-    if not pivots:
-        raise NotConcaveCase(
-            "no entry of %s is >= 0; the boundary is not concave" % (s,),
-            negative_definite=is_negative_definite(s),
-        )
     if pivots[-1] == n and n - 1 in pivots:
         pivots.pop()  # pivots n-1 and n give the same decomposition
     pref = _prefixes(s)
@@ -326,11 +312,7 @@ def classify(s: Sequence[int], reduce: bool = False) -> BoundaryReport:
             )
     i0, rays0, winding0, verdict0 = first
     lens = _lens_from_terminal_ray(s, rays0[-1])
-    det = s[0]
-    prev = 1
-    for v in s[1:]:
-        prev, det = det, v * det - prev
-    det_check = det == (-1) ** (n - 1) * cross(rays0[0], rays0[-1])
+    det = _det(s)
     return BoundaryReport(
         chain=s,
         pivot=i0,
@@ -338,7 +320,8 @@ def classify(s: Sequence[int], reduce: bool = False) -> BoundaryReport:
         winding=winding0,
         verdict=verdict0,
         lens=lens,
-        det_check=det_check,
+        det=det,
+        det_check=det == (-1) ** (n - 1) * cross(rays0[0], rays0[-1]),
         cone_is_whole_plane=winding0.vs_two_pi in (Cmp.EQ, Cmp.GT),
     )
 
@@ -364,60 +347,27 @@ class MomentPolygon:
     rays: Tuple[tuple, tuple]
 
 
-def _apply_frac(m: MatSL2Z, p):
-    return (m.a * p[0] + m.b * p[1], m.c * p[0] + m.d * p[1])
-
-
-def _primitive_direction(v):
-    d = lcm(Fraction(v[0]).denominator, Fraction(v[1]).denominator)
-    return lattice.primitive((int(v[0] * d), int(v[1] * d)))
-
-
-def _affine_length(p, q) -> Fraction:
-    d = (q[0] - p[0], q[1] - p[1])
-    e = _primitive_direction(d)
-    t = Fraction(d[0], e[0]) if e[0] != 0 else Fraction(d[1], e[1])
-    if t <= 0 or d != (t * e[0], t * e[1]):
-        raise InternalInvariantError("segment %s-%s not a positive multiple of %s" % (p, q, e))
-    return t
-
-
-def _edge_normal(direction, interior_hint):
-    """Inward normal: the rotation of ``direction`` pointing toward the hint."""
-    cand = (-direction[1], direction[0])
-    side = lattice.dot(cand, interior_hint)
-    if side > 0:
-        return cand
-    if side < 0:
-        return (-cand[0], -cand[1])
-    raise InternalInvariantError("cannot orient normal of %s" % (direction,))
-
-
 def _verify_polygon(poly: MomentPolygon, s) -> None:
-    verts, edges = poly.vertices, poly.edges
-    n = len(edges)
-    for j, e in enumerate(edges, start=1):
-        if _affine_length(verts[e.start], verts[e.end]) != e.area:
-            raise InternalInvariantError("edge %d affine length != area" % j)
-    # Inward normals: the interior lies radially toward the origin across
-    # each sphere edge, and toward the adjacent corner across a ray edge.
-    normals = []
-    for e in edges:
+    # The boundary is traversed with the image on its left, so the inward
+    # normal of a sphere edge is the left rotation of its direction; the
+    # first ray is traversed inward and the last one outward.
+    verts = poly.vertices
+    (r0x, r0y), (r1x, r1y) = poly.rays
+    normals = [(r0y, -r0x)]
+    for j, e in enumerate(poly.edges, start=1):
         p, q = verts[e.start], verts[e.end]
-        mid = (p[0] + q[0], p[1] + q[1])  # midpoint up to scale
-        d = _primitive_direction((q[0] - p[0], q[1] - p[1]))
-        normals.append(_edge_normal(d, (-mid[0], -mid[1])))
-    into_first = (verts[1][0] - verts[0][0], verts[1][1] - verts[0][1])
-    start_normal = _edge_normal(poly.rays[0], into_first)
-    into_last = (verts[-2][0] - verts[-1][0], verts[-2][1] - verts[-1][1])
-    end_normal = _edge_normal(poly.rays[1], into_last)
-    for j in range(n):
-        n_prev = normals[j - 1] if j > 0 else start_normal
-        n_next = normals[j + 1] if j + 1 < n else end_normal
-        if cross(n_next, n_prev) != s[j]:
+        d = (q[0] - p[0], q[1] - p[1])
+        u = lattice.primitive_of_rational(d)
+        t = Fraction(d[0], u[0]) if u[0] != 0 else Fraction(d[1], u[1])  # affine length
+        if t <= 0 or d != (t * u[0], t * u[1]) or t != e.area:
+            raise InternalInvariantError("edge %d affine length != area" % j)
+        normals.append((-u[1], u[0]))
+    normals.append((-r1y, r1x))
+    for j, sj in enumerate(s):
+        det = cross(normals[j + 2], normals[j])
+        if det != sj:
             raise InternalInvariantError(
-                "normal determinant %d != s_%d = %d"
-                % (cross(n_next, n_prev), j + 1, s[j])
+                "normal determinant %d != s_%d = %d" % (det, j + 1, sj)
             )
 
 
@@ -432,7 +382,7 @@ def moment_polygon(
     as an internal consistency check.
     """
     s = as_chain(s)
-    dec = decompose(s, i)
+    _check_chain(s, i)
     if z is None:
         z = choose_heights(s, i)
     z = tuple(Fraction(v) for v in z)
@@ -442,13 +392,13 @@ def moment_polygon(
     pref = _prefixes(s)
     verts = [(z[0], Fraction(-s[0]) * z[0])]
     for j in range(1, n):
-        verts.append(_apply_frac(pref[j], (z[j - 1], z[j])))
-    verts.append(_apply_frac(pref[n - 1], (-s[n - 1] * z[n - 1], z[n - 1])))
+        verts.append(lattice.sl2z_apply(pref[j], (z[j - 1], z[j])))
+    verts.append(lattice.sl2z_apply(pref[n - 1], (-s[n - 1] * z[n - 1], z[n - 1])))
     edges = tuple(
         PolygonEdge(start=j, end=j + 1, self_intersection=s[j], area=Fraction(a[j]))
         for j in range(n)
     )
-    rays = _rays_for_pivot(s, dec.pivot, pref)
+    rays = _rays_for_pivot(s, i, pref)
     poly = MomentPolygon(vertices=tuple(verts), edges=edges, rays=(rays[0], rays[-1]))
     _verify_polygon(poly, s)
     return poly
@@ -470,9 +420,9 @@ def blow_up_corner(poly: MomentPolygon, vertex: int, size) -> MomentPolygon:
         )
     if size <= 0:
         raise ValueError("blow-up size must be positive")
-    v = verts[vertex]
-    d_in = _primitive_direction((v[0] - verts[vertex - 1][0], v[1] - verts[vertex - 1][1]))
-    d_out = _primitive_direction((verts[vertex + 1][0] - v[0], verts[vertex + 1][1] - v[1]))
+    p, v, q = verts[vertex - 1 : vertex + 2]
+    d_in = lattice.primitive_of_rational((v[0] - p[0], v[1] - p[1]))
+    d_out = lattice.primitive_of_rational((q[0] - v[0], q[1] - v[1]))
     if cross(d_in, d_out) != 1:
         raise NotDelzantCorner(
             "edge directions %s, %s are not a positive Z^2 basis" % (d_in, d_out)

@@ -1,8 +1,9 @@
 import json
+import time
 
 import pytest
 
-from plumbtoric import moment_polygon
+from plumbtoric import cli, moment_polygon
 from plumbtoric.cli import main
 from plumbtoric.docio import polygon_from_doc, polygon_to_doc, render_svg
 
@@ -96,6 +97,40 @@ class TestSurveyCommand:
         code, _, err = run(capsys, "survey", "--n", "4", "--range", "-3..3")
         assert code == 2
         assert json.loads(err)["error"]["type"] == "SurveyTooLarge"
+
+    @pytest.mark.parametrize("n", ["2..20000", "2..300000"])
+    def test_huge_survey_refused_quickly(self, capsys, monkeypatch, n):
+        monkeypatch.delenv("PLUMBTORIC_MAX_SURVEY", raising=False)
+        start = time.perf_counter()
+        code, _, err = run(capsys, "survey", "--n", n, "--range", "0..1")
+        assert time.perf_counter() - start < 1.0
+        assert code == 2
+        error = json.loads(err)["error"]
+        assert error["type"] == "SurveyTooLarge"
+        assert "more than 1000000 chains" in error["message"]
+
+    def test_jobs_clamped_to_cpu_count(self, capsys, monkeypatch):
+        seen = []
+
+        class FakePool:
+            def __init__(self, max_workers):
+                seen.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, chunks):
+                return map(fn, chunks)
+
+        monkeypatch.setattr(cli, "ProcessPoolExecutor", FakePool)
+        monkeypatch.setattr(cli.os, "cpu_count", lambda: 3)
+        _, serial, _ = run(capsys, "survey", "--n", "2", "--range", "-2..1")
+        code, out, _ = run(capsys, "survey", "--n", "2", "--range", "-2..1", "--jobs", "500")
+        assert code == 0 and out == serial
+        assert seen == [3]
 
     @pytest.mark.parametrize("value", ["abc", "-1", "1.5", ""])
     def test_bad_cap_exits_2(self, capsys, monkeypatch, value):
@@ -197,6 +232,28 @@ class TestIndexCommand:
         assert result["j_plus"] == 0
         assert result["fredholm_index"] == 1
         assert result["parity_consistent"] is True
+
+
+class TestUsageErrors:
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["classify"],
+            ["survey", "--n", "2", "--range", "0..1", "--jobs", "x"],
+            ["construct", "--plumbing", "2,3", "--format", "xml"],
+            ["no-such-command"],
+        ],
+    )
+    def test_usage_error_is_a_json_record(self, capsys, argv):
+        code, out, err = run(capsys, *argv)
+        assert code == 2 and out == ""
+        assert json.loads(err)["error"]["type"] == "MalformedDocument"
+
+    def test_help_exits_0(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["classify", "--help"])
+        assert exc.value.code == 0
+        assert "--plumbing" in capsys.readouterr().out
 
 
 class TestPolygonRoundTrip:

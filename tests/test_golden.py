@@ -1,0 +1,85 @@
+"""Pinned CLI output: stdout, exit status and error type of fixed commands.
+
+The files under ``tests/golden/`` hold, per case, the exact stdout
+(``<name>.out``) and, in ``manifest.json``, the exit status and the
+``error.type`` of the stderr record (null on success).  Refactors of the
+library must reproduce them byte for byte.  To regenerate them from the
+library on ``PYTHONPATH``:
+
+    python tests/test_golden.py --regenerate
+"""
+
+import io
+import json
+import os
+import sys
+from contextlib import redirect_stderr, redirect_stdout
+from pathlib import Path
+
+import pytest
+
+from plumbtoric.cli import main
+
+GOLDEN = Path(__file__).parent / "golden"
+ITINERARY = str(GOLDEN / "itinerary.json")
+INDEX = str(GOLDEN / "index.json")
+CAPS = ("PLUMBTORIC_MAX_SURVEY", "PLUMBTORIC_MAX_GENERATORS")
+
+CASES = {
+    "classify_tight": ["classify", "--plumbing", "-2,1,0,-2"],
+    "classify_overtwisted": ["classify", "--plumbing", "2,1,3"],
+    "classify_3_-2_-2": ["classify", "--plumbing", "3,-2,-2"],
+    "classify_reduce": ["classify", "--plumbing", "2,-1,2", "--reduce"],
+    "construct_heights": [
+        "construct", "--plumbing", "-2,1,0,-2", "--heights", "-1,-3,-3,-1",
+    ],
+    "construct_svg": ["construct", "--plumbing", "2,3", "--format", "svg"],
+    "construct_five": ["construct", "--plumbing", "3,-2,-2,0,2"],
+    "survey_csv": ["survey", "--n", "2..3", "--range", "-3..1"],
+    "survey_json_jobs2": [
+        "survey", "--n", "2..3", "--range", "-3..1", "--format", "json", "--jobs", "2",
+    ],
+    "reeb_orbits_5": ["reeb-orbits", "--itinerary", ITINERARY, "--action-bound", "5"],
+    "reeb_orbits_31_3": [
+        "reeb-orbits", "--itinerary", ITINERARY, "--action-bound", "31/3",
+    ],
+    "index": ["index", "--input", INDEX],
+    "error_minus_one": ["classify", "--plumbing", "2,-1,2"],
+    "error_not_concave": ["classify", "--plumbing", "-2,-3"],
+    "error_too_short": ["classify", "--plumbing", "5"],
+    "error_malformed": ["classify", "--plumbing", "2,x"],
+    "error_construct_negative": ["construct", "--plumbing", "-2,-3"],
+    "error_construct_pivot": ["construct", "--plumbing", "-2,3", "--pivot", "1"],
+}
+
+
+def run_case(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        code = main(list(argv))
+    error = json.loads(err.getvalue())["error"]["type"] if code else None
+    return out.getvalue(), {"exit": code, "error": error}
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_output_is_pinned(name, monkeypatch):
+    for var in CAPS:
+        monkeypatch.delenv(var, raising=False)
+    out, status = run_case(CASES[name])
+    manifest = json.loads((GOLDEN / "manifest.json").read_text())
+    assert status == manifest[name]
+    assert out == (GOLDEN / (name + ".out")).read_text()
+
+
+def regenerate():
+    for var in CAPS:
+        os.environ.pop(var, None)
+    manifest = {}
+    for name, argv in sorted(CASES.items()):
+        out, manifest[name] = run_case(argv)
+        (GOLDEN / (name + ".out")).write_text(out)
+    (GOLDEN / "manifest.json").write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n")
+
+
+if __name__ == "__main__" and sys.argv[1:] == ["--regenerate"]:
+    regenerate()

@@ -8,6 +8,8 @@ from plumbtoric import (
     GSViolation,
     MovePreconditionFailed,
     NeumannMove,
+    NonpositiveArea,
+    areas,
     blow_down,
     continued_fraction,
     det_intersection,
@@ -213,6 +215,15 @@ class TestNegativeGSCheck:
 
     def test_zero_chain(self):
         assert negative_gs_check((0, 0), (-1, -1)) == (1, 1)
+
+    def test_areas_share_minus_q_z_but_not_the_contract(self):
+        # areas() does not test heights, so it fails where the witness
+        # check reports the positive height (test_height_violation)
+        with pytest.raises(NonpositiveArea):
+            areas((0, 0), (-1, 1))
+        for check in (areas, negative_gs_check):
+            with pytest.raises(ValueError):
+                check((0, 0), (-1,))
 
     def test_height_violation(self):
         result = negative_gs_check((0, 0), (-1, 1))

@@ -1,3 +1,4 @@
+import dataclasses
 from fractions import Fraction
 
 import pytest
@@ -5,6 +6,10 @@ from hypothesis import given, settings, strategies as st
 
 from plumbtoric import (
     Cmp,
+    InconsistentInvariant,
+    InternalInvariantError,
+    MomentPolygon,
+    PolygonEdge,
     MinusOnePresent,
     NonpositiveArea,
     NoNonnegativeEntry,
@@ -28,6 +33,7 @@ from plumbtoric import (
     moment_polygon,
     ray_sequence,
 )
+from plumbtoric import lattice, toric
 
 # chains acceptable to the construction: no -1, at least one entry >= 0
 construction_chains = (
@@ -63,6 +69,13 @@ class TestDecompose:
             decompose((-1, 2), 2)
         with pytest.raises(NoNonnegativeEntry):
             decompose((-2, -3), 1)
+        with pytest.raises(NoNonnegativeEntry):
+            decompose((-2, 3), 3)
+
+    def test_gate_checks_minus_one_before_length(self):
+        for fn in (lambda s: decompose(s, 1), lens_invariant, classify):
+            with pytest.raises(MinusOnePresent):
+                fn((-1,))
 
 
 class TestChooseHeights:
@@ -159,7 +172,7 @@ class TestClassify:
     @given(construction_chains)
     def test_det_identity(self, s):
         report = classify(s)
-        assert report.det_check
+        assert report.det_check and report.det == det_intersection(s)
         r1, r2 = report.rays.w[0], report.rays.w[-1]
         assert det_intersection(s) == (-1) ** (len(s) - 1) * cross(r1, r2)
 
@@ -169,6 +182,35 @@ class TestClassify:
         a, b = classify(s), classify(rev)
         assert a.verdict is b.verdict
         assert lens_equivalent(a.lens, b.lens)
+
+
+class TestCrossChecksFire:
+    """Each internal cross-check of classify raises (or flags) on bad data."""
+
+    def test_lens_routes(self, monkeypatch):
+        monkeypatch.setattr(lattice, "continued_fraction", lambda s: Fraction(7, 3))
+        with pytest.raises(InconsistentInvariant):
+            classify((3, -2, -2))
+        with pytest.raises(InconsistentInvariant):
+            lens_invariant((3, -2, -2))
+
+    def test_pivot_independence(self, monkeypatch):
+        real, calls = lattice.winding_compare, []
+
+        def flip_after_first(rays):
+            w = real(rays)
+            calls.append(w)
+            if len(calls) == 1:
+                return w
+            return dataclasses.replace(w, vs_pi=Cmp.LT if w.vs_pi is Cmp.GT else Cmp.GT)
+
+        monkeypatch.setattr(lattice, "winding_compare", flip_after_first)
+        with pytest.raises(InternalInvariantError):
+            classify((2, 1, 3))
+
+    def test_determinant_identity(self, monkeypatch):
+        monkeypatch.setattr(toric, "_det", lambda s: 0)
+        assert not classify((3, -2, -2)).det_check
 
 
 class TestLensInvariant:
@@ -259,6 +301,37 @@ class TestBlowUpCorner:
         poly = moment_polygon((2, 3), 1, (-1, -1))
         with pytest.raises(NotDelzantCorner):
             blow_up_corner(poly, 0, Fraction(1, 2))
+
+    def test_corner_with_radial_edges(self):
+        # both sphere edges of this corner point along rays from the origin
+        chopped = blow_up_corner(moment_polygon((3, 3), 1), 1, 2)
+        assert [(e.self_intersection, e.area) for e in chopped.edges] == [
+            (2, 2),
+            (-1, 2),
+            (2, 2),
+        ]
+
+    @given(construction_chains, st.data())
+    @settings(max_examples=60)
+    def test_half_edge_blow_up_passes_the_reread(self, s, data):
+        i = data.draw(st.sampled_from(pivots_of(s)))
+        poly = moment_polygon(s, i)
+        for corner in range(1, len(poly.vertices) - 1):
+            size = min(poly.edges[corner - 1].area, poly.edges[corner].area) / 2
+            try:
+                blow_up_corner(poly, corner, size)
+            except NotDelzantCorner:
+                pass
+
+    def test_reread_rejects_bad_polygons(self):
+        poly = moment_polygon((0, 3), 1)
+        swapped = MomentPolygon(poly.vertices, poly.edges, poly.rays[::-1])
+        with pytest.raises(InternalInvariantError):
+            blow_up_corner(swapped, 1, Fraction(1, 2))
+        e = poly.edges[1]
+        edges = (poly.edges[0], PolygonEdge(e.start, e.end, e.self_intersection, e.area + 1))
+        with pytest.raises(InternalInvariantError):
+            blow_up_corner(MomentPolygon(poly.vertices, edges, poly.rays), 1, Fraction(1, 2))
 
     @given(construction_chains, st.data())
     @settings(max_examples=30)
