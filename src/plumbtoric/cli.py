@@ -27,7 +27,6 @@ from . import docio, reeb, toric
 from .errors import (
     InternalInvariantError,
     MalformedDocument,
-    NoNonnegativeEntry,
     PreconditionError,
     SurveyTooLarge,
     TooManyGenerators,
@@ -91,13 +90,11 @@ def _cmd_construct(args) -> int:
         from .plumbing import blow_down
 
         chain = blow_down(chain)
-    if args.pivot is not None:
-        pivot = args.pivot
-    else:
-        nonneg = [i for i in range(1, len(chain) + 1) if chain[i - 1] >= 0]
-        if not nonneg:
-            raise NoNonnegativeEntry("no entry of %s is >= 0" % (chain,))
-        pivot = nonneg[0]
+    pivot = args.pivot
+    if pivot is None:
+        # the chain gate raises its -1 and length errors first; with no valid
+        # pivot, moment_polygon raises NoNonnegativeEntry
+        pivot = min(toric._valid_pivots(chain), default=None)
     heights = None
     if args.heights:
         heights = tuple(docio.parse_fraction(h) for h in args.heights.split(","))

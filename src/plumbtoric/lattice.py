@@ -6,9 +6,10 @@ gives the canonical representative.  Matrices act on column vectors, the
 convention used project-wide.
 
 Swept angles are never computed with trigonometry.  A sequence of rays is
-compared against the half turn and the full turn by counting, with integer
-cross/dot signs only, how often the rotating direction crosses the start
-direction and its antipode.  Floats appear only in display fields.
+compared against the half turn and the full turn with integer cross/dot
+signs only: one count of how often the rotating direction wraps past the
+start direction, plus where the last ray lies relative to that direction
+and its antipode.  Floats appear only in display fields.
 """
 
 from __future__ import annotations
@@ -20,12 +21,7 @@ from fractions import Fraction
 from math import gcd
 from typing import NamedTuple, Optional, Sequence
 
-from .errors import (
-    InternalInvariantError,
-    ParallelSameDirection,
-    TooShort,
-    ZeroVector,
-)
+from .errors import ParallelSameDirection, TooShort, ZeroVector
 
 Vec2 = tuple  # (x, y) with integer (or Fraction) entries
 
@@ -37,10 +33,6 @@ def cross(u, v):
 
 def dot(u, v):
     return u[0] * v[0] + u[1] * v[1]
-
-
-def neg(v) -> Vec2:
-    return (-v[0], -v[1])
 
 
 def primitive(v) -> Vec2:
@@ -155,10 +147,11 @@ class Landing(Enum):
 class WindingVerdict:
     """Exact comparison of a swept angle with pi and 2 pi.
 
-    ``crossings_of_start`` / ``crossings_of_antipode`` count how often the
-    rotating direction strictly passed the start direction w0 resp. -w0
-    (an exact landing followed by further rotation counts as passed).
-    ``final_landing`` records an exact landing at the last ray.
+    Of the c multiples of pi that the swept angle strictly exceeds, the odd
+    ones are passes of -w0 and the even ones passes of the start direction
+    w0 (an exact landing followed by further rotation counts as passed):
+    ``crossings_of_antipode`` = (c + 1) // 2 and ``crossings_of_start`` =
+    c // 2.  ``final_landing`` records an exact landing at the last ray.
     ``approx_degrees`` is display-only.
     """
 
@@ -173,90 +166,44 @@ class WindingVerdict:
 def winding_compare(rays: Sequence[Vec2]) -> WindingVerdict:
     """Compare the total CCW angle swept by consecutive rays with pi and 2 pi.
 
-    Each step contributes its angle in (0, 2 pi): convex steps sweep the open
-    sector between the two rays, a straight step sweeps the open half-plane
-    cross(u, .) > 0, and a reflex step sweeps the complement of the closed
-    non-reflex sector.  The start direction w0 and its antipode are markers at
-    the multiples of pi; counting their strict crossings (plus the landings
-    at non-final step ends, which further rotation turns into crossings)
-    decides both comparisons exactly.
+    Each step turns counter-clockwise by its angle in (0, 2 pi).  A ray's
+    position from w0 = rays[0] is 0 on w0, 1 where cross(w0, .) > 0, 2 on -w0
+    and 3 where cross(w0, .) < 0.  A step wraps past w0 when the position
+    drops, or stays in one open half-plane while cross(u, v) < 0.  After W
+    wraps the swept angle is 2 pi W plus the angle of the last ray, so it
+    strictly passes c = 2 W + [pos 3] - [pos 0] multiples of pi.
     """
     if len(rays) < 2:
         raise TooShort("need at least two rays")
-    w0x, w0y = rays[0][0], rays[0][1]
+    ux, uy = w0x, w0y = rays[0][0], rays[0][1]
     if w0x == 0 and w0y == 0:
         raise ZeroVector("rays must be nonzero")
-    crossings = [0, 0]  # [start, antipode]
-    final_landing = None
+    wraps = pos = 0
     approx = 0.0
-    last = len(rays) - 1
     atan2 = math.atan2
     two_pi = 2 * math.pi
-    ux, uy = w0x, w0y
     # cross/dot signs are computed inline: this loop dominates the survey
     for idx in range(1, len(rays)):
-        v = rays[idx]
-        vx, vy = v[0], v[1]
+        vx, vy = rays[idx][0], rays[idx][1]
         if vx == 0 and vy == 0:
             raise ZeroVector("rays must be nonzero")
         c = ux * vy - uy * vx
-        if c == 0:
-            d = ux * vx + uy * vy
-            if d > 0:
-                raise ParallelSameDirection(
-                    "rays %s and %s point the same way" % ((ux, uy), (vx, vy))
-                )
-        ang = atan2(c, ux * vx + uy * vy)
+        d = ux * vx + uy * vy
+        if c == 0 and d > 0:
+            raise ParallelSameDirection(
+                "rays %s and %s point the same way" % ((ux, uy), (vx, vy))
+            )
+        ang = atan2(c, d)
         approx += ang if ang > 0 else ang + two_pi
-        for which in (0, 1):
-            if which:
-                mx, my = -w0x, -w0y
-            else:
-                mx, my = w0x, w0y
-            c_um = ux * my - uy * mx
-            c_mv = mx * vy - my * vx
-            if c > 0:
-                inside = c_um > 0 and c_mv > 0
-            elif c < 0:
-                inside = c_um > 0 or c_mv > 0
-            else:
-                inside = c_um > 0
-            if inside:
-                crossings[which] += 1
-            elif c_mv == 0 and mx * vx + my * vy > 0:
-                if idx == last:
-                    final_landing = Landing.START if which == 0 else Landing.ANTIPODE
-                else:
-                    crossings[which] += 1
-        ux, uy = vx, vy
-    c = crossings[0] + crossings[1]
-    # markers alternate starting with the antipode at angle pi
-    if crossings[1] != (c + 1) // 2 or crossings[0] != c // 2:
-        raise InternalInvariantError(
-            "marker alternation violated: %s for rays %s" % (crossings, rays)
-        )
-    if final_landing is Landing.ANTIPODE and c % 2 != 0:
-        raise InternalInvariantError("antipode landing with odd crossing count")
-    if final_landing is Landing.START and c % 2 != 1:
-        raise InternalInvariantError("start landing with even crossing count")
-
-    if c >= 1:
-        vs_pi = Cmp.GT
-    elif final_landing is Landing.ANTIPODE:
-        vs_pi = Cmp.EQ
-    else:
-        vs_pi = Cmp.LT
-    if c >= 2:
-        vs_two_pi = Cmp.GT
-    elif c == 1 and final_landing is Landing.START:
-        vs_two_pi = Cmp.EQ
-    else:
-        vs_two_pi = Cmp.LT
+        side = w0x * vy - w0y * vx
+        p = 1 if side > 0 else 3 if side < 0 else 0 if w0x * vx + w0y * vy > 0 else 2
+        if p < pos or (p == pos and c < 0):
+            wraps += 1
+        pos, ux, uy = p, vx, vy
+    passed = 2 * wraps + (pos == 3) - (pos == 0)
+    landing = (Landing.START, None, Landing.ANTIPODE, None)[pos]
+    vs_pi = Cmp.GT if passed >= 1 else Cmp.EQ if pos == 2 else Cmp.LT
+    vs_two_pi = Cmp.GT if passed >= 2 else Cmp.EQ if passed == 1 and pos == 0 else Cmp.LT
     return WindingVerdict(
-        vs_pi=vs_pi,
-        vs_two_pi=vs_two_pi,
-        crossings_of_start=crossings[0],
-        crossings_of_antipode=crossings[1],
-        final_landing=final_landing,
-        approx_degrees=math.degrees(approx),
+        vs_pi, vs_two_pi, passed // 2, (passed + 1) // 2, landing, math.degrees(approx)
     )

@@ -180,8 +180,7 @@ def enumerate_orbits(it: ReebItinerary, bound) -> List[FamilyCount]:
         _cone_primitives(r_in, r_out, v, bound, found)
         found.sort()
         for slope, action in found:
-            q = bound / action
-            mult = int(q) - 1 if q == int(q) else int(q)
+            mult = -(-bound // action) - 1  # ceil(bound / action) - 1
             out.append(
                 FamilyCount(
                     family=OrbitFamily(slope=slope, vertex=j, base_action=action),
@@ -268,9 +267,6 @@ class ReebCurrent:
         return sum(
             m for o, m in self.entries if o.kind is OrbitKind.POSITIVE_HYPERBOLIC
         )
-
-
-EMPTY_CURRENT = ReebCurrent(())
 
 
 def enumerate_generators(

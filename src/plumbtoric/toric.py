@@ -75,8 +75,11 @@ def _concave_pivots(s) -> list:
 
 
 def _check_chain(s, i: int):
-    if i not in _valid_pivots(s):
-        raise NoNonnegativeEntry("pivot %r is not an index i of %s with s_i >= 0" % (i, s))
+    pivots = _valid_pivots(s)
+    if i not in pivots:
+        raise NoNonnegativeEntry(
+            "pivot %r is not one of the indices %s of %s with s_i >= 0" % (i, pivots, s)
+        )
 
 
 @dataclass(frozen=True)

@@ -69,6 +69,13 @@ class TestConstructCommand:
         _, second, _ = run(capsys, "construct", "--plumbing", "2,3", "--format", "svg")
         assert first == second
 
+    def test_default_pivot_follows_chain_gate(self, capsys):
+        # the -1 error comes before the pivot search, with or without --pivot
+        for extra in ((), ("--pivot", "1")):
+            code, _, err = run(capsys, "construct", "--plumbing", "-1,-2", *extra)
+            assert code == 2
+            assert json.loads(err)["error"]["type"] == "MinusOnePresent"
+
 
 class TestSurveyCommand:
     def test_contains_expected_row(self, capsys):

@@ -2,14 +2,18 @@ import math
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, assume, strategies as st
+from hypothesis import given, assume, settings, strategies as st
 
 from plumbtoric import (
     Cmp,
+    InternalInvariantError,
+    Landing,
     MatSL2Z,
     ParallelSameDirection,
     SL2Z_IDENTITY,
     StepClass,
+    TooShort,
+    WindingVerdict,
     ZeroVector,
     continued_fraction,
     cross,
@@ -194,3 +198,162 @@ class TestWindingCompare:
     def test_approx_close_to_float_sum(self, rays):
         w = winding_compare(rays)
         assert abs(math.radians(w.approx_degrees) - float_angle_sum(rays)) < 1e-9
+
+
+def oracle_winding(rays):
+    # the two-marker count with its self-checks, as the library had it
+    if len(rays) < 2:
+        raise TooShort("need at least two rays")
+    w0x, w0y = rays[0][0], rays[0][1]
+    if w0x == 0 and w0y == 0:
+        raise ZeroVector("rays must be nonzero")
+    crossings = [0, 0]  # [start, antipode]
+    final_landing = None
+    approx = 0.0
+    last = len(rays) - 1
+    atan2 = math.atan2
+    two_pi = 2 * math.pi
+    ux, uy = w0x, w0y
+    # cross/dot signs are computed inline: this loop dominates the survey
+    for idx in range(1, len(rays)):
+        v = rays[idx]
+        vx, vy = v[0], v[1]
+        if vx == 0 and vy == 0:
+            raise ZeroVector("rays must be nonzero")
+        c = ux * vy - uy * vx
+        if c == 0:
+            d = ux * vx + uy * vy
+            if d > 0:
+                raise ParallelSameDirection(
+                    "rays %s and %s point the same way" % ((ux, uy), (vx, vy))
+                )
+        ang = atan2(c, ux * vx + uy * vy)
+        approx += ang if ang > 0 else ang + two_pi
+        for which in (0, 1):
+            if which:
+                mx, my = -w0x, -w0y
+            else:
+                mx, my = w0x, w0y
+            c_um = ux * my - uy * mx
+            c_mv = mx * vy - my * vx
+            if c > 0:
+                inside = c_um > 0 and c_mv > 0
+            elif c < 0:
+                inside = c_um > 0 or c_mv > 0
+            else:
+                inside = c_um > 0
+            if inside:
+                crossings[which] += 1
+            elif c_mv == 0 and mx * vx + my * vy > 0:
+                if idx == last:
+                    final_landing = Landing.START if which == 0 else Landing.ANTIPODE
+                else:
+                    crossings[which] += 1
+        ux, uy = vx, vy
+    c = crossings[0] + crossings[1]
+    # markers alternate starting with the antipode at angle pi
+    if crossings[1] != (c + 1) // 2 or crossings[0] != c // 2:
+        raise InternalInvariantError(
+            "marker alternation violated: %s for rays %s" % (crossings, rays)
+        )
+    if final_landing is Landing.ANTIPODE and c % 2 != 0:
+        raise InternalInvariantError("antipode landing with odd crossing count")
+    if final_landing is Landing.START and c % 2 != 1:
+        raise InternalInvariantError("start landing with even crossing count")
+
+    if c >= 1:
+        vs_pi = Cmp.GT
+    elif final_landing is Landing.ANTIPODE:
+        vs_pi = Cmp.EQ
+    else:
+        vs_pi = Cmp.LT
+    if c >= 2:
+        vs_two_pi = Cmp.GT
+    elif c == 1 and final_landing is Landing.START:
+        vs_two_pi = Cmp.EQ
+    else:
+        vs_two_pi = Cmp.LT
+    return WindingVerdict(
+        vs_pi=vs_pi,
+        vs_two_pi=vs_two_pi,
+        crossings_of_start=crossings[0],
+        crossings_of_antipode=crossings[1],
+        final_landing=final_landing,
+        approx_degrees=math.degrees(approx),
+    )
+
+
+def winding_outcome(compare, rays):
+    try:
+        return compare(rays)
+    except (TooShort, ZeroVector, ParallelSameDirection) as exc:
+        return type(exc), str(exc)
+
+
+# small coordinates make zero rays, same-direction steps and exact landings on
+# +-w0 frequent; the wider range adds long reflex steps
+any_vec = st.one_of(
+    st.tuples(st.integers(-2, 2), st.integers(-2, 2)),
+    st.tuples(st.integers(-9, 9), st.integers(-9, 9)),
+)
+
+E, N, W, S = (1, 0), (0, 1), (-1, 0), (0, -1)
+LT, EQ, GT = Cmp.LT, Cmp.EQ, Cmp.GT
+START, ANTIPODE = Landing.START, Landing.ANTIPODE
+
+# (rays, vs_pi, vs_two_pi, crossings_of_start, crossings_of_antipode, landing)
+WRAP_CASES = [
+    # two full turns, landing on w0 at an interior step and at the last one
+    ([E, N, W, S] * 2 + [E], GT, GT, 1, 2, START),
+    # three full turns, then a straight step onto -w0
+    ([E, N, W, S] * 3 + [E, W], GT, GT, 3, 3, ANTIPODE),
+    # two wraps ending below w0: 990 degrees
+    ([E, N, W, S] * 3, GT, GT, 2, 3, None),
+    # convex steps inside one half-plane, ending exactly on -w0: a half turn
+    ([E, (2, 1), (1, 1), (1, 2), W], EQ, LT, 0, 0, ANTIPODE),
+    # the same convex steps in each of two full turns, then onto -w0: 900 degrees
+    ([E, (2, 1), (1, 1), N, W, S] * 2 + [E, (1, 1), W], GT, GT, 2, 2, ANTIPODE),
+    # interior landing on -w0, then past it and past w0: 405 degrees
+    ([E, N, W, S, (1, 1)], GT, GT, 1, 1, None),
+    # two reflex steps that stay in the half-plane cross(w0, .) > 0
+    ([E, (1, 2), (1, 1), (2, 1)], GT, GT, 2, 2, None),
+    # two reflex steps that stay in the half-plane cross(w0, .) < 0
+    ([(2, 1), (1, -1), (1, -2), (1, -3)], GT, GT, 2, 3, None),
+    # reflex steps onto -w0 at the end: 540 degrees
+    ([E, S, W], GT, GT, 1, 1, ANTIPODE),
+    # one reflex step and a convex one back onto w0: exactly a full turn
+    ([E, S, E], GT, EQ, 0, 1, START),
+    # a single reflex step below w0: 270 degrees
+    ([E, S], GT, LT, 0, 1, None),
+    # w0 off the axes: a straight step, then two full turns back onto -w0
+    ([(2, 1)] + [(-2, -1), (1, -3), (2, 1), (-1, 2)] * 2 + [(-2, -1)], GT, GT, 2, 2, ANTIPODE),
+]
+
+
+class TestWindingOracle:
+    @settings(max_examples=500, deadline=None)
+    @given(st.lists(any_vec, min_size=1, max_size=8))
+    def test_matches_oracle(self, rays):
+        assert winding_outcome(winding_compare, rays) == winding_outcome(oracle_winding, rays)
+
+    @pytest.mark.parametrize("rays, vs_pi, vs_two_pi, start, antipode, landing", WRAP_CASES)
+    def test_multi_wrap_and_landings(self, rays, vs_pi, vs_two_pi, start, antipode, landing):
+        w = winding_compare(rays)
+        assert (w.vs_pi, w.vs_two_pi) == (vs_pi, vs_two_pi)
+        assert (w.crossings_of_start, w.crossings_of_antipode) == (start, antipode)
+        assert w.final_landing is landing
+        assert w == oracle_winding(rays)
+
+    @pytest.mark.parametrize(
+        "rays, error",
+        [
+            ([(0, 0), E], ZeroVector),
+            ([E, N, (0, 0)], ZeroVector),
+            ([E, N, (0, 2)], ParallelSameDirection),
+            ([E, (3, 0)], ParallelSameDirection),
+            ([E, (2, 0), (0, 0)], ParallelSameDirection),
+        ],
+    )
+    def test_error_types_match_oracle(self, rays, error):
+        assert winding_outcome(winding_compare, rays)[0] is error
+        assert winding_outcome(winding_compare, rays) == winding_outcome(oracle_winding, rays)
