@@ -6,11 +6,11 @@ a machine-readable error record on stderr), 1 on internal assertion failure.
 
 The survey driver enumerates chains with some entry >= 0 (chains containing
 -1 are blown down before classification unless --exclude-minus-one drops
-them); the enumeration size is capped by PLUMBTORIC_MAX_SURVEY (default
-10^6).  Rows are sorted by the chain tuple, so output does not depend on
-the worker count (--jobs, at most the CPU count).  The reeb-orbits
-generator search stops once it passes PLUMBTORIC_MAX_GENERATORS generators
-(default 10^5).
+them); the total number of entries of the enumerated chains is capped by
+PLUMBTORIC_MAX_SURVEY (default 10^6).  Rows are sorted by the chain tuple,
+so output does not depend on the worker count (--jobs, at most the CPU
+count).  The reeb-orbits generator search stops once it passes
+PLUMBTORIC_MAX_GENERATORS generators (default 10^5).
 """
 
 from __future__ import annotations
@@ -126,12 +126,15 @@ def _cmd_survey(args) -> int:
         raise MalformedDocument("--jobs must be at least 1")
     cap = _env_cap("PLUMBTORIC_MAX_SURVEY", DEFAULT_SURVEY_CAP)
     values = range(v_lo, v_hi + 1)
-    total = 0
+    # the cap bounds the entries of all chains, so it also bounds their
+    # number (every chain has at least two entries)
+    entries = 0
     for n in range(n_lo, n_hi + 1):
-        total += len(values) ** n
-        if total > cap:
+        entries += n * len(values) ** n
+        if entries > cap:
             raise SurveyTooLarge(
-                "survey has more than %d chains (PLUMBTORIC_MAX_SURVEY)" % cap
+                "survey has more than %d chains or chain entries "
+                "(PLUMBTORIC_MAX_SURVEY)" % cap
             )
     chains = []
     for n in range(n_lo, n_hi + 1):

@@ -10,6 +10,13 @@ compared against the half turn and the full turn with integer cross/dot
 signs only: one count of how often the rotating direction wraps past the
 start direction, plus where the last ray lies relative to that direction
 and its antipode.  Floats appear only in display fields.
+
+The position of a ray and the wrap of a step are defined once, in
+``_step``, and both counters use it: ``winding_compare`` counts one
+sequence, and ``spliced_counts`` counts, in one pass, every sequence that
+switches from one ray list to the other at a given index.  That works
+because a ray's position depends only on the start ray and a step's wrap
+only on its two rays.
 """
 
 from __future__ import annotations
@@ -163,47 +170,95 @@ class WindingVerdict:
     approx_degrees: float
 
 
+def _step(w0x, w0y, u, pu: int, v):
+    """The position of ray v and whether the CCW step from ray u (at
+    position pu) to v wraps past the start ray w0 = (w0x, w0y).
+
+    Positions are measured counter-clockwise from w0: 0 on w0, 1 where
+    cross(w0, v) > 0, 2 on -w0 and 3 where cross(w0, v) < 0.  The step
+    wraps when the position drops, or stays in one open half-plane while
+    cross(u, v) < 0 (a turn of more than pi).
+    """
+    vx, vy = v[0], v[1]
+    if vx == 0 and vy == 0:
+        raise ZeroVector("rays must be nonzero")
+    c = u[0] * vy - u[1] * vx
+    if c == 0 and u[0] * vx + u[1] * vy > 0:
+        raise ParallelSameDirection(
+            "rays %s and %s point the same way" % ((u[0], u[1]), (vx, vy))
+        )
+    side = w0x * vy - w0y * vx
+    pv = 1 if side > 0 else 3 if side < 0 else 0 if w0x * vx + w0y * vy > 0 else 2
+    return pv, pv < pu or (pv == pu and c < 0)
+
+
+def _passed(wraps: int, last: int) -> int:
+    """Multiples of pi strictly below the angle 2 pi wraps + angle(last)."""
+    return 2 * wraps + (last == 3) - (last == 0)
+
+
 def winding_compare(rays: Sequence[Vec2]) -> WindingVerdict:
     """Compare the total CCW angle swept by consecutive rays with pi and 2 pi.
 
-    Each step turns counter-clockwise by its angle in (0, 2 pi).  A ray's
-    position from w0 = rays[0] is 0 on w0, 1 where cross(w0, .) > 0, 2 on -w0
-    and 3 where cross(w0, .) < 0.  A step wraps past w0 when the position
-    drops, or stays in one open half-plane while cross(u, v) < 0.  After W
-    wraps the swept angle is 2 pi W plus the angle of the last ray, so it
-    strictly passes c = 2 W + [pos 3] - [pos 0] multiples of pi.
+    Each step turns counter-clockwise by its angle in (0, 2 pi).  Positions
+    and wraps are those of ``_step``, measured from w0 = rays[0].  After W
+    wraps past w0 the swept angle is 2 pi W plus the angle of the last
+    ray, so it strictly passes c = 2 W + [pos 3] - [pos 0] multiples of pi.
     """
     if len(rays) < 2:
         raise TooShort("need at least two rays")
-    ux, uy = w0x, w0y = rays[0][0], rays[0][1]
+    u = rays[0]
+    w0x, w0y = u[0], u[1]
     if w0x == 0 and w0y == 0:
         raise ZeroVector("rays must be nonzero")
     wraps = pos = 0
     approx = 0.0
     atan2 = math.atan2
     two_pi = 2 * math.pi
-    # cross/dot signs are computed inline: this loop dominates the survey
     for idx in range(1, len(rays)):
-        vx, vy = rays[idx][0], rays[idx][1]
-        if vx == 0 and vy == 0:
-            raise ZeroVector("rays must be nonzero")
-        c = ux * vy - uy * vx
-        d = ux * vx + uy * vy
-        if c == 0 and d > 0:
-            raise ParallelSameDirection(
-                "rays %s and %s point the same way" % ((ux, uy), (vx, vy))
-            )
-        ang = atan2(c, d)
+        v = rays[idx]
+        pos, wrap = _step(w0x, w0y, u, pos, v)
+        wraps += wrap
+        ang = atan2(u[0] * v[1] - u[1] * v[0], u[0] * v[0] + u[1] * v[1])
         approx += ang if ang > 0 else ang + two_pi
-        side = w0x * vy - w0y * vx
-        p = 1 if side > 0 else 3 if side < 0 else 0 if w0x * vx + w0y * vy > 0 else 2
-        if p < pos or (p == pos and c < 0):
-            wraps += 1
-        pos, ux, uy = p, vx, vy
-    passed = 2 * wraps + (pos == 3) - (pos == 0)
+        u = v
+    passed = _passed(wraps, pos)
     landing = (Landing.START, None, Landing.ANTIPODE, None)[pos]
     vs_pi = Cmp.GT if passed >= 1 else Cmp.EQ if pos == 2 else Cmp.LT
     vs_two_pi = Cmp.GT if passed >= 2 else Cmp.EQ if passed == 1 and pos == 0 else Cmp.LT
     return WindingVerdict(
         vs_pi, vs_two_pi, passed // 2, (passed + 1) // 2, landing, math.degrees(approx)
     )
+
+
+def spliced_counts(head: Sequence[Vec2], tail: Sequence[Vec2], ks: Sequence[int]) -> list:
+    """For each k in ks, the count c of ``winding_compare`` (its
+    ``crossings_of_start + crossings_of_antipode``) for head[:k] + tail[k:].
+
+    ``head`` and ``tail`` have one length n; head[0] is the start ray w0 and
+    tail[0] is never read; ks are sorted, within 1..n-1.  Positions depend only
+    on w0 and wraps only on a step's two rays, so the wraps along head up to
+    k - 1, the junction step head[k-1] -> tail[k] and the wraps along tail
+    from k (all of tail's wraps less those before k) give each count, in
+    O(n + len(ks)) steps for all of them.
+    """
+    w0x, w0y = head[0][0], head[0][1]
+    if w0x == 0 and w0y == 0:
+        raise ZeroVector("rays must be nonzero")
+    n, lo, hi = len(head), ks[0], ks[-1]
+    # before[k]: wraps along head[0..k-1]; head_pos[j]: position of head[j]
+    before, head_pos, p = [0, 0], [0], 0
+    for j in range(1, hi):
+        p, wrap = _step(w0x, w0y, head[j - 1], p, head[j])
+        before.append(before[-1] + wrap)
+        head_pos.append(p)
+    junctions = [_step(w0x, w0y, head[k - 1], head_pos[k - 1], tail[k]) for k in ks]
+    # on_tail[k - lo]: wraps along tail[lo..k]
+    p, on_tail = junctions[0][0], [0]
+    for j in range(lo + 1, n):
+        p, wrap = _step(w0x, w0y, tail[j - 1], p, tail[j])
+        on_tail.append(on_tail[-1] + wrap)
+    return [
+        _passed(before[k] + wrap + on_tail[-1] - on_tail[k - lo], p)
+        for k, (_, wrap) in zip(ks, junctions)
+    ]

@@ -6,6 +6,13 @@ A_j = [[-s_j, -1], [1, 0]].  The glued image determines a sequence of
 integer rays; the exact angle they sweep decides tight versus overtwisted,
 and the normalized terminal rays identify the lens space on the boundary.
 
+The verdict does not depend on the pivot, and ``classify`` checks that for
+every valid pivot at about the cost of one.  With k = min(i, n - 1), pivot
+i takes the candidate ray with b_j = 0 at positions j < k and the one with
+b_j = s_{j+1} from k on, so one pass builds both candidates at every
+position and ``lattice.spliced_counts`` turns them into every pivot's exact
+count.
+
 Chain positions and pivot indices are 1-based throughout, matching the
 notation (s_1, ..., s_n).
 
@@ -120,6 +127,11 @@ def choose_heights(s: Sequence[int], i: int) -> Tuple[int, ...]:
     """
     s = as_chain(s)
     _check_chain(s, i)
+    return _heights(s, i)
+
+
+def _heights(s, i: int) -> Tuple[int, ...]:
+    """``choose_heights`` on a chain and pivot that passed the gate."""
     n = len(s)
     z: list = [None] * n
     if i > 1:
@@ -177,22 +189,30 @@ class RaySequence:
     pivot: int
 
 
-def _rays_for_pivot(s, i: int, pref) -> tuple:
-    n = len(s)
-    k = min(i, n - 1)
-    rays = [(1, -s[0])]
-    for j in range(1, n):
-        b = s[j] if j >= k else 0
-        m = pref[j]
-        # pref[j] . (-b, 1) inlined; this runs inside the survey loops
-        rays.append((-m.a * b + m.b, -m.c * b + m.d))
-    return tuple(rays)
+def _candidate_rays(s) -> Tuple[list, list]:
+    """Both candidate rays at every chain position, for all pivots at once.
+
+    With M_j = A_2 ... A_j, head[j] = M_j (0, 1) is the ray w_j when b_j = 0
+    and tail[j] = M_j (-s_{j+1}, 1) the ray when b_j = s_{j+1}, for
+    j = 1..n-1; head[0] = w_0 = (1, -s_1).  The pivot with k = min(i, n-1)
+    has the rays head[:k] + tail[k:].  tail[j] is the first column of
+    M_{j+1}, so the product is kept as four ints.
+    """
+    head, tail = [(1, -s[0])], [None]
+    a, b, c, d = 1, 0, 0, 1
+    for t in s[1:]:
+        head.append((b, d))
+        a, b, c, d = b - a * t, -a, d - c * t, -c  # times A_{j+1}
+        tail.append((a, c))
+    return head, tail
 
 
 def ray_sequence(s: Sequence[int], i: int) -> RaySequence:
     s = as_chain(s)
     dec = decompose(s, i)
-    rays = _rays_for_pivot(s, i, _prefixes(s))
+    head, tail = _candidate_rays(s)
+    k = min(i, len(s) - 1)
+    rays = tuple(head[:k] + tail[k:])
     for j, (a, b) in enumerate(dec.pairs, start=1):
         if cross(rays[j - 1], rays[j]) != 1 - a * b:
             raise InternalInvariantError(
@@ -227,8 +247,8 @@ def lens_invariant(s: Sequence[int]) -> Tuple[int, int]:
     fraction k/l = [s_1, ..., s_n] whenever the latter is defined.
     """
     s = as_chain(s)
-    r2 = _rays_for_pivot(s, _concave_pivots(s)[0], _prefixes(s))[-1]
-    return _lens_from_terminal_ray(s, r2)
+    _concave_pivots(s)
+    return _lens_from_terminal_ray(s, _candidate_rays(s)[1][-1])
 
 
 def _lens_from_terminal_ray(s, r2) -> Tuple[int, int]:
@@ -287,11 +307,13 @@ class BoundaryReport:
 def classify(s: Sequence[int], reduce: bool = False) -> BoundaryReport:
     """Tight/overtwisted verdict for the concave boundary of a chain.
 
-    The swept-angle criterion is evaluated for the smallest valid pivot; the
-    verdict is recomputed for every other valid pivot and must agree (an
-    :class:`InternalInvariantError` would flag a disagreement loudly).  With
-    ``reduce`` set, -1 entries are blown down first; otherwise they raise,
-    so the standing assumption s_j != -1 stays visible to the caller.
+    The swept-angle criterion is evaluated for the smallest valid pivot.
+    One pass over the chain (``lattice.spliced_counts``) also gives the
+    exact count of every other valid pivot; every pivot's verdict must
+    agree, and the smallest pivot's count must equal ``winding_compare``'s
+    (an :class:`InternalInvariantError` flags either disagreement loudly).
+    With ``reduce`` set, -1 entries are blown down first; otherwise they
+    raise, so the standing assumption s_j != -1 stays visible to the caller.
     """
     s = as_chain(s)
     if reduce and -1 in s:
@@ -300,21 +322,25 @@ def classify(s: Sequence[int], reduce: bool = False) -> BoundaryReport:
     n = len(s)
     if pivots[-1] == n and n - 1 in pivots:
         pivots.pop()  # pivots n-1 and n give the same decomposition
-    pref = _prefixes(s)
-    first = None
-    for i in pivots:
-        rays = _rays_for_pivot(s, i, pref)
-        winding = lattice.winding_compare(rays)
-        verdict = Verdict.OVERTWISTED if winding.vs_pi is Cmp.GT else Verdict.TIGHT
-        if first is None:
-            first = (i, rays, winding, verdict)
-        elif verdict is not first[3]:
+    head, tail = _candidate_rays(s)
+    ks = [min(i, n - 1) for i in pivots]
+    counts = lattice.spliced_counts(head, tail, ks)
+    i0, k0 = pivots[0], ks[0]
+    rays0 = tuple(head[:k0] + tail[k0:])
+    winding0 = lattice.winding_compare(rays0)
+    count0 = winding0.crossings_of_start + winding0.crossings_of_antipode
+    if count0 != counts[0]:
+        raise InternalInvariantError(
+            "pivot %d sweep count %d != winding count %d for %s" % (i0, counts[0], count0, s)
+        )
+    verdict0 = Verdict.OVERTWISTED if winding0.vs_pi is Cmp.GT else Verdict.TIGHT
+    for i, count in zip(pivots[1:], counts[1:]):
+        verdict = Verdict.OVERTWISTED if count >= 1 else Verdict.TIGHT
+        if verdict is not verdict0:
             raise InternalInvariantError(
-                "pivot %d verdict %s disagrees with pivot %d for %s"
-                % (i, verdict, first[0], s)
+                "pivot %d verdict %s disagrees with pivot %d for %s" % (i, verdict, i0, s)
             )
-    i0, rays0, winding0, verdict0 = first
-    lens = _lens_from_terminal_ray(s, rays0[-1])
+    w0, last = head[0], tail[-1]
     det = _det(s)
     return BoundaryReport(
         chain=s,
@@ -322,9 +348,9 @@ def classify(s: Sequence[int], reduce: bool = False) -> BoundaryReport:
         rays=RaySequence(w=rays0, pivot=i0),
         winding=winding0,
         verdict=verdict0,
-        lens=lens,
+        lens=_lens_from_terminal_ray(s, last),
         det=det,
-        det_check=det == (-1) ** (n - 1) * cross(rays0[0], rays0[-1]),
+        det_check=det == (-1) ** (n - 1) * cross(w0, last),
         cone_is_whole_plane=winding0.vs_two_pi in (Cmp.EQ, Cmp.GT),
     )
 
@@ -387,7 +413,7 @@ def moment_polygon(
     s = as_chain(s)
     _check_chain(s, i)
     if z is None:
-        z = choose_heights(s, i)
+        z = _heights(s, i)
     z = tuple(Fraction(v) for v in z)
     _validate_heights(s, i, z)
     a = areas(s, z)
@@ -401,8 +427,8 @@ def moment_polygon(
         PolygonEdge(start=j, end=j + 1, self_intersection=s[j], area=Fraction(a[j]))
         for j in range(n)
     )
-    rays = _rays_for_pivot(s, i, pref)
-    poly = MomentPolygon(vertices=tuple(verts), edges=edges, rays=(rays[0], rays[-1]))
+    head, tail = _candidate_rays(s)
+    poly = MomentPolygon(vertices=tuple(verts), edges=edges, rays=(head[0], tail[-1]))
     _verify_polygon(poly, s)
     return poly
 

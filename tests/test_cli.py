@@ -116,6 +116,15 @@ class TestSurveyCommand:
         assert error["type"] == "SurveyTooLarge"
         assert "more than 1000000 chains" in error["message"]
 
+    def test_long_one_value_chains_refused_quickly(self, capsys, monkeypatch):
+        # only 299,999 chains, but about 4.5e10 entries in total
+        monkeypatch.delenv("PLUMBTORIC_MAX_SURVEY", raising=False)
+        start = time.perf_counter()
+        code, _, err = run(capsys, "survey", "--n", "2..300000", "--range", "0..0")
+        assert time.perf_counter() - start < 1.0
+        assert code == 2
+        assert json.loads(err)["error"]["type"] == "SurveyTooLarge"
+
     def test_jobs_clamped_to_cpu_count(self, capsys, monkeypatch):
         seen = []
 

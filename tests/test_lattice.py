@@ -25,6 +25,7 @@ from plumbtoric import (
     step_class,
     winding_compare,
 )
+from plumbtoric.lattice import spliced_counts
 
 nonzero_vec = st.tuples(
     st.integers(-9, 9), st.integers(-9, 9)
@@ -357,3 +358,27 @@ class TestWindingOracle:
     def test_error_types_match_oracle(self, rays, error):
         assert winding_outcome(winding_compare, rays)[0] is error
         assert winding_outcome(winding_compare, rays) == winding_outcome(oracle_winding, rays)
+
+
+class TestSplicedCounts:
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(st.tuples(any_vec, any_vec), min_size=2, max_size=7), st.data())
+    def test_matches_winding_compare(self, pairs, data):
+        head, tail = [p[0] for p in pairs], [p[1] for p in pairs]
+        ks = sorted(data.draw(st.sets(st.integers(1, len(pairs) - 1), min_size=1)))
+        outcomes = [winding_outcome(winding_compare, head[:k] + tail[k:]) for k in ks]
+        if any(isinstance(w, tuple) for w in outcomes):
+            # the pass reads exactly the steps of the spliced sequences
+            with pytest.raises((ZeroVector, ParallelSameDirection)):
+                spliced_counts(head, tail, ks)
+        else:
+            expected = [w.crossings_of_start + w.crossings_of_antipode for w in outcomes]
+            assert spliced_counts(head, tail, ks) == expected
+
+    def test_counts_per_switch_point(self):
+        # switching at k = 1 takes the tail's extra full turn (675 degrees);
+        # switching later takes the head's short path (315 degrees)
+        head = [E, (2, 1), (1, 2), N]
+        tail = [None, (-1, 1), (1, 1), (1, -1)]
+        assert spliced_counts(head, tail, [1, 2, 3]) == [3, 1, 1]
+        assert spliced_counts(head, tail, [2]) == [1]

@@ -1,4 +1,4 @@
-import dataclasses
+import itertools
 from fractions import Fraction
 
 import pytest
@@ -184,6 +184,54 @@ class TestClassify:
         assert lens_equivalent(a.lens, b.lens)
 
 
+def sweep_counts(s):
+    """Every valid pivot's count from the one pass ``classify`` makes."""
+    pivots = pivots_of(s)
+    head, tail = toric._candidate_rays(s)
+    ks = [min(i, len(s) - 1) for i in pivots]
+    return zip(pivots, lattice.spliced_counts(head, tail, ks))
+
+
+def product_rays(s, i):
+    """w_0 = (1, -s_1), w_j = A_2...A_j (-b_j, 1) by explicit SL(2,Z) products."""
+    k = min(i, len(s) - 1)
+    m, rays = lattice.SL2Z_IDENTITY, [(1, -s[0])]
+    for j in range(1, len(s)):
+        if j >= 2:
+            m = lattice.sl2z_mul(m, toric.gluing_matrix(s[j - 1]))
+        rays.append(lattice.sl2z_apply(m, (-(s[j] if j >= k else 0), 1)))
+    return tuple(rays)
+
+
+def assert_sweep_matches_winding(s):
+    for i, count in sweep_counts(s):
+        rays = ray_sequence(s, i).w
+        assert rays == product_rays(s, i), (s, i)
+        w = lattice.winding_compare(rays)
+        assert count == w.crossings_of_start + w.crossings_of_antipode, (s, i)
+
+
+class TestPivotSweep:
+    """The one-pass count of every pivot against winding_compare on its rays,
+    which are checked against the explicit matrix products."""
+
+    def test_exhaustive_short_chains(self):
+        values = [v for v in range(-4, 4) if v != -1]
+        for n in (2, 3, 4):
+            for s in itertools.product(values, repeat=n):
+                if any(v >= 0 for v in s):
+                    assert_sweep_matches_winding(s)
+
+    @given(
+        st.lists(st.integers(-5, 5).filter(lambda v: v != -1), min_size=2, max_size=10)
+        .map(tuple)
+        .filter(lambda s: any(v >= 0 for v in s))
+    )
+    @settings(max_examples=200)
+    def test_long_chains(self, s):
+        assert_sweep_matches_winding(s)
+
+
 class TestCrossChecksFire:
     """Each internal cross-check of classify raises (or flags) on bad data."""
 
@@ -195,18 +243,44 @@ class TestCrossChecksFire:
             lens_invariant((3, -2, -2))
 
     def test_pivot_independence(self, monkeypatch):
-        real, calls = lattice.winding_compare, []
+        # (2, 1, 3) is overtwisted; pivot 2's count is corrupted to tight
+        real = lattice.spliced_counts
 
-        def flip_after_first(rays):
-            w = real(rays)
-            calls.append(w)
-            if len(calls) == 1:
-                return w
-            return dataclasses.replace(w, vs_pi=Cmp.LT if w.vs_pi is Cmp.GT else Cmp.GT)
+        def corrupt_second(head, tail, ks):
+            counts = real(head, tail, ks)
+            assert counts[1] >= 1
+            return counts[:1] + [0] + counts[2:]
 
-        monkeypatch.setattr(lattice, "winding_compare", flip_after_first)
-        with pytest.raises(InternalInvariantError):
+        monkeypatch.setattr(lattice, "spliced_counts", corrupt_second)
+        with pytest.raises(InternalInvariantError, match="pivot 2 verdict"):
             classify((2, 1, 3))
+
+    @pytest.mark.parametrize("side", [0, 1], ids=["head", "tail"])
+    def test_corrupted_ray_sequence(self, monkeypatch, side):
+        # (2, 1, 3): pivot 1 has the rays w0, tail[1], tail[2] and pivot 2
+        # has w0, head[1], tail[2] = (2, -3).  (3, -5) lies just clockwise of
+        # the last ray, so either pivot fed it sweeps less than a half turn.
+        real = toric._candidate_rays
+
+        def corrupt(s):
+            rays = real(s)  # (head, tail)
+            rays[side][1] = (3, -5)
+            return rays
+
+        monkeypatch.setattr(toric, "_candidate_rays", corrupt)
+        with pytest.raises(InternalInvariantError, match="pivot 2 verdict"):
+            classify((2, 1, 3))
+
+    def test_sweep_matches_winding_compare(self, monkeypatch):
+        real = lattice.spliced_counts
+
+        def corrupt_first(head, tail, ks):
+            counts = real(head, tail, ks)
+            return [counts[0] + 2] + counts[1:]
+
+        monkeypatch.setattr(lattice, "spliced_counts", corrupt_first)
+        with pytest.raises(InternalInvariantError, match="sweep count"):
+            classify((3, -2, -2))
 
     def test_determinant_identity(self, monkeypatch):
         monkeypatch.setattr(toric, "_det", lambda s: 0)
@@ -262,6 +336,12 @@ class TestMomentPolygon:
     def test_too_short(self):
         with pytest.raises(TooShort):
             moment_polygon((4,), 1)
+
+    def test_gate_runs_once(self, monkeypatch):
+        real, calls = toric._valid_pivots, []
+        monkeypatch.setattr(toric, "_valid_pivots", lambda s: calls.append(s) or real(s))
+        moment_polygon((-2, 1, 0, -2), 2)
+        assert calls == [(-2, 1, 0, -2)]
 
     def test_rejects_bad_heights(self):
         with pytest.raises(NonpositiveArea):
