@@ -133,8 +133,7 @@ def _cmd_survey(args) -> int:
         entries += n * len(values) ** n
         if entries > cap:
             raise SurveyTooLarge(
-                "survey has more than %d chains or chain entries "
-                "(PLUMBTORIC_MAX_SURVEY)" % cap
+                "survey has more than %d chain entries (PLUMBTORIC_MAX_SURVEY)" % cap
             )
     chains = []
     for n in range(n_lo, n_hi + 1):

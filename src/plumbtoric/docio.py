@@ -24,10 +24,10 @@ SURVEY_COLUMNS = ("s", "verdict", "k", "l", "vs_pi", "vs_2pi", "det", "det_check
 
 
 def format_fraction(x) -> str:
-    f = Fraction(x)
-    if f.denominator == 1:
-        return str(f.numerator)
-    return "%d/%d" % (f.numerator, f.denominator)
+    """"p/q" for an int or a Fraction in lowest terms, "p" when q is 1."""
+    if x.denominator == 1:
+        return str(x.numerator)
+    return "%d/%d" % (x.numerator, x.denominator)
 
 
 def parse_fraction(text) -> Fraction:

@@ -25,8 +25,8 @@ import math
 from enum import Enum
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd
-from typing import NamedTuple, Optional, Sequence
+from math import gcd, lcm
+from typing import List, NamedTuple, Optional, Sequence, Tuple
 
 from .errors import ParallelSameDirection, TooShort, ZeroVector
 
@@ -56,6 +56,14 @@ def primitive_of_rational(v) -> Vec2:
     fx, fy = Fraction(v[0]), Fraction(v[1])
     d = fx.denominator * fy.denominator  # any common denominator will do
     return primitive((int(fx * d), int(fy * d)))
+
+
+def scale_to_ints(values) -> Tuple[int, List[int]]:
+    """Scale exact rationals (ints or Fractions) to ints over one common
+    denominator: returns (D, [D * x for x in values]), where D is the lcm of
+    their denominators (1 for no values)."""
+    scale = lcm(*(x.denominator for x in values))
+    return scale, [x.numerator * (scale // x.denominator) for x in values]
 
 
 def is_primitive(v) -> bool:

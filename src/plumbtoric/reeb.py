@@ -14,6 +14,12 @@ epsilon is ever chosen, which keeps the action filtration decidable.  The
 Conley-Zehnder index of every elliptic iterate below the action bound is
 taken to be 1 (the simple-orbit value extends to iterates as the
 perturbation size tends to zero; recorded as a modeling assumption).
+
+Both searches scale exact rationals to ints once over a common denominator
+and then compare ints only: the orbit descent scales each corner and the
+action bound, keeping the Stern-Brocot traversal order (and so the slope an
+:class:`ActionBoundHit` names), and the generator search scales the orbit
+actions and the bound.  Fractions are rebuilt only for what is returned.
 """
 
 from __future__ import annotations
@@ -22,12 +28,19 @@ from bisect import bisect_right
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from math import lcm
 from operator import itemgetter
 from typing import List, Optional, Sequence, Tuple
 
 from .errors import ActionBoundHit, InvalidItinerary, TooManyGenerators, ZeroVector
-from .lattice import Cmp, WindingVerdict, cross, dot, primitive, primitive_of_rational
+from .lattice import (
+    Cmp,
+    WindingVerdict,
+    cross,
+    dot,
+    primitive,
+    primitive_of_rational,
+    scale_to_ints,
+)
 
 
 def reeb_direction(tangent) -> tuple:
@@ -126,30 +139,39 @@ class FamilyCount:
     max_multiplicity: int
 
 
-def _cone_primitives(r_in, r_out, v, bound: Fraction, found: list) -> None:
+def _cone_primitives(r_in, r_out, v, bound: Fraction) -> Tuple[int, int, list]:
     """Primitive vectors strictly inside the CCW cone with <m, v> vs bound.
 
     Stern-Brocot descent on primitivized mediants.  A subcone (u, w) with
     d = cross(u, w) can be pruned once <u,v> + <w,v> > d * bound, since
     every interior lattice vector m = alpha u + beta w has alpha, beta >=
     1/d.  Exact hits <m, v> = bound abort with ActionBoundHit.
+
+    v and the bound are scaled once to ints over a common denominator D, so
+    the prune and both action tests compare ints; the descent order, and
+    with it the first exact hit reported, is that of the unscaled descent.
+    Returns (D, D * bound, found) with found listing (m, D * <m, v>) for
+    every m of action below the bound.
     """
+    scale, (vx, vy, top) = scale_to_ints((v[0], v[1], bound))
+    found = []
     stack = [(r_in, r_out)]
     while stack:
         u, w = stack.pop()
-        d = cross(u, w)
-        if dot(u, v) + dot(w, v) > d * bound:
+        x, y = u[0] + w[0], u[1] + w[1]
+        if x * vx + y * vy > cross(u, w) * top:
             continue
-        m = primitive((u[0] + w[0], u[1] + w[1]))
-        action = dot(m, v)
-        if action == bound:
+        m = primitive((x, y))
+        action = m[0] * vx + m[1] * vy
+        if action == top:
             raise ActionBoundHit(
                 "orbit slope %s at vertex %s has action exactly %s" % (m, v, bound)
             )
-        if action < bound:
+        if action < top:
             found.append((m, action))
         stack.append((u, m))
         stack.append((m, w))
+    return scale, top, found
 
 
 def enumerate_orbits(it: ReebItinerary, bound) -> List[FamilyCount]:
@@ -176,15 +198,15 @@ def enumerate_orbits(it: ReebItinerary, bound) -> List[FamilyCount]:
         e_out = (verts[j + 1][0] - verts[j][0], verts[j + 1][1] - verts[j][1])
         r_in = reeb_direction(primitive_of_rational(e_in))
         r_out = reeb_direction(primitive_of_rational(e_out))
-        found: list = []
-        _cone_primitives(r_in, r_out, v, bound, found)
+        scale, top, found = _cone_primitives(r_in, r_out, v, bound)
         found.sort()
         for slope, action in found:
-            mult = -(-bound // action) - 1  # ceil(bound / action) - 1
             out.append(
                 FamilyCount(
-                    family=OrbitFamily(slope=slope, vertex=j, base_action=action),
-                    max_multiplicity=mult,
+                    family=OrbitFamily(
+                        slope=slope, vertex=j, base_action=Fraction(action, scale)
+                    ),
+                    max_multiplicity=-(-top // action) - 1,  # ceil(top / action) - 1
                 )
             )
     return out
@@ -251,6 +273,14 @@ class ReebCurrent:
                 raise ValueError("orbits in a current must be distinct")
             seen.add(orbit)
 
+    @classmethod
+    def _trusted(cls, entries) -> "ReebCurrent":
+        """A current whose entries are known to be distinct orbits with
+        positive multiplicities, built without re-checking them."""
+        current = object.__new__(cls)
+        object.__setattr__(current, "entries", entries)
+        return current
+
     def is_ech_generator(self) -> bool:
         return all(
             mult == 1
@@ -306,10 +336,7 @@ def enumerate_generators(
     for o in ordered:
         if o.base_action <= 0:
             raise ValueError("orbit actions must be positive")
-    actions = [Fraction(o.base_action) for o in ordered]
-    scale = lcm(bound.denominator, *(a.denominator for a in actions))
-    top = bound.numerator * (scale // bound.denominator)
-    scaled = [a.numerator * (scale // a.denominator) for a in actions]
+    _, (top, *scaled) = scale_to_ints([bound] + [Fraction(o.base_action) for o in ordered])
 
     found = []  # (canonical key, current), in emission order
     # a node: entries, their sort keys, base and eps totals, last orbit index;
@@ -317,7 +344,7 @@ def enumerate_generators(
     stack = [((), (), 0, 0, -1)]
     while stack:
         entries, keys, base, eps, last = stack.pop()
-        found.append((((base, eps), len(keys), sorted(keys)), ReebCurrent(entries)))
+        found.append((((base, eps), len(keys), sorted(keys)), ReebCurrent._trusted(entries)))
         if max_generators is not None and len(found) > max_generators:
             raise TooManyGenerators(
                 "more than %d ECH generators below action %s" % (max_generators, bound)

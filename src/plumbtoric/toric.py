@@ -43,21 +43,13 @@ from .errors import (
     SizeTooLarge,
     TooShort,
 )
-from .lattice import Cmp, MatSL2Z, SL2Z_IDENTITY, WindingVerdict, cross
+from .lattice import Cmp, MatSL2Z, WindingVerdict, cross
 from .plumbing import _det, area_vector, as_chain, blow_down, is_negative_definite
 
 
 def gluing_matrix(s_j: int) -> MatSL2Z:
     """A_j = [[-s_j, -1], [1, 0]], the transformation pasting L_j onto L_{j-1}."""
     return MatSL2Z(-s_j, -1, 1, 0)
-
-
-def _prefixes(s):
-    """pref[j] = A_2 ... A_j (pref[1] = identity), indexed 1-based."""
-    pref = [None, SL2Z_IDENTITY]
-    for j in range(2, len(s)):
-        pref.append(lattice.sl2z_mul(pref[-1], gluing_matrix(s[j - 1])))
-    return pref
 
 
 def _valid_pivots(s) -> list:
@@ -379,18 +371,22 @@ class MomentPolygon:
 def _verify_polygon(poly: MomentPolygon, s) -> None:
     # The boundary is traversed with the image on its left, so the inward
     # normal of a sphere edge is the left rotation of its direction; the
-    # first ray is traversed inward and the last one outward.
-    verts = poly.vertices
+    # first ray is traversed inward and the last one outward.  The vertices
+    # are re-read scaled to ints over one common denominator D: an edge with
+    # scaled displacement (dx, dy) has the primitive direction (dx, dy) / g
+    # and the affine length g / D, g = gcd(dx, dy), compared with its area
+    # by cross-multiplication.
+    scale, xy = lattice.scale_to_ints([c for p in poly.vertices for c in p])
+    xs, ys = xy[0::2], xy[1::2]
     (r0x, r0y), (r1x, r1y) = poly.rays
     normals = [(r0y, -r0x)]
     for j, e in enumerate(poly.edges, start=1):
-        p, q = verts[e.start], verts[e.end]
-        d = (q[0] - p[0], q[1] - p[1])
-        u = lattice.primitive_of_rational(d)
-        t = Fraction(d[0], u[0]) if u[0] != 0 else Fraction(d[1], u[1])  # affine length
-        if t <= 0 or d != (t * u[0], t * u[1]) or t != e.area:
+        dx, dy = xs[e.end] - xs[e.start], ys[e.end] - ys[e.start]
+        ux, uy = lattice.primitive((dx, dy))  # ZeroVector on a zero-length edge
+        g = dx // ux if ux else dy // uy
+        if g * e.area.denominator != e.area.numerator * scale:
             raise InternalInvariantError("edge %d affine length != area" % j)
-        normals.append((-u[1], u[0]))
+        normals.append((-uy, ux))
     normals.append((-r1y, r1x))
     for j, sj in enumerate(s):
         det = cross(normals[j + 2], normals[j])
@@ -409,6 +405,11 @@ def moment_polygon(
     endpoints; edge j carries (self-intersection s_j, area a_j).  The edge
     areas are re-read from the picture (affine lengths, normal determinants)
     as an internal consistency check.
+
+    The corner M_j (z_j, z_{j+1}) has M_j = A_2 ... A_j, whose columns are
+    the candidate rays tail[j - 1] and head[j] of ``_candidate_rays``, so the
+    vertices are int combinations of those rays and of the heights scaled to
+    ints over their common denominator.
     """
     s = as_chain(s)
     _check_chain(s, i)
@@ -418,17 +419,23 @@ def moment_polygon(
     _validate_heights(s, i, z)
     a = areas(s, z)
     n = len(s)
-    pref = _prefixes(s)
-    verts = [(z[0], Fraction(-s[0]) * z[0])]
-    for j in range(1, n):
-        verts.append(lattice.sl2z_apply(pref[j], (z[j - 1], z[j])))
-    verts.append(lattice.sl2z_apply(pref[n - 1], (-s[n - 1] * z[n - 1], z[n - 1])))
+    head, tail = _candidate_rays(s)
+    scale, zs = lattice.scale_to_ints(z)
+    # the ray-end vertices z_1 w_0 and z_n w_last; M_1 is the identity
+    pts = [(zs[0] * head[0][0], zs[0] * head[0][1]), (zs[0], zs[1])]
+    for j in range(2, n):
+        (ax, ay), (bx, by) = tail[j - 1], head[j]
+        pts.append((zs[j - 1] * ax + zs[j] * bx, zs[j - 1] * ay + zs[j] * by))
+    pts.append((zs[n - 1] * tail[n - 1][0], zs[n - 1] * tail[n - 1][1]))
     edges = tuple(
-        PolygonEdge(start=j, end=j + 1, self_intersection=s[j], area=Fraction(a[j]))
+        PolygonEdge(start=j, end=j + 1, self_intersection=s[j], area=a[j])
         for j in range(n)
     )
-    head, tail = _candidate_rays(s)
-    poly = MomentPolygon(vertices=tuple(verts), edges=edges, rays=(head[0], tail[-1]))
+    poly = MomentPolygon(
+        vertices=tuple((Fraction(x, scale), Fraction(y, scale)) for x, y in pts),
+        edges=edges,
+        rays=(head[0], tail[-1]),
+    )
     _verify_polygon(poly, s)
     return poly
 
@@ -450,8 +457,9 @@ def blow_up_corner(poly: MomentPolygon, vertex: int, size) -> MomentPolygon:
     if size <= 0:
         raise ValueError("blow-up size must be positive")
     p, v, q = verts[vertex - 1 : vertex + 2]
-    d_in = lattice.primitive_of_rational((v[0] - p[0], v[1] - p[1]))
-    d_out = lattice.primitive_of_rational((q[0] - v[0], q[1] - v[1]))
+    scale, (px, py, vx, vy, qx, qy, cut) = lattice.scale_to_ints((*p, *v, *q, size))
+    d_in = lattice.primitive((vx - px, vy - py))
+    d_out = lattice.primitive((qx - vx, qy - vy))
     if cross(d_in, d_out) != 1:
         raise NotDelzantCorner(
             "edge directions %s, %s are not a positive Z^2 basis" % (d_in, d_out)
@@ -462,8 +470,8 @@ def blow_up_corner(poly: MomentPolygon, vertex: int, size) -> MomentPolygon:
             "size %s must be smaller than both adjacent lengths %s, %s"
             % (size, e_in.area, e_out.area)
         )
-    va = (v[0] - size * d_in[0], v[1] - size * d_in[1])
-    vb = (v[0] + size * d_out[0], v[1] + size * d_out[1])
+    va = (Fraction(vx - cut * d_in[0], scale), Fraction(vy - cut * d_in[1], scale))
+    vb = (Fraction(vx + cut * d_out[0], scale), Fraction(vy + cut * d_out[1], scale))
     new_verts = verts[:vertex] + (va, vb) + verts[vertex + 1:]
     new_edges = []
     for e in poly.edges[: vertex - 1]:

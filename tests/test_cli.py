@@ -114,7 +114,9 @@ class TestSurveyCommand:
         assert code == 2
         error = json.loads(err)["error"]
         assert error["type"] == "SurveyTooLarge"
-        assert "more than 1000000 chains" in error["message"]
+        assert error["message"] == (
+            "survey has more than 1000000 chain entries (PLUMBTORIC_MAX_SURVEY)"
+        )
 
     def test_long_one_value_chains_refused_quickly(self, capsys, monkeypatch):
         # only 299,999 chains, but about 4.5e10 entries in total

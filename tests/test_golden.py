@@ -23,6 +23,8 @@ from plumbtoric.cli import main
 GOLDEN = Path(__file__).parent / "golden"
 ITINERARY = str(GOLDEN / "itinerary.json")
 INDEX = str(GOLDEN / "index.json")
+# rational vertices over denominators 2, 3 and 6, five corners
+RATIONAL_ITINERARY = str(GOLDEN / "itinerary_rational.json")
 CAPS = ("PLUMBTORIC_MAX_SURVEY", "PLUMBTORIC_MAX_GENERATORS")
 
 CASES = {
@@ -34,6 +36,13 @@ CASES = {
         "construct", "--plumbing", "-2,1,0,-2", "--heights", "-1,-3,-3,-1",
     ],
     "construct_svg": ["construct", "--plumbing", "2,3", "--format", "svg"],
+    "construct_rational_heights": [
+        "construct", "--plumbing", "-2,1,0,-2", "--heights", "-1/2,-5/3,-7/4,-2/3",
+    ],
+    "construct_rational_svg": [
+        "construct", "--plumbing", "3,-2,-2,0,2", "--heights", "-13/2,-10/3,-3/2,-2/3,-1/2",
+        "--format", "svg",
+    ],
     "construct_five": ["construct", "--plumbing", "3,-2,-2,0,2"],
     "survey_csv": ["survey", "--n", "2..3", "--range", "-3..1"],
     "survey_json_jobs2": [
@@ -42,6 +51,13 @@ CASES = {
     "reeb_orbits_5": ["reeb-orbits", "--itinerary", ITINERARY, "--action-bound", "5"],
     "reeb_orbits_31_3": [
         "reeb-orbits", "--itinerary", ITINERARY, "--action-bound", "31/3",
+    ],
+    "reeb_orbits_rational_21_2": [
+        "reeb-orbits", "--itinerary", RATIONAL_ITINERARY, "--action-bound", "21/2",
+    ],
+    # 19/2 is the action of slope (-1, -3) at the corner (-3/2, -8/3)
+    "error_reeb_orbits_exact_bound": [
+        "reeb-orbits", "--itinerary", RATIONAL_ITINERARY, "--action-bound", "19/2",
     ],
     "index": ["index", "--input", INDEX],
     "error_minus_one": ["classify", "--plumbing", "2,-1,2"],

@@ -2,7 +2,7 @@ from fractions import Fraction
 from math import gcd
 
 import pytest
-from hypothesis import given, assume, settings, strategies as st
+from hypothesis import event, given, assume, settings, strategies as st
 
 from plumbtoric import (
     ActionBoundHit,
@@ -34,7 +34,8 @@ from plumbtoric import (
     validate_itinerary,
     winding_compare,
 )
-from plumbtoric.reeb import OrbitFamily
+from plumbtoric.reeb import FamilyCount, OrbitFamily
+from plumbtoric.lattice import primitive, primitive_of_rational
 
 
 def F(x):
@@ -137,6 +138,198 @@ class TestEnumerateOrbits:
                 if cross(r_in, m) > 0 and cross(m, r_out) > 0 and dot(m, v) < bound:
                     expected.add(m)
         assert {fc.family.slope for fc in families} == expected
+
+
+def oracle_cone_primitives(r_in, r_out, v, bound: Fraction, found: list) -> None:
+    """The descent enumerate_orbits ran in Fraction arithmetic before its
+    actions were scaled to ints."""
+    stack = [(r_in, r_out)]
+    while stack:
+        u, w = stack.pop()
+        d = cross(u, w)
+        if dot(u, v) + dot(w, v) > d * bound:
+            continue
+        m = primitive((u[0] + w[0], u[1] + w[1]))
+        action = dot(m, v)
+        if action == bound:
+            raise ActionBoundHit(
+                "orbit slope %s at vertex %s has action exactly %s" % (m, v, bound)
+            )
+        if action < bound:
+            found.append((m, action))
+        stack.append((u, m))
+        stack.append((m, w))
+
+
+def oracle_enumerate_orbits(it: ReebItinerary, bound):
+    bound = Fraction(bound)
+    if bound <= 0:
+        raise ValueError("action bound must be positive")
+    violations = validate_itinerary(it)
+    if violations:
+        raise InvalidItinerary(violations)
+    verts = it.vertices
+    out = []
+    for j in range(1, len(verts) - 1):
+        v = verts[j]
+        e_in = (verts[j][0] - verts[j - 1][0], verts[j][1] - verts[j - 1][1])
+        e_out = (verts[j + 1][0] - verts[j][0], verts[j + 1][1] - verts[j][1])
+        r_in = reeb_direction(primitive_of_rational(e_in))
+        r_out = reeb_direction(primitive_of_rational(e_out))
+        found: list = []
+        oracle_cone_primitives(r_in, r_out, v, bound, found)
+        found.sort()
+        for slope, action in found:
+            mult = -(-bound // action) - 1  # ceil(bound / action) - 1
+            out.append(
+                FamilyCount(
+                    family=OrbitFamily(slope=slope, vertex=j, base_action=action),
+                    max_multiplicity=mult,
+                )
+            )
+    return out
+
+
+def outcome(enumerate_fn, itinerary, bound):
+    try:
+        return enumerate_fn(itinerary, bound)
+    except ActionBoundHit as exc:
+        return "ActionBoundHit: %s" % exc
+
+
+def lower_hull(points):
+    """Strictly convex lower hull, left to right (turns counter-clockwise)."""
+    hull = []
+    for p in sorted(points):
+        while len(hull) >= 2 and cross(
+            (hull[-1][0] - hull[-2][0], hull[-1][1] - hull[-2][1]),
+            (p[0] - hull[-1][0], p[1] - hull[-1][1]),
+        ) <= 0:
+            hull.pop()
+        hull.append(p)
+    return hull
+
+
+SL2Z_WORDS = st.lists(
+    st.sampled_from([(1, 1, 0, 1), (1, -1, 0, 1), (1, 0, 1, 1), (1, 0, -1, 1), (0, -1, 1, 0)]),
+    max_size=4,
+)
+
+
+def sl2z_image(word, itinerary):
+    a, b, c, d = 1, 0, 0, 1
+    for p, q, r, s in word:
+        a, b, c, d = a * p + b * r, a * q + b * s, c * p + d * r, c * q + d * s
+
+    def image(v):
+        return (a * v[0] + b * v[1], c * v[0] + d * v[1])
+
+    return ReebItinerary(
+        vertices=tuple(image(v) for v in itinerary.vertices),
+        start_ray=image(itinerary.start_ray),
+        end_ray=image(itinerary.end_ray),
+    )
+
+
+@st.composite
+def rational_itineraries(draw):
+    """Convex multi-corner itineraries with rational vertices (denominators
+    1-6): the lower hull of points below the axis between anchors on the
+    horizontal rays, moved by a seeded SL(2,Z) word."""
+    coords = dict(max_denominator=6)
+    left = draw(st.fractions(Fraction(1, 2), 5, **coords))
+    right = draw(st.fractions(Fraction(1, 2), 5, **coords))
+    inner = draw(
+        st.lists(
+            st.tuples(
+                st.fractions(-left, right, **coords).filter(lambda x: -left < x < right),
+                st.fractions(-5, Fraction(-1, 3), **coords),
+            ),
+            min_size=1,
+            max_size=6,
+        )
+    )
+    hull = lower_hull([(-left, Fraction(0)), (right, Fraction(0))] + inner)
+    flat = ReebItinerary(vertices=tuple(hull), start_ray=(-1, 0), end_ray=(1, 0))
+    assert validate_itinerary(flat) == []
+    return sl2z_image(draw(SL2Z_WORDS), flat)
+
+
+DESCENT_BUDGET = 300  # rough cap on the families a drawn case asks for
+
+
+@st.composite
+def itineraries_and_bounds(draw):
+    """An itinerary and a bound that is, when possible, the action of a
+    primitive slope inside some corner's cone, so that the descent hits it,
+    or twice that action, where the multiplicity rule meets the bound.
+
+    The families below a bound B at a corner V with cone (r_in, r_out) are
+    about d B^2 / (2 a b) + B / a + B / b in number, with a, b the actions of
+    r_in, r_out and d = cross(r_in, r_out); bounds are kept within
+    DESCENT_BUDGET by that count, so that the Fraction oracle stays quick.
+    """
+    it = draw(rational_itineraries())
+    verts = it.vertices
+    cones = []
+    for j in range(1, len(verts) - 1):
+        r_in, r_out = (
+            reeb_direction(primitive_of_rational((q[0] - p[0], q[1] - p[1])))
+            for p, q in ((verts[j - 1], verts[j]), (verts[j], verts[j + 1]))
+        )
+        cones.append(
+            (j, r_in, r_out, dot(r_in, verts[j]), dot(r_out, verts[j]), cross(r_in, r_out))
+        )
+
+    def families(bound):
+        return sum(
+            d * bound * bound / (2 * a * b) + bound / a + bound / b for *_, a, b, d in cones
+        )
+
+    hits = []
+    for j, r_in, r_out, *_ in cones:
+        for k in (1, 2, 3):
+            for l in (1, 2, 3):
+                m = primitive((k * r_in[0] + l * r_out[0], k * r_in[1] + l * r_out[1]))
+                for cover in (1, 2):  # a slope's action, or its double cover's
+                    if families(cover * dot(m, verts[j])) <= DESCENT_BUDGET:
+                        hits.append(cover * dot(m, verts[j]))
+    if hits and draw(st.booleans()):
+        return it, draw(st.sampled_from(hits))
+    bound = draw(st.fractions(Fraction(1, 6), 6, max_denominator=6).filter(lambda b: b > 0))
+    while families(bound) > DESCENT_BUDGET:
+        bound /= 2
+    return it, bound
+
+
+class TestDescentOracle:
+    """The integer-scaled descent against the Fraction descent it replaced:
+    the same families in the same order, or the same first exact hit."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(itineraries_and_bounds())
+    def test_matches_fraction_descent(self, case):
+        it, bound = case
+        got = outcome(enumerate_orbits, it, bound)
+        expected = outcome(oracle_enumerate_orbits, it, bound)
+        assert got == expected
+        event("exact hit" if isinstance(got, str) else "families below the bound")
+        if isinstance(got, list):
+            assert all(type(fc.family.base_action) is Fraction for fc in got + expected)
+            assert all(type(fc.max_multiplicity) is int for fc in got)
+
+    def test_exact_hit_message_names_fraction_vertex(self):
+        it = make_itinerary(
+            [(-F(7) / 2, 0), (-3, -F(3) / 2), (-F(3) / 2, -F(8) / 3), (F(1) / 2, -3), (4, 0)],
+            (-1, 0),
+            (1, 0),
+        )
+        expected = outcome(oracle_enumerate_orbits, it, F(19) / 2)
+        assert expected == (
+            "ActionBoundHit: orbit slope (-1, -3) at vertex "
+            "(Fraction(-3, 2), Fraction(-8, 3)) has action exactly 19/2"
+        )
+        assert outcome(enumerate_orbits, it, F(19) / 2) == expected
 
 
 class TestPerturbSplit:
@@ -288,6 +481,29 @@ class TestGeneratorOracle:
     )
     def test_random_orbit_sets(self, orbits, bound):
         assert enumerate_generators(orbits, bound) == oracle_generators(orbits, bound)
+
+
+class TestReebCurrentChecks:
+    """The search builds its currents without the constructor's checks; the
+    public constructor keeps them."""
+
+    def test_rejects_repeated_orbits(self):
+        e = elliptic_orbit(2)
+        with pytest.raises(ValueError, match="orbits in a current must be distinct"):
+            ReebCurrent(((e, 1), (hyperbolic_orbit(2), 1), (elliptic_orbit(2), 2)))
+
+    @pytest.mark.parametrize("mult", [0, -1])
+    def test_rejects_nonpositive_multiplicities(self, mult):
+        with pytest.raises(ValueError, match="multiplicities must be positive"):
+            ReebCurrent(((elliptic_orbit(2), 1), (hyperbolic_orbit(3), mult)))
+
+    def test_search_currents_equal_checked_ones(self):
+        bound = Fraction(31, 3)
+        gens = enumerate_generators(split_orbits(DIP, bound), bound)
+        assert len(gens) > 100
+        for g in gens:
+            checked = ReebCurrent(g.entries)
+            assert g == checked and hash(g) == hash(checked)
 
 
 def current(*entries):

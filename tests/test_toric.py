@@ -19,6 +19,7 @@ from plumbtoric import (
     SizeTooLarge,
     TooShort,
     Verdict,
+    ZeroVector,
     areas,
     blow_down,
     blow_up_corner,
@@ -425,6 +426,105 @@ class TestBlowUpCorner:
         assert labels == expected
         if labels.count(-1) == 1:
             assert blow_down(labels) == s
+
+
+def scaled_polygon_data(poly, c):
+    return (
+        tuple((c * x, c * y) for x, y in poly.vertices),
+        tuple((e.start, e.end, e.self_intersection, c * e.area) for e in poly.edges),
+        poly.rays,
+    )
+
+
+def polygon_data(poly):
+    return scaled_polygon_data(poly, 1)
+
+
+def blow_up_outcome(poly, corner, size):
+    try:
+        return blow_up_corner(poly, corner, size)
+    except (NotDelzantCorner, SizeTooLarge) as exc:
+        return exc
+
+
+scales = st.fractions(min_value=Fraction(1, 7), max_value=7, max_denominator=7).filter(
+    lambda c: c > 0 and c.denominator > 1
+)
+
+
+class TestPolygonHomogeneity:
+    """Vertices and areas are linear in the heights, so scaling the heights
+    by c > 0 scales the whole picture, and the integer re-read must accept
+    it at every common denominator."""
+
+    @given(construction_chains, st.data())
+    @settings(max_examples=60)
+    def test_scaled_heights_scale_the_polygon(self, s, data):
+        i = data.draw(st.sampled_from(pivots_of(s)))
+        c = data.draw(scales)
+        z = choose_heights(s, i)
+        poly = moment_polygon(s, i, z)
+        scaled = moment_polygon(s, i, tuple(c * zj for zj in z))
+        assert polygon_data(scaled) == scaled_polygon_data(poly, c)
+        corner = data.draw(st.integers(1, len(poly.vertices) - 2))
+        size = data.draw(
+            st.fractions(min_value=Fraction(1, 7), max_value=3, max_denominator=7).filter(
+                lambda q: q > 0
+            )
+        )
+        plain = blow_up_outcome(poly, corner, size)
+        chopped = blow_up_outcome(scaled, corner, c * size)
+        assert type(chopped) is type(plain)
+        if isinstance(plain, MomentPolygon):
+            assert polygon_data(chopped) == scaled_polygon_data(plain, c)
+        elif isinstance(plain, NotDelzantCorner):
+            assert str(chopped) == str(plain)
+
+
+class TestReReadFaults:
+    """Injected faults on a polygon whose vertices have common denominator
+    12; each keeps its error type and message."""
+
+    S = (-2, 1, 0, -2)
+    Z = (Fraction(-1, 2), Fraction(-5, 3), Fraction(-7, 4), Fraction(-2, 3))
+    POLY = moment_polygon(S, 2, Z)
+
+    def test_denominator(self):
+        denominators = {x.denominator for v in self.POLY.vertices for x in v}
+        assert max(denominators) == 12
+
+    def test_area_off_by_one_twelfth(self):
+        poly, e = self.POLY, self.POLY.edges[2]
+        bad = PolygonEdge(e.start, e.end, e.self_intersection, e.area + Fraction(1, 12))
+        off = MomentPolygon(poly.vertices, poly.edges[:2] + (bad,) + poly.edges[3:], poly.rays)
+        with pytest.raises(InternalInvariantError, match="^edge 3 affine length != area$"):
+            toric._verify_polygon(off, self.S)
+        with pytest.raises(InternalInvariantError, match="^edge 4 affine length != area$"):
+            blow_up_corner(off, 1, Fraction(1, 5))
+
+    @pytest.mark.parametrize("corner", [None, 1, 3])
+    def test_zero_length_edge(self, corner):
+        verts = list(self.POLY.vertices)
+        verts[3] = verts[2]
+        zero = MomentPolygon(tuple(verts), self.POLY.edges, self.POLY.rays)
+        with pytest.raises(ZeroVector, match=r"^\(0, 0\) has no direction$"):
+            if corner is None:
+                toric._verify_polygon(zero, self.S)
+            else:
+                blow_up_corner(zero, corner, Fraction(1, 5))
+
+    def test_swapped_rays(self):
+        swapped = MomentPolygon(self.POLY.vertices, self.POLY.edges, self.POLY.rays[::-1])
+        with pytest.raises(InternalInvariantError, match="^normal determinant 1 != s_1 = -2$"):
+            toric._verify_polygon(swapped, self.S)
+        with pytest.raises(InternalInvariantError, match="^normal determinant 2 != s_1 = -3$"):
+            blow_up_corner(swapped, 1, Fraction(1, 5))
+
+    def test_size_too_large(self):
+        with pytest.raises(
+            SizeTooLarge, match="^size 2/3 must be smaller than both adjacent lengths 2/3, 47/12$"
+        ):
+            blow_up_corner(self.POLY, 1, Fraction(2, 3))
 
 
 def _overtwisted_sufficient(s):
