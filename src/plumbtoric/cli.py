@@ -9,8 +9,8 @@ The survey driver enumerates chains with some entry >= 0 (chains containing
 them); the total number of entries of the enumerated chains is capped by
 PLUMBTORIC_MAX_SURVEY (default 10^6).  Rows are sorted by the chain tuple,
 so output does not depend on the worker count (--jobs, at most the CPU
-count).  The reeb-orbits generator search stops once it passes
-PLUMBTORIC_MAX_GENERATORS generators (default 10^5).
+count).  reeb-orbits refuses once it passes PLUMBTORIC_MAX_GENERATORS generators
+(default 10^5), before the search when the families' orbits alone pass it.
 """
 
 from __future__ import annotations
@@ -23,7 +23,7 @@ import sys
 from concurrent.futures import ProcessPoolExecutor
 from typing import List, Optional, Sequence
 
-from . import docio, reeb, toric
+from . import docio, plumbing, reeb, toric
 from .errors import (
     InternalInvariantError,
     MalformedDocument,
@@ -87,9 +87,7 @@ def _cmd_classify(args) -> int:
 def _cmd_construct(args) -> int:
     chain = _parse_int_list(args.plumbing, "plumbing")
     if args.reduce:
-        from .plumbing import blow_down
-
-        chain = blow_down(chain)
+        chain = plumbing.blow_down(chain)
     pivot = args.pivot
     if pivot is None:
         # the chain gate raises its -1 and length errors first; with no valid
@@ -180,29 +178,15 @@ def _cmd_reeb_orbits(args) -> int:
     if bound <= 0:
         raise MalformedDocument("action bound must be positive, got %s" % bound)
     families = reeb.enumerate_orbits(itinerary, bound)
-    orbits = []
-    for fc in families:
-        orbits.extend(reeb.perturb_split(fc.family))
     try:
+        # each family's two orbits and the empty current are generators alone
+        if 2 * len(families) + 1 > cap:
+            raise reeb.too_many_generators(cap, bound)
+        orbits = [o for fc in families for o in reeb.perturb_split(fc.family)]
         generators = reeb.enumerate_generators(orbits, bound, max_generators=cap)
     except TooManyGenerators as exc:
         raise TooManyGenerators("%s (PLUMBTORIC_MAX_GENERATORS)" % exc) from None
-    doc = {
-        "action_bound": docio.format_fraction(bound),
-        "families": docio.families_to_doc(families),
-        "orbits": [
-            {
-                "kind": o.kind.value,
-                "vertex": o.family.vertex,
-                "slope": [o.family.slope[0], o.family.slope[1]],
-                "base_action": docio.format_fraction(o.base_action),
-                "eps_exponent": o.eps_exponent,
-                "cz": o.cz,
-            }
-            for o in orbits
-        ],
-        "generators": [docio.current_to_doc(g) for g in generators],
-    }
+    doc = docio.reeb_orbits_to_doc(bound, families, orbits, generators)
     _write_output(docio.dumps(doc), args.output)
     return 0
 
@@ -216,7 +200,12 @@ def _cmd_index(args) -> int:
             alpha=docio.current_from_doc(doc.get("alpha", [])),
             beta=docio.current_from_doc(doc.get("beta", [])),
         )
-    except (KeyError, TypeError, ValueError) as exc:
+        ends = "chi" in doc and (
+            int(doc["chi"]),
+            [int(v) for v in doc.get("cz_plus", [])],
+            [int(v) for v in doc.get("cz_minus", [])],
+        )
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise MalformedDocument("bad index document: %s" % exc) from None
     index = reeb.ech_index(inp)
     j0, jp = reeb.j_plus(inp)
@@ -226,13 +215,8 @@ def _cmd_index(args) -> int:
         "j_plus": jp,
         "parity_consistent": reeb.parity_check(inp.alpha, inp.beta, index),
     }
-    if "chi" in doc:
-        out["fredholm_index"] = reeb.fredholm_index(
-            int(doc["chi"]),
-            inp.c_tau,
-            [int(v) for v in doc.get("cz_plus", [])],
-            [int(v) for v in doc.get("cz_minus", [])],
-        )
+    if ends:
+        out["fredholm_index"] = reeb.fredholm_index(ends[0], inp.c_tau, *ends[1:])
     _write_output(docio.dumps(out), args.output)
     return 0
 

@@ -21,6 +21,7 @@ from .toric import BoundaryReport, MomentPolygon, PolygonEdge
 
 SURVEY_HEADER = "# plumbtoric-survey v1"
 SURVEY_COLUMNS = ("s", "verdict", "k", "l", "vs_pi", "vs_2pi", "det", "det_check")
+_READ_ERRORS = (KeyError, TypeError, IndexError, ValueError, OverflowError)
 
 
 def format_fraction(x) -> str:
@@ -39,6 +40,13 @@ def parse_fraction(text) -> Fraction:
 
 def _vec(v) -> list:
     return [int(v[0]), int(v[1])]
+
+
+def _pair(v, parse) -> tuple:
+    """The two components of a document pair (a ray or a vertex), parsed."""
+    if not isinstance(v, (list, tuple)) or len(v) != 2:
+        raise ValueError("expected a pair of components, got %r" % (v,))
+    return parse(v[0]), parse(v[1])
 
 
 def winding_to_doc(w: WindingVerdict) -> dict:
@@ -93,9 +101,7 @@ def polygon_to_doc(poly: MomentPolygon) -> dict:
 
 def polygon_from_doc(doc: dict) -> MomentPolygon:
     try:
-        vertices = tuple(
-            (parse_fraction(x), parse_fraction(y)) for x, y in doc["vertices"]
-        )
+        vertices = tuple(_pair(v, parse_fraction) for v in doc["vertices"])
         edges = tuple(
             PolygonEdge(
                 start=int(e["start"]),
@@ -105,20 +111,18 @@ def polygon_from_doc(doc: dict) -> MomentPolygon:
             )
             for e in doc["edges"]
         )
-        rays = (tuple(int(c) for c in doc["rays"][0]), tuple(int(c) for c in doc["rays"][1]))
-    except (KeyError, TypeError, IndexError) as exc:
+        rays = (_pair(doc["rays"][0], int), _pair(doc["rays"][1], int))
+    except _READ_ERRORS as exc:
         raise MalformedDocument("bad moment-polygon document: %s" % exc) from None
     return MomentPolygon(vertices=vertices, edges=edges, rays=rays)
 
 
 def itinerary_from_doc(doc: dict) -> ReebItinerary:
     try:
-        vertices = tuple(
-            (parse_fraction(x), parse_fraction(y)) for x, y in doc["vertices"]
-        )
-        start_ray = tuple(int(c) for c in doc["start_ray"])
-        end_ray = tuple(int(c) for c in doc["end_ray"])
-    except (KeyError, TypeError, IndexError) as exc:
+        vertices = tuple(_pair(v, parse_fraction) for v in doc["vertices"])
+        start_ray = _pair(doc["start_ray"], int)
+        end_ray = _pair(doc["end_ray"], int)
+    except _READ_ERRORS as exc:
         raise MalformedDocument("bad itinerary document: %s" % exc) from None
     return ReebItinerary(vertices=vertices, start_ray=start_ray, end_ray=end_ray)
 
@@ -135,21 +139,37 @@ def families_to_doc(families: Sequence[reeb.FamilyCount]) -> list:
     ]
 
 
+def _orbit_doc(orbit: reeb.PerturbedOrbit) -> dict:
+    return {
+        "kind": orbit.kind.value,
+        "base_action": format_fraction(orbit.base_action),
+        "eps_exponent": orbit.eps_exponent,
+        "cz": orbit.cz,
+    }
+
+
 def current_to_doc(current: reeb.ReebCurrent) -> list:
     entries = sorted(
         current.entries,
         key=lambda om: (om[0].base_action, om[0].eps_exponent, om[0].kind.value),
     )
-    return [
-        {
-            "kind": orbit.kind.value,
-            "base_action": format_fraction(orbit.base_action),
-            "eps_exponent": orbit.eps_exponent,
-            "cz": orbit.cz,
-            "multiplicity": mult,
-        }
-        for orbit, mult in entries
-    ]
+    docs = [_orbit_doc(orbit) for orbit, _ in entries]
+    for doc, (_, mult) in zip(docs, entries):
+        doc["multiplicity"] = mult  # cheaper than merging dicts, per generator entry
+    return docs
+
+
+def reeb_orbits_to_doc(bound, families, orbits, generators) -> dict:
+    """The reeb-orbits listing; each split orbit names its family's corner and slope."""
+    return {
+        "action_bound": format_fraction(bound),
+        "families": families_to_doc(families),
+        "orbits": [
+            {**_orbit_doc(o), "vertex": o.family.vertex, "slope": _vec(o.family.slope)}
+            for o in orbits
+        ],
+        "generators": [current_to_doc(g) for g in generators],
+    }
 
 
 def current_from_doc(entries: list) -> reeb.ReebCurrent:
@@ -168,7 +188,7 @@ def current_from_doc(entries: list) -> reeb.ReebCurrent:
                 cz=int(e.get("cz", default_cz)),
             )
             out.append((orbit, int(e.get("multiplicity", 1))))
-    except (KeyError, TypeError, ValueError) as exc:
+    except _READ_ERRORS as exc:
         raise MalformedDocument("bad Reeb-current document: %s" % exc) from None
     return reeb.ReebCurrent(tuple(out))
 

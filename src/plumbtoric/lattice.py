@@ -12,11 +12,11 @@ start direction, plus where the last ray lies relative to that direction
 and its antipode.  Floats appear only in display fields.
 
 The position of a ray and the wrap of a step are defined once, in
-``_step``, and both counters use it: ``winding_compare`` counts one
-sequence, and ``spliced_counts`` counts, in one pass, every sequence that
-switches from one ray list to the other at a given index.  That works
-because a ray's position depends only on the start ray and a step's wrap
-only on its two rays.
+``_step``: ``step_class`` reads one ray's position, ``winding_compare``
+counts one sequence, and ``spliced_counts`` counts, in one pass, every
+sequence that switches from one ray list to the other at a given index.
+That works because a ray's position depends only on the start ray and a
+step's wrap only on its two rays.
 """
 
 from __future__ import annotations
@@ -51,19 +51,17 @@ def primitive(v) -> Vec2:
     return (x // g, y // g)
 
 
-def primitive_of_rational(v) -> Vec2:
-    """Primitive integer vector in the direction of a rational vector."""
-    fx, fy = Fraction(v[0]), Fraction(v[1])
-    d = fx.denominator * fy.denominator  # any common denominator will do
-    return primitive((int(fx * d), int(fy * d)))
-
-
 def scale_to_ints(values) -> Tuple[int, List[int]]:
     """Scale exact rationals (ints or Fractions) to ints over one common
     denominator: returns (D, [D * x for x in values]), where D is the lcm of
     their denominators (1 for no values)."""
     scale = lcm(*(x.denominator for x in values))
     return scale, [x.numerator * (scale // x.denominator) for x in values]
+
+
+def primitive_of_rational(v) -> Vec2:
+    """Primitive integer vector in the direction of a rational vector."""
+    return primitive(scale_to_ints((Fraction(v[0]), Fraction(v[1])))[1])
 
 
 def is_primitive(v) -> bool:
@@ -130,21 +128,15 @@ class StepClass(Enum):
 
 
 def step_class(u, v) -> StepClass:
-    """Classify the CCW turn from ray u to ray v.
+    """Classify the CCW turn from ray u to ray v by v's position from u.
 
     Positively parallel rays are rejected: no consecutive pair of
     L-shape rays produces them (only the excluded pair (-1,-1) would).
     """
-    if (u[0], u[1]) == (0, 0) or (v[0], v[1]) == (0, 0):
+    if u[0] == 0 and u[1] == 0:
         raise ZeroVector("rays must be nonzero")
-    c = cross(u, v)
-    if c > 0:
-        return StepClass.CONVEX
-    if c < 0:
-        return StepClass.REFLEX
-    if dot(u, v) < 0:
-        return StepClass.STRAIGHT
-    raise ParallelSameDirection("rays %s and %s point the same way" % (u, v))
+    pos = _step(u[0], u[1], u, 0, v)[0]
+    return (None, StepClass.CONVEX, StepClass.STRAIGHT, StepClass.REFLEX)[pos]
 
 
 class Cmp(Enum):

@@ -3,6 +3,9 @@
 A chain is the ordered tuple of self-intersection numbers (s_1, ..., s_n);
 all plumbing edges are taken positive.  Indices in error messages and in
 the Neumann-move interface are 1-based, matching the usual notation.
+
+The leading principal minors of Q come from one recurrence, ``_minors``;
+``blow_down`` is one pass, with a stack of reduced vertices and a carry.
 """
 
 from __future__ import annotations
@@ -44,26 +47,22 @@ def det_intersection(s: Sequence[int]) -> int:
     return _det(as_chain(s))
 
 
-def _det(s: Chain) -> int:
-    prev2, prev1 = 1, s[0]
-    for v in s[1:]:
+def _minors(s: Chain):
+    """The leading principal minors d_1, ..., d_n of Q, in order."""
+    prev2, prev1 = 0, 1
+    for v in s:
         prev2, prev1 = prev1, v * prev1 - prev2
-    return prev1
+        yield prev1
+
+
+def _det(s: Chain) -> int:
+    *_, det = _minors(s)
+    return det
 
 
 def is_negative_definite(s: Sequence[int]) -> bool:
     """Sylvester: leading principal minors alternate sign starting negative."""
-    s = as_chain(s)
-    prev2, prev1 = 1, s[0]
-    sign = -1
-    if prev1 * sign <= 0:
-        return False
-    for v in s[1:]:
-        prev2, prev1 = prev1, v * prev1 - prev2
-        sign = -sign
-        if prev1 * sign <= 0:
-            return False
-    return True
+    return all((-1) ** k * d < 0 for k, d in enumerate(_minors(as_chain(s))))
 
 
 def blow_down(s: Sequence[int]) -> Chain:
@@ -72,17 +71,19 @@ def blow_down(s: Sequence[int]) -> Chain:
     Cascades until no -1 remains.  For linear chains the result does not
     depend on the removal order (tested against rightmost-first).
     """
-    chain = list(as_chain(s))
-    while -1 in chain:
-        if len(chain) == 1:
-            raise EmptyPlumbing("blowing down (-1) leaves an empty plumbing")
-        i = chain.index(-1)
-        if i > 0:
-            chain[i - 1] += 1
-        if i + 1 < len(chain):
-            chain[i + 1] += 1
-        del chain[i]
-    return tuple(chain)
+    out, carry = [], 0
+    for v in as_chain(s):
+        v, carry = v + carry, 0
+        while v == -1:  # remove it, owing one to the next vertex
+            carry += 1
+            if not out:
+                break
+            v = out.pop() + 1  # its left neighbor, raised, may be a -1 too
+        else:
+            out.append(v)
+    if not out:
+        raise EmptyPlumbing("blowing down (-1) leaves an empty plumbing")
+    return tuple(out)
 
 
 class NeumannMove(Enum):

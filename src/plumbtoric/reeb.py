@@ -299,6 +299,10 @@ class ReebCurrent:
         )
 
 
+def too_many_generators(cap: int, bound: Fraction) -> TooManyGenerators:
+    return TooManyGenerators("more than %d ECH generators below action %s" % (cap, bound))
+
+
 def enumerate_generators(
     orbits: Sequence[PerturbedOrbit], bound, *, max_generators: Optional[int] = None
 ) -> List[ReebCurrent]:
@@ -346,9 +350,7 @@ def enumerate_generators(
         entries, keys, base, eps, last = stack.pop()
         found.append((((base, eps), len(keys), sorted(keys)), ReebCurrent._trusted(entries)))
         if max_generators is not None and len(found) > max_generators:
-            raise TooManyGenerators(
-                "more than %d ECH generators below action %s" % (max_generators, bound)
-            )
+            raise too_many_generators(max_generators, bound)
         room = top - base
         for k in range(last + 1, bisect_right(scaled, room, last + 1)):
             orbit, action = ordered[k], scaled[k]

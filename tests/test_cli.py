@@ -1,9 +1,15 @@
+import contextlib
+import io
 import json
+import os
+import sys
 import time
+from unittest import mock
 
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
-from plumbtoric import cli, moment_polygon
+from plumbtoric import MalformedDocument, TooManyGenerators, cli, docio, moment_polygon, reeb
 from plumbtoric.cli import main
 from plumbtoric.docio import polygon_from_doc, polygon_to_doc, render_svg
 
@@ -68,6 +74,18 @@ class TestConstructCommand:
         _, first, _ = run(capsys, "construct", "--plumbing", "2,3", "--format", "svg")
         _, second, _ = run(capsys, "construct", "--plumbing", "2,3", "--format", "svg")
         assert first == second
+
+    @pytest.mark.parametrize("command", ["classify", "construct"])
+    def test_long_blow_down_cascade_is_quick(self, capsys, command):
+        chain = ",".join(["3"] + ["-2"] * 40000 + ["-1", "5"])
+        start = time.perf_counter()
+        code, out, _ = run(capsys, command, "--plumbing", chain, "--reduce")
+        assert time.perf_counter() - start < 1.0
+        assert code == 0
+        if command == "classify":
+            assert json.loads(out)["chain"] == [4, 40006]
+        else:
+            assert [e["self_intersection"] for e in json.loads(out)["edges"]] == [4, 40006]
 
     def test_default_pivot_follows_chain_gate(self, capsys):
         # the -1 error comes before the pivot search, with or without --pivot
@@ -167,14 +185,12 @@ class TestSurveyCommand:
             assert -1 not in chain
 
 
+DIP = '{"vertices": [["-2", "0"], ["0", "-2"], ["2", "0"]], "start_ray": [-1, 0], "end_ray": [1, 0]}'
+
+
 def write_dip(tmp_path):
-    doc = {
-        "vertices": [["-2", "0"], ["0", "-2"], ["2", "0"]],
-        "start_ray": [-1, 0],
-        "end_ray": [1, 0],
-    }
     path = tmp_path / "itinerary.json"
-    path.write_text(json.dumps(doc))
+    path.write_text(DIP)
     return str(path)
 
 
@@ -210,6 +226,58 @@ class TestReebOrbitsCommand:
         code, out, _ = run(capsys, "reeb-orbits", "--itinerary", path, "--action-bound", "31/3")
         assert code == 0
         assert len(json.loads(out)["generators"]) == 175
+
+    def test_refused_before_the_search(self, capsys, monkeypatch, tmp_path):
+        # 7 families lie below 7 and 27 generators in all; the 14 orbits and
+        # the empty current are generators on their own, so every cap below
+        # 15 is refused before the split and the search, as the search would
+        path = write_dip(tmp_path)
+        itinerary = docio.itinerary_from_doc(json.loads(DIP))
+        families = reeb.enumerate_orbits(itinerary, 7)
+        orbits = [o for fc in families for o in reeb.perturb_split(fc.family)]
+        search = reeb.enumerate_generators
+
+        def refusal(cap):
+            monkeypatch.setenv("PLUMBTORIC_MAX_GENERATORS", str(cap))
+            code, out, err = run(capsys, "reeb-orbits", "--itinerary", path, "--action-bound", "7")
+            assert code == 2 and out == ""
+            with pytest.raises(TooManyGenerators) as exc:
+                search(orbits, 7, max_generators=cap)
+            message = "%s (PLUMBTORIC_MAX_GENERATORS)" % exc.value
+            assert json.loads(err)["error"] == {"type": "TooManyGenerators", "message": message}
+
+        for cap in range(15, 27):
+            refusal(cap)
+        monkeypatch.setenv("PLUMBTORIC_MAX_GENERATORS", "27")  # exactly the count
+        code, out, _ = run(capsys, "reeb-orbits", "--itinerary", path, "--action-bound", "7")
+        assert code == 0 and len(json.loads(out)["generators"]) == 27
+
+        def unreachable(*args, **kwargs):
+            raise AssertionError("ran past the early refusal")
+
+        monkeypatch.setattr(reeb, "perturb_split", unreachable)
+        monkeypatch.setattr(reeb, "enumerate_generators", unreachable)
+        for cap in range(15):
+            refusal(cap)
+
+    @pytest.mark.parametrize(
+        "change",
+        [
+            {"start_ray": ["a", 0]},
+            {"start_ray": [-1, 0, 5]},
+            {"end_ray": [1]},
+            {"end_ray": "10"},
+            {"vertices": [["-2", "0", "1"], ["0", "-2"], ["2", "0"]]},
+            {"vertices": [["-2", "0"], ["0"], ["2", "0"]]},
+            {"start_ray": [-1e999, 0]},
+        ],
+    )
+    def test_bad_pairs_exit_2(self, capsys, tmp_path, change):
+        path = tmp_path / "itinerary.json"
+        path.write_text(json.dumps({**json.loads(DIP), **change}))
+        code, out, err = run(capsys, "reeb-orbits", "--itinerary", str(path), "--action-bound", "5")
+        assert code == 2 and out == ""
+        assert json.loads(err)["error"]["type"] == "MalformedDocument"
 
     @pytest.mark.parametrize("value", ["abc", "-5", "1e5"])
     def test_bad_generator_cap_exits_2(self, capsys, monkeypatch, tmp_path, value):
@@ -251,6 +319,24 @@ class TestIndexCommand:
         assert result["fredholm_index"] == 1
         assert result["parity_consistent"] is True
 
+    @pytest.mark.parametrize(
+        "change",
+        [
+            {"chi": "x"},
+            {"cz_plus": 5},
+            {"cz_minus": [None]},
+            {"c_tau": 1e999},
+            {"alpha": [{"kind": "elliptic", "multiplicity": -1e999}]},
+        ],
+    )
+    def test_bad_fields_exit_2(self, capsys, tmp_path, change):
+        doc = {"c_tau": 1, "q_tau": 0, "chi": 1, "cz_plus": [0], **change}
+        path = tmp_path / "index.json"
+        path.write_text(json.dumps(doc))
+        code, out, err = run(capsys, "index", "--input", str(path))
+        assert code == 2 and out == ""
+        assert json.loads(err)["error"]["type"] == "MalformedDocument"
+
 
 class TestUsageErrors:
     @pytest.mark.parametrize(
@@ -275,6 +361,13 @@ class TestUsageErrors:
 
 
 class TestPolygonRoundTrip:
+    @pytest.mark.parametrize("part", ["vertices", "rays"])
+    def test_three_components_refused(self, part):
+        doc = json.loads(json.dumps(polygon_to_doc(moment_polygon((3, -2), 1))))
+        doc[part][0].append(5)
+        with pytest.raises(MalformedDocument, match="pair"):
+            polygon_from_doc(doc)
+
     def test_exact_rationals_survive(self):
         poly = moment_polygon((3, -2), 1)
         doc = polygon_to_doc(poly)
@@ -288,3 +381,105 @@ class TestPolygonRoundTrip:
         chopped = blow_up_corner(poly, 1, Fraction(1, 2))
         svg = render_svg(chopped)
         assert "a=1/2" in svg
+
+
+# Random documents for the two commands that read one.  Itinerary numbers stay
+# small (|numerator| <= 10, denominator <= 6, bound <= 10): the orbit descent
+# itself has no size cap, so tiny vertices or large bounds would run long.
+junk = st.recursive(
+    st.none()
+    | st.booleans()
+    | st.integers(-10, 10)
+    | st.floats(allow_nan=True, allow_infinity=True)
+    | st.text(max_size=4),
+    lambda children: st.lists(children, max_size=3)
+    | st.dictionaries(st.text(max_size=4), children, max_size=3),
+    max_leaves=6,
+)
+small_int = st.integers(-3, 3)
+rational = st.builds("{}/{}".format, st.integers(-10, 10), st.integers(1, 6))
+orbit_entry = st.fixed_dictionaries(
+    {},
+    optional={
+        "kind": st.sampled_from(["elliptic", "positive_hyperbolic", "x"]) | junk,
+        "base_action": rational | junk,
+        "eps_exponent": small_int | junk,
+        "cz": small_int | junk,
+        "multiplicity": small_int | junk,
+    },
+)
+index_fields = {
+    "alpha": st.lists(orbit_entry | junk, max_size=3) | junk,
+    "beta": st.lists(orbit_entry | junk, max_size=3) | junk,
+    "chi": small_int | junk,
+    "cz_plus": st.lists(small_int | junk, max_size=3) | junk,
+    "cz_minus": st.lists(small_int | junk, max_size=3) | junk,
+}
+index_doc = (
+    junk
+    | st.fixed_dictionaries({"c_tau": small_int, "q_tau": small_int}, optional=index_fields)
+    | st.fixed_dictionaries({}, optional={"c_tau": junk, "q_tau": junk, **index_fields})
+)
+ray = st.lists(small_int, min_size=1, max_size=3) | junk
+vertex = st.lists(rational | small_int, min_size=1, max_size=3) | junk
+itinerary_fields = {
+    "vertices": st.lists(vertex, max_size=4) | junk,
+    "start_ray": ray,
+    "end_ray": ray,
+}
+nonzero_ray = st.tuples(small_int, small_int).filter(any)
+
+
+def anchored(r0, t0, middle, r1, t1):
+    # first and last vertex on their rays; the middle ones are random
+    ends = [["%d/%d" % (t0[0] * c, t0[1]) for c in r0], ["%d/%d" % (t1[0] * c, t1[1]) for c in r1]]
+    return {"vertices": [ends[0], *middle, ends[1]], "start_ray": list(r0), "end_ray": list(r1)}
+
+
+scale = st.tuples(st.integers(1, 4), st.integers(1, 3))
+itinerary_doc = (
+    junk
+    | st.fixed_dictionaries({}, optional=itinerary_fields)
+    | st.builds(
+        lambda key, value: {**json.loads(DIP), key: value},
+        st.sampled_from(sorted(itinerary_fields)),
+        st.one_of(*itinerary_fields.values()),
+    )
+    | st.builds(anchored, nonzero_ray, scale, st.lists(st.tuples(rational, rational), max_size=2), nonzero_ray, scale)
+)
+action_bound = st.builds("{}/{}".format, st.integers(-1, 10), st.integers(1, 3)) | st.text(
+    max_size=4
+)
+
+
+def run_document(argv, doc):
+    """Run ``main`` on a document given on stdin; check the exit code, the
+    error record and the time."""
+    stdout, stderr = io.StringIO(), io.StringIO()
+    start = time.perf_counter()
+    with mock.patch.object(sys, "stdin", io.StringIO(json.dumps(doc))), mock.patch.dict(
+        os.environ, {"PLUMBTORIC_MAX_GENERATORS": "2000"}
+    ), contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+        code = main(argv)
+    assert time.perf_counter() - start < 2.0
+    assert code in (0, 2)
+    if code == 2:
+        error = json.loads(stderr.getvalue().splitlines()[-1])["error"]
+        assert isinstance(error["type"], str) and isinstance(error["message"], str)
+
+
+fuzz_settings = settings(
+    max_examples=200, deadline=None, suppress_health_check=[HealthCheck.too_slow]
+)
+
+
+class TestDocumentFuzz:
+    @fuzz_settings
+    @given(index_doc)
+    def test_index_documents(self, doc):
+        run_document(["index", "--input", "-"], doc)
+
+    @fuzz_settings
+    @given(itinerary_doc, action_bound)
+    def test_itinerary_documents(self, doc, bound):
+        run_document(["reeb-orbits", "--itinerary", "-", "--action-bound", bound], doc)

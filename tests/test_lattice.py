@@ -30,6 +30,7 @@ from plumbtoric.lattice import spliced_counts
 nonzero_vec = st.tuples(
     st.integers(-9, 9), st.integers(-9, 9)
 ).filter(lambda v: v != (0, 0))
+small_vec = st.tuples(st.integers(-3, 3), st.integers(-3, 3))  # zero included
 
 
 def random_sl2z(draw_choices):
@@ -124,6 +125,31 @@ class TestStepClass:
     def test_rejects_zero(self):
         with pytest.raises(ZeroVector):
             step_class((0, 0), (1, 0))
+
+    @staticmethod
+    def _cross_dot_rule(u, v):
+        # the zero/parallel/cross/dot rule, written out on its own
+        if (u[0], u[1]) == (0, 0) or (v[0], v[1]) == (0, 0):
+            raise ZeroVector("rays must be nonzero")
+        c = cross(u, v)
+        if c > 0:
+            return StepClass.CONVEX
+        if c < 0:
+            return StepClass.REFLEX
+        if dot(u, v) < 0:
+            return StepClass.STRAIGHT
+        raise ParallelSameDirection("rays %s and %s point the same way" % (u, v))
+
+    @settings(max_examples=300)
+    @given(small_vec, small_vec)
+    def test_matches_cross_dot_rule(self, u, v):
+        def outcome(f):
+            try:
+                return f(u, v)
+            except (ZeroVector, ParallelSameDirection) as exc:
+                return type(exc).__name__, str(exc)
+
+        assert outcome(step_class) == outcome(self._cross_dot_rule)
 
     @given(sl2z_strategy, nonzero_vec, nonzero_vec)
     def test_invariant_under_sl2z(self, m, u, v):

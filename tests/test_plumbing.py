@@ -1,3 +1,4 @@
+import time
 from fractions import Fraction
 
 import pytest
@@ -18,6 +19,7 @@ from plumbtoric import (
     negative_gs_check,
     neumann_move,
 )
+from plumbtoric.plumbing import as_chain
 
 chains = st.lists(st.integers(-6, 4), min_size=1, max_size=8).map(tuple)
 
@@ -130,6 +132,38 @@ class TestBlowDown:
                 chain[i + 1] += 1
             del chain[i]
         return tuple(chain)
+
+    @staticmethod
+    def _blow_down_rescan(s):
+        # the rescanning blow-down the library had before its one-pass form
+        chain = list(as_chain(s))
+        while -1 in chain:
+            if len(chain) == 1:
+                raise EmptyPlumbing("blowing down (-1) leaves an empty plumbing")
+            i = chain.index(-1)
+            if i > 0:
+                chain[i - 1] += 1
+            if i + 1 < len(chain):
+                chain[i + 1] += 1
+            del chain[i]
+        return tuple(chain)
+
+    @given(st.lists(st.integers(-3, 2), min_size=1, max_size=12))
+    def test_matches_rescanning_oracle(self, entries):
+        def outcome(f):
+            try:
+                return f(tuple(entries))
+            except EmptyPlumbing as exc:
+                return "EmptyPlumbing: %s" % exc
+
+        assert outcome(blow_down) == outcome(self._blow_down_rescan)
+
+    def test_long_cascade_is_linear(self):
+        # every -2 is removed in turn; the rescanning form took seconds here
+        s = (3,) + (-2,) * 40000 + (-1, 5)
+        start = time.perf_counter()
+        assert blow_down(s) == (4, 40006)
+        assert time.perf_counter() - start < 1.0
 
     def test_leftmost_first_is_the_pinned_rule(self):
         # removal order can change the final chain (not the boundary):
