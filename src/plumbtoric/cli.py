@@ -3,6 +3,8 @@
 Subcommands: classify, construct, survey, reeb-orbits, index.  Exit status
 0 on success, 2 on precondition errors, malformed input or bad usage (with
 a machine-readable error record on stderr), 1 on internal assertion failure.
+Each subcommand returns its text and ``main`` is the one writer, to stdout or
+--output; an --output it cannot write exits 2 like a malformed input.
 
 The survey driver enumerates chains with some entry >= 0 (chains containing
 -1 are blown down before classification unless --exclude-minus-one drops
@@ -16,9 +18,11 @@ count).  reeb-orbits refuses once it passes PLUMBTORIC_MAX_GENERATORS generators
 from __future__ import annotations
 
 import argparse
+import contextlib
 import itertools
 import json
 import os
+import re
 import sys
 from concurrent.futures import ProcessPoolExecutor
 from typing import List, Optional, Sequence
@@ -69,22 +73,12 @@ def _parse_range(text: str) -> tuple:
         raise MalformedDocument("bad range %r; expected LO..HI or a single integer" % text)
 
 
-def _write_output(text: str, path: Optional[str]) -> None:
-    if path is None or path == "-":
-        sys.stdout.write(text)
-    else:
-        with open(path, "w") as fh:
-            fh.write(text)
-
-
-def _cmd_classify(args) -> int:
+def _cmd_classify(args) -> str:
     chain = _parse_int_list(args.plumbing, "plumbing")
-    report = toric.classify(chain, reduce=args.reduce)
-    _write_output(docio.dumps(docio.report_to_doc(report)), args.output)
-    return 0
+    return docio.dumps(docio.report_to_doc(toric.classify(chain, reduce=args.reduce)))
 
 
-def _cmd_construct(args) -> int:
+def _cmd_construct(args) -> str:
     chain = _parse_int_list(args.plumbing, "plumbing")
     if args.reduce:
         chain = plumbing.blow_down(chain)
@@ -98,10 +92,8 @@ def _cmd_construct(args) -> int:
         heights = tuple(docio.parse_fraction(h) for h in args.heights.split(","))
     poly = toric.moment_polygon(chain, pivot, heights)
     if args.format == "svg":
-        _write_output(docio.render_svg(poly), args.output)
-    else:
-        _write_output(docio.dumps(docio.polygon_to_doc(poly)), args.output)
-    return 0
+        return docio.render_svg(poly)
+    return docio.dumps(docio.polygon_to_doc(poly))
 
 
 def _survey_chunk(chains) -> List[tuple]:
@@ -115,7 +107,7 @@ def _survey_chunk(chains) -> List[tuple]:
     return rows
 
 
-def _cmd_survey(args) -> int:
+def _cmd_survey(args) -> str:
     n_lo, n_hi = _parse_range(args.n)
     v_lo, v_hi = _parse_range(args.range)
     if n_lo < 2 or v_lo > v_hi:
@@ -153,25 +145,18 @@ def _cmd_survey(args) -> int:
                 rows.extend(part)
     else:
         rows = _survey_chunk(chains)
-    if args.format == "json":
-        doc = [dict(zip(docio.SURVEY_COLUMNS, row)) for row in rows]
-        _write_output(docio.dumps(doc), args.output)
-    else:
-        _write_output(docio.survey_to_csv(rows), args.output)
-    return 0
+    return docio.survey_to_json(rows) if args.format == "json" else docio.survey_to_csv(rows)
 
 
 def _load_json(path: str) -> dict:
     try:
-        if path == "-":
-            return json.load(sys.stdin)
-        with open(path) as fh:
+        with contextlib.nullcontext(sys.stdin) if path == "-" else open(path) as fh:
             return json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
+    except (OSError, ValueError, RecursionError) as exc:  # ValueError: bad JSON, UTF-8 or huge ints
         raise MalformedDocument("cannot read document %s: %s" % (path, exc)) from None
 
 
-def _cmd_reeb_orbits(args) -> int:
+def _cmd_reeb_orbits(args) -> str:
     cap = _env_cap("PLUMBTORIC_MAX_GENERATORS", DEFAULT_GENERATOR_CAP)
     itinerary = docio.itinerary_from_doc(_load_json(args.itinerary))
     bound = docio.parse_fraction(args.action_bound)
@@ -186,27 +171,11 @@ def _cmd_reeb_orbits(args) -> int:
         generators = reeb.enumerate_generators(orbits, bound, max_generators=cap)
     except TooManyGenerators as exc:
         raise TooManyGenerators("%s (PLUMBTORIC_MAX_GENERATORS)" % exc) from None
-    doc = docio.reeb_orbits_to_doc(bound, families, orbits, generators)
-    _write_output(docio.dumps(doc), args.output)
-    return 0
+    return docio.dumps(docio.reeb_orbits_to_doc(bound, families, orbits, generators))
 
 
-def _cmd_index(args) -> int:
-    doc = _load_json(args.input)
-    try:
-        inp = reeb.IndexInput(
-            c_tau=int(doc["c_tau"]),
-            q_tau=int(doc["q_tau"]),
-            alpha=docio.current_from_doc(doc.get("alpha", [])),
-            beta=docio.current_from_doc(doc.get("beta", [])),
-        )
-        ends = "chi" in doc and (
-            int(doc["chi"]),
-            [int(v) for v in doc.get("cz_plus", [])],
-            [int(v) for v in doc.get("cz_minus", [])],
-        )
-    except (KeyError, TypeError, ValueError, OverflowError) as exc:
-        raise MalformedDocument("bad index document: %s" % exc) from None
+def _cmd_index(args) -> str:
+    inp, ends = docio.index_from_doc(_load_json(args.input))
     index = reeb.ech_index(inp)
     j0, jp = reeb.j_plus(inp)
     out = {
@@ -217,8 +186,7 @@ def _cmd_index(args) -> int:
     }
     if ends:
         out["fredholm_index"] = reeb.fredholm_index(ends[0], inp.c_tau, *ends[1:])
-    _write_output(docio.dumps(out), args.output)
-    return 0
+    return docio.dumps(out)
 
 
 class _Parser(argparse.ArgumentParser):
@@ -235,75 +203,67 @@ def build_parser() -> argparse.ArgumentParser:
         "compute ECH index data, exactly.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    common = argparse.ArgumentParser(add_help=False)
+    common.add_argument("--output", default="-", help='output file; "-" (the default) is stdout')
 
-    p = sub.add_parser("classify", help="tight/overtwisted verdict for a chain")
+    def command(name, func, help):
+        p = sub.add_parser(name, parents=[common], help=help)
+        p.set_defaults(func=func)
+        return p
+
+    p = command("classify", _cmd_classify, "tight/overtwisted verdict for a chain")
     p.add_argument("--plumbing", required=True, help="comma-separated integers")
     p.add_argument("--reduce", action="store_true", help="blow down -1 entries first")
-    p.add_argument("--output", default=None)
-    p.set_defaults(func=_cmd_classify)
 
-    p = sub.add_parser("construct", help="moment polygon for a chain")
+    p = command("construct", _cmd_construct, "moment polygon for a chain")
     p.add_argument("--plumbing", required=True)
     p.add_argument("--pivot", type=int, default=None, help="1-based index with s_i >= 0")
     p.add_argument("--heights", default=None, help='comma-separated rationals "p/q"')
     p.add_argument("--reduce", action="store_true")
     p.add_argument("--format", choices=("json", "svg"), default="json")
-    p.add_argument("--output", default=None)
-    p.set_defaults(func=_cmd_construct)
 
-    p = sub.add_parser("survey", help="classify every chain in a range")
+    p = command("survey", _cmd_survey, "classify every chain in a range")
     p.add_argument("--n", required=True, help="chain length or LO..HI")
     p.add_argument("--range", required=True, help="entry range LO..HI")
     p.add_argument("--exclude-minus-one", action="store_true")
     p.add_argument("--jobs", type=int, default=1)
     p.add_argument("--format", choices=("csv", "json"), default="csv")
-    p.add_argument("--output", default=None)
-    p.set_defaults(func=_cmd_survey)
 
-    p = sub.add_parser("reeb-orbits", help="orbit families, split orbits, generators")
+    p = command("reeb-orbits", _cmd_reeb_orbits, "orbit families, split orbits, generators")
     p.add_argument("--itinerary", required=True, help="itinerary JSON document")
     p.add_argument("--action-bound", required=True, help='rational bound "p/q"')
-    p.add_argument("--output", default=None)
-    p.set_defaults(func=_cmd_reeb_orbits)
 
-    p = sub.add_parser("index", help="ECH / J+ / Fredholm index calculators")
+    p = command("index", _cmd_index, "ECH / J+ / Fredholm index calculators")
     p.add_argument("--input", required=True, help="index-input JSON document")
-    p.add_argument("--output", default=None)
-    p.set_defaults(func=_cmd_index)
     return parser
 
 
-_VALUE_FLAGS = {"--plumbing", "--heights", "--n", "--range", "--action-bound", "--pivot"}
-
-
 def _merge_flag_values(argv) -> list:
-    # chains like -2,1,0,-2 start with "-"; fold them into --flag=value form
-    out, i = [], 0
-    while i < len(argv):
-        tok = argv[i]
-        if tok in _VALUE_FLAGS and i + 1 < len(argv):
-            out.append("%s=%s" % (tok, argv[i + 1]))
-            i += 2
+    # values like the chain -2,1,0,-2 start with "-"; no option starts with "-"
+    # and a digit or ".", so such a token joins the --flag before it
+    out = []
+    for tok in argv:
+        if out and re.fullmatch(r"--\w[\w-]*", out[-1]) and re.match(r"-[\d.]", tok):
+            out[-1] += "=" + tok
         else:
             out.append(tok)
-            i += 1
     return out
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    if argv is None:
-        argv = sys.argv[1:]
     try:
-        args = build_parser().parse_args(_merge_flag_values(list(argv)))
-        return args.func(args)
-    except PreconditionError as exc:
+        args = build_parser().parse_args(_merge_flag_values(sys.argv[1:] if argv is None else argv))
+        text, path = args.func(args), args.output
+        try:
+            with contextlib.nullcontext(sys.stdout) if path == "-" else open(path, "w") as fh:
+                fh.write(text)
+        except OSError as exc:
+            raise MalformedDocument("cannot write output %s: %s" % (path, exc)) from None
+        return 0
+    except (PreconditionError, InternalInvariantError) as exc:
         record = {"error": {"type": type(exc).__name__, "message": str(exc)}}
         sys.stderr.write(json.dumps(record, sort_keys=True) + "\n")
-        return 2
-    except InternalInvariantError as exc:
-        record = {"error": {"type": type(exc).__name__, "message": str(exc)}}
-        sys.stderr.write(json.dumps(record, sort_keys=True) + "\n")
-        return 1
+        return 2 if isinstance(exc, PreconditionError) else 1
 
 
 if __name__ == "__main__":

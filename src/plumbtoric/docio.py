@@ -32,10 +32,24 @@ def format_fraction(x) -> str:
 
 
 def parse_fraction(text) -> Fraction:
+    """A document or flag rational; refused unless it can be printed back."""
     try:
-        return Fraction(str(text))
+        value = Fraction(str(text))
+        format_fraction(value)  # Python's int-to-str digit limit applies
     except (ValueError, ZeroDivisionError) as exc:
         raise MalformedDocument("bad rational %r: %s" % (text, exc)) from None
+    return value
+
+
+def parse_int(value) -> int:
+    """A document integer: a JSON int or a string ``int()`` accepts, never a
+    bool, a float or any other type."""
+    try:
+        if type(value) not in (int, str):
+            raise ValueError("expected a JSON integer")
+        return int(value)
+    except ValueError as exc:
+        raise MalformedDocument("bad integer %r: %s" % (value, exc)) from None
 
 
 def _vec(v) -> list:
@@ -104,14 +118,14 @@ def polygon_from_doc(doc: dict) -> MomentPolygon:
         vertices = tuple(_pair(v, parse_fraction) for v in doc["vertices"])
         edges = tuple(
             PolygonEdge(
-                start=int(e["start"]),
-                end=int(e["end"]),
-                self_intersection=int(e["self_intersection"]),
+                start=parse_int(e["start"]),
+                end=parse_int(e["end"]),
+                self_intersection=parse_int(e["self_intersection"]),
                 area=parse_fraction(e["area"]),
             )
             for e in doc["edges"]
         )
-        rays = (_pair(doc["rays"][0], int), _pair(doc["rays"][1], int))
+        rays = (_pair(doc["rays"][0], parse_int), _pair(doc["rays"][1], parse_int))
     except _READ_ERRORS as exc:
         raise MalformedDocument("bad moment-polygon document: %s" % exc) from None
     return MomentPolygon(vertices=vertices, edges=edges, rays=rays)
@@ -120,8 +134,8 @@ def polygon_from_doc(doc: dict) -> MomentPolygon:
 def itinerary_from_doc(doc: dict) -> ReebItinerary:
     try:
         vertices = tuple(_pair(v, parse_fraction) for v in doc["vertices"])
-        start_ray = _pair(doc["start_ray"], int)
-        end_ray = _pair(doc["end_ray"], int)
+        start_ray = _pair(doc["start_ray"], parse_int)
+        end_ray = _pair(doc["end_ray"], parse_int)
     except _READ_ERRORS as exc:
         raise MalformedDocument("bad itinerary document: %s" % exc) from None
     return ReebItinerary(vertices=vertices, start_ray=start_ray, end_ray=end_ray)
@@ -177,20 +191,38 @@ def current_from_doc(entries: list) -> reeb.ReebCurrent:
     try:
         for e in entries:
             kind = reeb.OrbitKind(e["kind"])
-            base = parse_fraction(e.get("base_action", "1"))
-            default_cz = 1 if kind is reeb.OrbitKind.ELLIPTIC else 0
+            elliptic = kind is reeb.OrbitKind.ELLIPTIC
             orbit = reeb.PerturbedOrbit(
                 kind=kind,
-                base_action=base,
-                eps_exponent=int(
-                    e.get("eps_exponent", 1 if kind is reeb.OrbitKind.ELLIPTIC else -1)
-                ),
-                cz=int(e.get("cz", default_cz)),
+                base_action=parse_fraction(e.get("base_action", "1")),
+                eps_exponent=parse_int(e.get("eps_exponent", 1 if elliptic else -1)),
+                cz=parse_int(e.get("cz", 1 if elliptic else 0)),
             )
-            out.append((orbit, int(e.get("multiplicity", 1))))
+            out.append((orbit, parse_int(e.get("multiplicity", 1))))
     except _READ_ERRORS as exc:
         raise MalformedDocument("bad Reeb-current document: %s" % exc) from None
     return reeb.ReebCurrent(tuple(out))
+
+
+def index_from_doc(doc: dict) -> tuple:
+    """The index-input document as (IndexInput, ends): ends is (chi, cz_plus,
+    cz_minus) for the Fredholm index when the document has "chi", else False.
+    Its four list fields, when present, must be JSON arrays."""
+    try:
+        c_tau, q_tau = parse_int(doc["c_tau"]), parse_int(doc["q_tau"])
+        lists = [doc.get(key, []) for key in ("alpha", "beta", "cz_plus", "cz_minus")]
+        if not all(isinstance(v, list) for v in lists):
+            raise ValueError("alpha, beta, cz_plus and cz_minus must be JSON arrays")
+        alpha, beta, cz_plus, cz_minus = lists
+        inp = reeb.IndexInput(c_tau, q_tau, current_from_doc(alpha), current_from_doc(beta))
+        ends = "chi" in doc and (
+            parse_int(doc["chi"]),
+            [parse_int(v) for v in cz_plus],
+            [parse_int(v) for v in cz_minus],
+        )
+    except _READ_ERRORS as exc:
+        raise MalformedDocument("bad index document: %s" % exc) from None
+    return inp, ends
 
 
 # ---------------------------------------------------------------------------
@@ -218,6 +250,10 @@ def survey_to_csv(rows: Sequence[tuple]) -> str:
     return "\n".join(lines) + "\n"
 
 
+def survey_to_json(rows: Sequence[tuple]) -> str:
+    return dumps([dict(zip(SURVEY_COLUMNS, row)) for row in rows])
+
+
 # ---------------------------------------------------------------------------
 # SVG rendering
 
@@ -237,9 +273,7 @@ def render_svg(poly: MomentPolygon) -> str:
     radial rays (display only).
     """
     pts = [(float(x), float(y)) for x, y in poly.vertices]
-    ray_tips = []
-    for anchor, _ray in ((pts[0], poly.rays[0]), (pts[-1], poly.rays[1])):
-        ray_tips.append((anchor[0] * 1.45, anchor[1] * 1.45))
+    ray_tips = [(x * 1.45, y * 1.45) for x, y in (pts[0], pts[-1])]
     xs = [p[0] for p in pts + ray_tips] + [0.0]
     ys = [p[1] for p in pts + ray_tips] + [0.0]
     span = max(max(xs) - min(xs), max(ys) - min(ys), 1e-9)

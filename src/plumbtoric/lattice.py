@@ -219,7 +219,12 @@ def winding_compare(rays: Sequence[Vec2]) -> WindingVerdict:
         v = rays[idx]
         pos, wrap = _step(w0x, w0y, u, pos, v)
         wraps += wrap
-        ang = atan2(u[0] * v[1] - u[1] * v[0], u[0] * v[0] + u[1] * v[1])
+        cross, dot = u[0] * v[1] - u[1] * v[0], u[0] * v[0] + u[1] * v[1]
+        try:
+            ang = atan2(cross, dot)
+        except OverflowError:  # display only; ints past the float range
+            big = max(abs(cross), abs(dot))
+            ang = atan2(cross / big, dot / big)
         approx += ang if ang > 0 else ang + two_pi
         u = v
     passed = _passed(wraps, pos)

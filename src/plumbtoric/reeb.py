@@ -325,7 +325,8 @@ def enumerate_generators(
     Order: generators are sorted by total action, then entry count, then
     sorted entry keys.  That key ties often, and ties keep the emission
     order, which is lexicographic in the multiplicity vector over the orbits
-    sorted by (base action, eps exponent, CZ, kind).
+    sorted by (base action, eps exponent, CZ, kind); orbits that tie on that
+    key keep the caller's order, never a hash order.
 
     With ``max_generators`` set, the search raises
     :class:`TooManyGenerators` as soon as it emits one more than that.
@@ -334,7 +335,7 @@ def enumerate_generators(
     if bound <= 0:
         raise ValueError("action bound must be positive")
     ordered = sorted(
-        set(orbits),
+        dict.fromkeys(orbits),
         key=lambda o: (o.base_action, o.eps_exponent, o.cz, o.kind.value),
     )
     for o in ordered:

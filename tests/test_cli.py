@@ -4,6 +4,7 @@ import json
 import os
 import sys
 import time
+from pathlib import Path
 from unittest import mock
 
 import pytest
@@ -12,6 +13,8 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 from plumbtoric import MalformedDocument, TooManyGenerators, cli, docio, moment_polygon, reeb
 from plumbtoric.cli import main
 from plumbtoric.docio import polygon_from_doc, polygon_to_doc, render_svg
+
+GOLDEN = Path(__file__).parent / "golden"
 
 
 def run(capsys, *argv):
@@ -45,6 +48,16 @@ class TestClassifyCommand:
         code, _, err = run(capsys, "classify", "--plumbing", "2,x")
         assert code == 2
         assert json.loads(err)["error"]["type"] == "MalformedDocument"
+
+    def test_huge_entries_exit_0(self, capsys):
+        # past 10^308 the display-only swept angle is rescaled before atan2
+        docs = []
+        for digits in (100, 160, 1000):
+            entry = "3" * digits
+            code, out, _ = run(capsys, "classify", "--plumbing", "%s,%s" % (entry, entry))
+            assert code == 0
+            docs.append(json.loads(out)["winding"])
+        assert docs[0] == docs[1] == docs[2]
 
 
 class TestConstructCommand:
@@ -270,6 +283,8 @@ class TestReebOrbitsCommand:
             {"vertices": [["-2", "0", "1"], ["0", "-2"], ["2", "0"]]},
             {"vertices": [["-2", "0"], ["0"], ["2", "0"]]},
             {"start_ray": [-1e999, 0]},
+            {"start_ray": [-1.9, 0]},
+            {"start_ray": [True, 0]},
         ],
     )
     def test_bad_pairs_exit_2(self, capsys, tmp_path, change):
@@ -295,6 +310,27 @@ class TestReebOrbitsCommand:
             capsys, "reeb-orbits", "--itinerary", str(path), "--action-bound", "5"
         )
         assert code == 2
+        assert json.loads(err)["error"]["type"] == "MalformedDocument"
+
+    @pytest.mark.parametrize(
+        "text", ["1" * 5000, "[" * 100000, "\udcff"], ids=["huge-int", "deep", "not-utf8"]
+    )
+    def test_unreadable_documents_exit_2(self, capsys, tmp_path, text):
+        # an int past Python's digit limit, nesting past the recursion limit,
+        # and bytes that are not UTF-8
+        path = tmp_path / "bad.json"
+        path.write_bytes(text.encode("utf-8", "surrogateescape"))
+        code, out, err = run(capsys, "reeb-orbits", "--itinerary", str(path), "--action-bound", "5")
+        assert code == 2 and out == ""
+        assert json.loads(err)["error"]["type"] == "MalformedDocument"
+
+    def test_unprintable_bound_exits_2(self, capsys):
+        # 10^5000 has more digits than Python prints; refused before any work
+        itinerary = str(GOLDEN / "itinerary.json")
+        code, out, err = run(
+            capsys, "reeb-orbits", "--itinerary", itinerary, "--action-bound", "1e-5000"
+        )
+        assert code == 2 and out == ""
         assert json.loads(err)["error"]["type"] == "MalformedDocument"
 
 
@@ -327,6 +363,8 @@ class TestIndexCommand:
             {"cz_minus": [None]},
             {"c_tau": 1e999},
             {"alpha": [{"kind": "elliptic", "multiplicity": -1e999}]},
+            {"c_tau": 1.5},
+            {"cz_plus": "12"},
         ],
     )
     def test_bad_fields_exit_2(self, capsys, tmp_path, change):
@@ -336,6 +374,25 @@ class TestIndexCommand:
         code, out, err = run(capsys, "index", "--input", str(path))
         assert code == 2 and out == ""
         assert json.loads(err)["error"]["type"] == "MalformedDocument"
+
+
+class TestOutput:
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["classify", "--plumbing", "2,3"],
+            ["construct", "--plumbing", "2,3", "--format", "svg"],
+            ["survey", "--n", "2", "--range", "0..1"],
+            ["reeb-orbits", "--itinerary", str(GOLDEN / "itinerary.json"), "--action-bound", "5"],
+            ["index", "--input", str(GOLDEN / "index.json")],
+        ],
+        ids=lambda argv: argv[0],
+    )
+    def test_missing_directory_exits_2(self, capsys, tmp_path, argv):
+        code, out, err = run(capsys, *argv, "--output", str(tmp_path / "missing" / "out"))
+        assert code == 2 and out == ""
+        (line,) = err.splitlines()
+        assert json.loads(line)["error"]["type"] == "MalformedDocument"
 
 
 class TestUsageErrors:

@@ -1,8 +1,15 @@
+import json
+import os
+import subprocess
+import sys
 from fractions import Fraction
 from math import gcd
+from pathlib import Path
 
 import pytest
 from hypothesis import event, given, assume, settings, strategies as st
+
+import plumbtoric
 
 from plumbtoric import (
     ActionBoundHit,
@@ -387,6 +394,34 @@ class TestEnumerateGenerators:
         with pytest.raises(TooManyGenerators):
             enumerate_generators(orbits, 5, max_generators=4)
 
+    def test_order_does_not_depend_on_hash_seed(self):
+        # the README itinerary at 31/3 has equal-action families, whose orbits
+        # tie on (base action, eps exponent, CZ, kind)
+        script = (
+            "import json\n"
+            "from fractions import Fraction\n"
+            "from plumbtoric import docio, reeb\n"
+            "doc = {'vertices': [['-2', '0'], ['0', '-2'], ['2', '0']],"
+            " 'start_ray': [-1, 0], 'end_ray': [1, 0]}\n"
+            "bound = Fraction(31, 3)\n"
+            "families = reeb.enumerate_orbits(docio.itinerary_from_doc(doc), bound)\n"
+            "orbits = [o for fc in families for o in reeb.perturb_split(fc.family)]\n"
+            "print(json.dumps([[[o.kind.value, str(o.base_action), o.eps_exponent, o.cz,"
+            " o.family.vertex, list(o.family.slope), m] for o, m in g.entries]"
+            " for g in reeb.enumerate_generators(orbits, bound)]))\n"
+        )
+        src = str(Path(plumbtoric.__file__).parents[1])
+        listings = []
+        for seed in ("0", "1"):
+            env = {**os.environ, "PYTHONHASHSEED": seed, "PYTHONPATH": src}
+            done = subprocess.run(
+                [sys.executable, "-c", script], env=env, capture_output=True, text=True,
+                timeout=120, check=True,
+            )
+            listings.append(json.loads(done.stdout))
+        assert len(listings[0]) == 175
+        assert listings[0] == listings[1]
+
 
 def oracle_generators(orbits, bound):
     """The exhaustive recursion enumerate_generators used before pruning: it
@@ -395,7 +430,7 @@ def oracle_generators(orbits, bound):
     if bound <= 0:
         raise ValueError("action bound must be positive")
     ordered = sorted(
-        set(orbits),
+        dict.fromkeys(orbits),
         key=lambda o: (o.base_action, o.eps_exponent, o.cz, o.kind.value),
     )
     for o in ordered:
