@@ -22,6 +22,7 @@ from .errors import (
     NotConcaveCase,
     NotCoprime,
     NotDelzantCorner,
+    OutputTooLarge,
     ParallelSameDirection,
     PlumbtoricError,
     PreconditionError,

@@ -171,7 +171,7 @@ def _cmd_reeb_orbits(args) -> str:
         generators = reeb.enumerate_generators(orbits, bound, max_generators=cap)
     except TooManyGenerators as exc:
         raise TooManyGenerators("%s (PLUMBTORIC_MAX_GENERATORS)" % exc) from None
-    return docio.dumps(docio.reeb_orbits_to_doc(bound, families, orbits, generators))
+    return docio.reeb_orbits_text(bound, families, orbits, generators)
 
 
 def _cmd_index(args) -> str:

@@ -4,16 +4,28 @@ Exact rationals serialize as "p/q" strings ("p" when the denominator is 1)
 so no binary-float drift ever enters a document; floats appear only in
 display-only fields suffixed ``_approx``.  All output is deterministic:
 identical inputs produce bit-identical documents.
+
+Documents are written by ``dumps`` (``json.dumps(indent=2, sort_keys=True)``)
+except the reeb-orbits document, whose generator list can run to 10^5
+entries and is too slow for the indenting encoder, which is pure Python.
+``reeb_orbits_text`` writes it in its fixed shape, with the same bytes as
+``dumps`` of the document: each orbit's entry text, up to the multiplicity,
+is made once per call, and each generator (``current_to_doc``) joins those
+of its entries.  Output with an integer too long to print is refused as
+:class:`OutputTooLarge` (``_printable``).
 """
 
 from __future__ import annotations
 
+import functools
 import json
+import re
+import sys
 from fractions import Fraction
 from typing import Sequence
 
 from . import reeb
-from .errors import MalformedDocument
+from .errors import MalformedDocument, OutputTooLarge
 from .lattice import WindingVerdict
 from .plumbing import det_intersection
 from .reeb import ReebItinerary
@@ -22,6 +34,24 @@ from .toric import BoundaryReport, MomentPolygon, PolygonEdge
 SURVEY_HEADER = "# plumbtoric-survey v1"
 SURVEY_COLUMNS = ("s", "verdict", "k", "l", "vs_pi", "vs_2pi", "det", "det_check")
 _READ_ERRORS = (KeyError, TypeError, IndexError, ValueError, OverflowError)
+_EXPONENT = re.compile(r"[eE]([-+]?\d+(?:_\d+)*)\s*\Z")
+
+
+def _printable(make):
+    """``make`` refusing, as :class:`OutputTooLarge`, output with an integer
+    past Python's int-to-str digit limit or, in a picture, a value past the
+    float range.  Every function here that makes output text is wrapped;
+    the values they format raise ValueError or OverflowError for nothing
+    else."""
+
+    @functools.wraps(make)
+    def made(*args):
+        try:
+            return make(*args)
+        except (ValueError, OverflowError) as exc:
+            raise OutputTooLarge("output too large to print: %s" % exc) from None
+
+    return made
 
 
 def format_fraction(x) -> str:
@@ -32,9 +62,28 @@ def format_fraction(x) -> str:
 
 
 def parse_fraction(text) -> Fraction:
-    """A document or flag rational; refused unless it can be printed back."""
+    """A document or flag rational; refused unless it can be printed back.
+
+    ``Fraction`` builds 10**|exp| for a decimal exponent before anything is
+    checked, so the exponent is read off the text first.  One that would
+    leave more digits than Python prints is refused at once, and a zero
+    mantissa reads as 0 whatever its exponent.
+    """
+    text = str(text)
     try:
-        value = Fraction(str(text))
+        match = _EXPONENT.search(text)
+        if match is None:
+            value = Fraction(text)
+        else:
+            value = Fraction(text[: match.start()] + "e0")  # the mantissa p/q
+            exp, limit = int(match.group(1)), sys.get_int_max_str_digits()
+            if value:
+                # |value| >= 10**exp / q and its denominator >= 10**-exp / |p|;
+                # bit lengths bound the digits of p and q from above
+                p, q = value.numerator, value.denominator
+                if limit and max(exp - q.bit_length(), -exp - p.bit_length()) >= limit:
+                    raise ValueError("exponent %d leaves more than %d digits" % (exp, limit))
+                value *= Fraction(10) ** exp
         format_fraction(value)  # Python's int-to-str digit limit applies
     except (ValueError, ZeroDivisionError) as exc:
         raise MalformedDocument("bad rational %r: %s" % (text, exc)) from None
@@ -97,6 +146,7 @@ def report_to_doc(report: BoundaryReport) -> dict:
     }
 
 
+@_printable
 def polygon_to_doc(poly: MomentPolygon) -> dict:
     return {
         "vertices": [[format_fraction(x), format_fraction(y)] for x, y in poly.vertices],
@@ -162,28 +212,59 @@ def _orbit_doc(orbit: reeb.PerturbedOrbit) -> dict:
     }
 
 
-def current_to_doc(current: reeb.ReebCurrent) -> list:
-    entries = sorted(
-        current.entries,
-        key=lambda om: (om[0].base_action, om[0].eps_exponent, om[0].kind.value),
+def _entry_texts(orbits) -> dict:
+    """id(orbit) -> (rank, text of its generator entry up to the multiplicity).
+
+    Ranks follow one stable sort by (base action, eps exponent, kind, CZ):
+    ``enumerate_generators`` lists a current's entries by (base action, eps
+    exponent, CZ, kind) and then by first place in ``orbits``, so sorting a
+    current's entries by rank is sorting them by (base action, eps
+    exponent, kind) and keeping their order on ties.  Orbits are looked up
+    by identity: the search's currents hold these very objects, and hashing
+    one goes through two Fractions and its family.
+    """
+    ranked = sorted(orbits, key=lambda o: (o.base_action, o.eps_exponent, o.kind.value, o.cz))
+    texts = {}
+    for rank, orbit in enumerate(ranked):
+        if id(orbit) not in texts:  # a repeated object keeps its first rank
+            # the orbit's fields one to a line; "multiplicity" sorts after them
+            fields = json.dumps(_orbit_doc(orbit), sort_keys=True, separators=(",\n        ", ": "))
+            texts[id(orbit)] = (rank, '{\n        %s,\n        "multiplicity": ' % fields[1:-1])
+    return texts
+
+
+def current_to_doc(current: reeb.ReebCurrent, texts: dict) -> str:
+    """One generator's text as it sits in the reeb-orbits document, with
+    ``texts`` from the orbit list the generator was drawn from."""
+    if not current.entries:
+        return "[]"
+    entries = sorted([(texts[id(orbit)], mult) for orbit, mult in current.entries])
+    listed = "\n      },\n      ".join([text + str(mult) for (_, text), mult in entries])
+    return "[\n      %s\n      }\n    ]" % listed
+
+
+def _nested(doc) -> str:
+    """``doc`` as ``dumps`` writes it one level down in a document."""
+    return json.dumps(doc, indent=2, sort_keys=True).replace("\n", "\n  ")
+
+
+@_printable
+def reeb_orbits_text(bound, families, orbits, generators) -> str:
+    """The reeb-orbits document; each split orbit names its family's corner
+    and slope.  The same bytes as ``dumps`` of the document, written in its
+    fixed shape."""
+    texts = _entry_texts(orbits)
+    listed = ",\n    ".join([current_to_doc(g, texts) for g in generators])
+    listing = [
+        {**_orbit_doc(o), "vertex": o.family.vertex, "slope": _vec(o.family.slope)}
+        for o in orbits
+    ]
+    return '{\n  "action_bound": %s,\n  "families": %s,\n  "generators": %s,\n  "orbits": %s\n}\n' % (
+        json.dumps(format_fraction(bound)),
+        _nested(families_to_doc(families)),
+        "[\n    %s\n  ]" % listed if generators else "[]",
+        _nested(listing),
     )
-    docs = [_orbit_doc(orbit) for orbit, _ in entries]
-    for doc, (_, mult) in zip(docs, entries):
-        doc["multiplicity"] = mult  # cheaper than merging dicts, per generator entry
-    return docs
-
-
-def reeb_orbits_to_doc(bound, families, orbits, generators) -> dict:
-    """The reeb-orbits listing; each split orbit names its family's corner and slope."""
-    return {
-        "action_bound": format_fraction(bound),
-        "families": families_to_doc(families),
-        "orbits": [
-            {**_orbit_doc(o), "vertex": o.family.vertex, "slope": _vec(o.family.slope)}
-            for o in orbits
-        ],
-        "generators": [current_to_doc(g) for g in generators],
-    }
 
 
 def current_from_doc(entries: list) -> reeb.ReebCurrent:
@@ -228,6 +309,7 @@ def index_from_doc(doc: dict) -> tuple:
 # ---------------------------------------------------------------------------
 # survey
 
+@_printable
 def survey_row(chain, report: BoundaryReport) -> tuple:
     """Row for the enumerated chain; ``det`` is its intersection determinant,
     the remaining fields describe the classified (possibly reduced) chain."""
@@ -264,6 +346,7 @@ def _fmt(x: float) -> str:
     return "%.3f" % x
 
 
+@_printable
 def render_svg(poly: MomentPolygon) -> str:
     """Deterministic SVG 1.1 picture of a moment polygon.
 
@@ -325,5 +408,6 @@ def render_svg(poly: MomentPolygon) -> str:
     return "\n".join(parts) + "\n"
 
 
+@_printable
 def dumps(doc) -> str:
     return json.dumps(doc, indent=2, sort_keys=True) + "\n"

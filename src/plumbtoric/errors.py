@@ -93,6 +93,11 @@ class MalformedDocument(PreconditionError):
     pass
 
 
+class OutputTooLarge(PreconditionError):
+    """The output holds a number too large to print (Python's int-to-str
+    digit limit) or, in a picture, to draw."""
+
+
 class InternalInvariantError(PlumbtoricError):
     pass
 

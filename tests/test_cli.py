@@ -4,6 +4,7 @@ import json
 import os
 import sys
 import time
+from fractions import Fraction
 from pathlib import Path
 from unittest import mock
 
@@ -59,6 +60,14 @@ class TestClassifyCommand:
             docs.append(json.loads(out)["winding"])
         assert docs[0] == docs[1] == docs[2]
 
+    def test_unprintable_output_exits_2(self, capsys):
+        # the determinant N^2 - 1 of N,N has about 4,400 digits
+        entry = "3" * 2200
+        code, out, err = run(capsys, "classify", "--plumbing", "%s,%s" % (entry, entry))
+        assert code == 2 and out == ""
+        (line,) = err.splitlines()
+        assert json.loads(line)["error"]["type"] == "OutputTooLarge"
+
 
 class TestConstructCommand:
     def test_json_round_trip(self, capsys):
@@ -100,6 +109,16 @@ class TestConstructCommand:
         else:
             assert [e["self_intersection"] for e in json.loads(out)["edges"]] == [4, 40006]
 
+    @pytest.mark.parametrize("format", ["json", "svg"])
+    def test_unprintable_output_exits_2(self, capsys, format):
+        # vertices past 4,300 digits, and past the float range in the picture
+        entry = "3" * 2200
+        chain = ",".join([entry] * 3)
+        code, out, err = run(capsys, "construct", "--plumbing", chain, "--format", format)
+        assert code == 2 and out == ""
+        (line,) = err.splitlines()
+        assert json.loads(line)["error"]["type"] == "OutputTooLarge"
+
     def test_default_pivot_follows_chain_gate(self, capsys):
         # the -1 error comes before the pivot search, with or without --pivot
         for extra in ((), ("--pivot", "1")):
@@ -135,6 +154,17 @@ class TestSurveyCommand:
         code, _, err = run(capsys, "survey", "--n", "4", "--range", "-3..3")
         assert code == 2
         assert json.loads(err)["error"]["type"] == "SurveyTooLarge"
+
+    @pytest.mark.parametrize("jobs", ["1", "2"])
+    def test_unprintable_row_exits_2(self, capsys, jobs):
+        # the lens invariant and determinant of N,N pass 4,300 digits
+        entry = "3" * 2200
+        code, out, err = run(
+            capsys, "survey", "--n", "2..3", "--range", "%s..%s" % (entry, entry), "--jobs", jobs
+        )
+        assert code == 2 and out == ""
+        (line,) = err.splitlines()
+        assert json.loads(line)["error"]["type"] == "OutputTooLarge"
 
     @pytest.mark.parametrize("n", ["2..20000", "2..300000"])
     def test_huge_survey_refused_quickly(self, capsys, monkeypatch, n):
@@ -333,6 +363,24 @@ class TestReebOrbitsCommand:
         assert code == 2 and out == ""
         assert json.loads(err)["error"]["type"] == "MalformedDocument"
 
+    @pytest.mark.parametrize("bound", ["1e50000000", "-1e-50000000", "2.5E+99999999999"])
+    def test_huge_exponent_bound_refused_quickly(self, capsys, bound):
+        itinerary = str(GOLDEN / "itinerary.json")
+        start = time.perf_counter()
+        code, out, err = run(capsys, "reeb-orbits", "--itinerary", itinerary, "--action-bound", bound)
+        assert time.perf_counter() - start < 0.5
+        assert code == 2 and out == ""
+        assert json.loads(err)["error"]["type"] == "MalformedDocument"
+
+    def test_huge_exponent_vertex_refused_quickly(self, capsys, tmp_path):
+        path = tmp_path / "itinerary.json"
+        path.write_text(DIP.replace('["-2", "0"]', '["-2e50000000", "0"]'))
+        start = time.perf_counter()
+        code, out, err = run(capsys, "reeb-orbits", "--itinerary", str(path), "--action-bound", "5")
+        assert time.perf_counter() - start < 0.5
+        assert code == 2 and out == ""
+        assert json.loads(err)["error"]["type"] == "MalformedDocument"
+
 
 class TestIndexCommand:
     def test_plane_document(self, capsys, tmp_path):
@@ -415,6 +463,59 @@ class TestUsageErrors:
             main(["classify", "--help"])
         assert exc.value.code == 0
         assert "--plumbing" in capsys.readouterr().out
+
+
+decimal_text = st.builds(
+    "{}{}{}{}e{}{}".format,
+    st.sampled_from(["", "-", "+", " "]),
+    st.text("0123456789", max_size=6),
+    st.sampled_from(["", "."]),
+    st.text("0123456789", max_size=6),
+    st.sampled_from(["", "-", "+"]),
+    st.integers(0, 40).map(str),
+)
+
+
+class TestParseFraction:
+    """Decimal exponents are read off the text before Fraction expands them;
+    every value Fraction reads and Python can print is still accepted."""
+
+    @settings(max_examples=300)
+    @given(decimal_text)
+    def test_same_value_as_fraction(self, text):
+        try:
+            expected = Fraction(text)
+        except ValueError:
+            with pytest.raises(MalformedDocument):
+                docio.parse_fraction(text)
+            return
+        assert docio.parse_fraction(text) == expected
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "1e4299",  # 4,300 digits
+            "-1e-4299",
+            "0." + "9" * 4000 + "e4000",  # an integer of 4,000 digits
+            "1" + "0" * 4299 + "e-4299",  # 1
+            "12e-4300",  # 3/25 * 10^-4298
+        ],
+    )
+    def test_printable_values_near_the_limit_accepted(self, text):
+        assert docio.parse_fraction(text) == Fraction(text)
+
+    @pytest.mark.parametrize("text", ["1e4300", "-1e-4300", "1e50000000", "7.5e-50000000"])
+    def test_unprintable_values_refused(self, text):
+        start = time.perf_counter()
+        with pytest.raises(MalformedDocument, match="bad rational"):
+            docio.parse_fraction(text)
+        assert time.perf_counter() - start < 0.5
+
+    @pytest.mark.parametrize("text", ["0e50000000", "-0.000E-99999999999", ".0e12345678901234"])
+    def test_zero_mantissa_reads_as_zero(self, text):
+        start = time.perf_counter()
+        assert docio.parse_fraction(text) == 0
+        assert time.perf_counter() - start < 0.5
 
 
 class TestPolygonRoundTrip:

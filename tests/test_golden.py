@@ -25,6 +25,9 @@ ITINERARY = str(GOLDEN / "itinerary.json")
 INDEX = str(GOLDEN / "index.json")
 # rational vertices over denominators 2, 3 and 6, five corners
 RATIONAL_ITINERARY = str(GOLDEN / "itinerary_rational.json")
+# ITINERARY moved by (2, 1; 1, 1) in SL(2,Z): the same actions, but other
+# slopes, so families come out in another order and ties fall elsewhere
+IMAGE_ITINERARY = str(GOLDEN / "itinerary_image.json")
 CAPS = ("PLUMBTORIC_MAX_SURVEY", "PLUMBTORIC_MAX_GENERATORS")
 
 CASES = {
@@ -52,6 +55,11 @@ CASES = {
     "reeb_orbits_31_3": [
         "reeb-orbits", "--itinerary", ITINERARY, "--action-bound", "31/3",
     ],
+    "reeb_orbits_image_31_3": [
+        "reeb-orbits", "--itinerary", IMAGE_ITINERARY, "--action-bound", "31/3",
+    ],
+    # below every action: no families, and the empty current alone
+    "reeb_orbits_1": ["reeb-orbits", "--itinerary", ITINERARY, "--action-bound", "1"],
     "reeb_orbits_rational_21_2": [
         "reeb-orbits", "--itinerary", RATIONAL_ITINERARY, "--action-bound", "21/2",
     ],

@@ -1,5 +1,6 @@
 import json
 import os
+import random
 import subprocess
 import sys
 from fractions import Fraction
@@ -7,9 +8,10 @@ from math import gcd
 from pathlib import Path
 
 import pytest
-from hypothesis import event, given, assume, settings, strategies as st
+from hypothesis import event, example, given, assume, settings, strategies as st
 
 import plumbtoric
+from plumbtoric import docio
 
 from plumbtoric import (
     ActionBoundHit,
@@ -217,10 +219,8 @@ def lower_hull(points):
     return hull
 
 
-SL2Z_WORDS = st.lists(
-    st.sampled_from([(1, 1, 0, 1), (1, -1, 0, 1), (1, 0, 1, 1), (1, 0, -1, 1), (0, -1, 1, 0)]),
-    max_size=4,
-)
+SL2Z_STEPS = [(1, 1, 0, 1), (1, -1, 0, 1), (1, 0, 1, 1), (1, 0, -1, 1), (0, -1, 1, 0)]
+SL2Z_WORDS = st.lists(st.sampled_from(SL2Z_STEPS), max_size=4)
 
 
 def sl2z_image(word, itinerary):
@@ -539,6 +539,113 @@ class TestReebCurrentChecks:
         for g in gens:
             checked = ReebCurrent(g.entries)
             assert g == checked and hash(g) == hash(checked)
+
+
+def oracle_orbit_doc(orbit):
+    return {
+        "kind": orbit.kind.value,
+        "base_action": docio.format_fraction(orbit.base_action),
+        "eps_exponent": orbit.eps_exponent,
+        "cz": orbit.cz,
+    }
+
+
+def oracle_current_doc(current):
+    """A generator's entries as documents, in the order the reeb-orbits
+    document lists them: sorted by (base action, eps exponent, kind), ties in
+    the current's order."""
+    entries = sorted(
+        current.entries, key=lambda om: (om[0].base_action, om[0].eps_exponent, om[0].kind.value)
+    )
+    return [{**oracle_orbit_doc(o), "multiplicity": m} for o, m in entries]
+
+
+def oracle_reeb_orbits_text(bound, families, orbits, generators):
+    """The reeb-orbits document as a dict of lists, through the indenting
+    JSON encoder: how it was written before the fixed-shape writer."""
+    doc = {
+        "action_bound": docio.format_fraction(bound),
+        "families": docio.families_to_doc(families),
+        "orbits": [
+            {**oracle_orbit_doc(o), "vertex": o.family.vertex, "slope": list(o.family.slope)}
+            for o in orbits
+        ],
+        "generators": [oracle_current_doc(g) for g in generators],
+    }
+    return json.dumps(doc, indent=2, sort_keys=True) + "\n"
+
+
+def writer_and_oracle(itinerary, bound, cap=None):
+    families = enumerate_orbits(itinerary, bound)
+    orbits = [o for fc in families for o in perturb_split(fc.family)]
+    generators = enumerate_generators(orbits, bound, max_generators=cap)
+    args = (Fraction(bound), families, orbits, generators)
+    return docio.reeb_orbits_text(*args), oracle_reeb_orbits_text(*args)
+
+
+def drawn_sl2z_word(seed, steps=4):
+    rng = random.Random(seed)
+    return [rng.choice(SL2Z_STEPS) for _ in range(steps)]
+
+
+# orbits that tie on (base action, eps exponent) with another kind or CZ, and
+# distinct orbits with the same document fields: their families differ, as for
+# the equal-base families of slopes (-1, -2) and (1, -2)
+tied_orbits = st.lists(
+    st.builds(
+        PerturbedOrbit,
+        st.sampled_from([OrbitKind.ELLIPTIC, OrbitKind.POSITIVE_HYPERBOLIC]),
+        st.sampled_from([F(1), F(3) / 2, F(2)]),
+        st.sampled_from([-1, 1]),
+        st.integers(0, 2),
+        st.sampled_from(
+            [None] + [OrbitFamily(slope=m, vertex=1, base_action=F(4)) for m in ((-1, -2), (1, -2))]
+        ),
+    ),
+    max_size=7,
+)
+
+
+class TestDocumentWriter:
+    """The fixed-shape reeb-orbits writer against the dict document written
+    by ``json.dumps(indent=2, sort_keys=True)``, byte for byte."""
+
+    @pytest.mark.parametrize("seed", [None, 1, 2])
+    @pytest.mark.parametrize("k", range(18))
+    def test_readme_itinerary(self, k, seed):
+        itinerary = DIP if seed is None else sl2z_image(drawn_sl2z_word(seed), DIP)
+        got, expected = writer_and_oracle(itinerary, Fraction(3 * k + 1, 3))
+        assert got == expected
+
+    @settings(max_examples=150, deadline=None)
+    @given(itineraries_and_bounds(), st.integers(0, 9))
+    def test_random_itineraries(self, case, draw):
+        itinerary, bound = case
+        below_all = draw == 0
+        # vertex denominators are at most 6; larger bounds give more generators
+        bound = Fraction(1, 100) if below_all else bound * (1 + draw % 3)
+        try:
+            got, expected = writer_and_oracle(itinerary, bound, cap=3000)
+        except (ActionBoundHit, TooManyGenerators):
+            assume(False)
+        event("%d generators" % min(got.count("\n    ["), 100))
+        assert got == expected
+        if below_all:
+            assert '"families": [],' in got and '"generators": [\n    []\n  ],' in got
+
+    @settings(max_examples=300, deadline=None)
+    @given(tied_orbits, st.sampled_from([F(2), F(3), F(7) / 2, F(5)]), st.lists(st.integers(0, 6), max_size=2))
+    @example(  # a tie on (base, eps, kind) whose CZ order is not the list order
+        [PerturbedOrbit(OrbitKind.ELLIPTIC, F(1), 1, 2), PerturbedOrbit(OrbitKind.ELLIPTIC, F(1), 1, 1)],
+        F(3),
+        [],
+    )
+    def test_current_text_on_random_orbit_sets(self, orbits, bound, repeats):
+        orbits = orbits + [orbits[i % len(orbits)] for i in repeats if orbits]  # the same object again
+        texts = docio._entry_texts(orbits)
+        for g in enumerate_generators(orbits, bound):
+            expected = json.dumps(oracle_current_doc(g), indent=2, sort_keys=True)
+            assert docio.current_to_doc(g, texts) == expected.replace("\n", "\n    ")
 
 
 def current(*entries):
