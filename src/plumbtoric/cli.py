@@ -12,7 +12,8 @@ them); the total number of entries of the enumerated chains is capped by
 PLUMBTORIC_MAX_SURVEY (default 10^6).  Rows are sorted by the chain tuple,
 so output does not depend on the worker count (--jobs, at most the CPU
 count).  reeb-orbits refuses once it passes PLUMBTORIC_MAX_GENERATORS generators
-(default 10^5), before the search when the families' orbits alone pass it.
+(default 10^5), during the orbit enumeration when the families' orbits alone
+pass it.
 """
 
 from __future__ import annotations
@@ -162,11 +163,8 @@ def _cmd_reeb_orbits(args) -> str:
     bound = docio.parse_fraction(args.action_bound)
     if bound <= 0:
         raise MalformedDocument("action bound must be positive, got %s" % bound)
-    families = reeb.enumerate_orbits(itinerary, bound)
     try:
-        # each family's two orbits and the empty current are generators alone
-        if 2 * len(families) + 1 > cap:
-            raise reeb.too_many_generators(cap, bound)
+        families = reeb.enumerate_orbits(itinerary, bound, max_generators=cap)
         orbits = [o for fc in families for o in reeb.perturb_split(fc.family)]
         generators = reeb.enumerate_generators(orbits, bound, max_generators=cap)
     except TooManyGenerators as exc:

@@ -27,7 +27,6 @@ from typing import Sequence
 from . import reeb
 from .errors import MalformedDocument, OutputTooLarge
 from .lattice import WindingVerdict
-from .plumbing import det_intersection
 from .reeb import ReebItinerary
 from .toric import BoundaryReport, MomentPolygon, PolygonEdge
 
@@ -311,8 +310,10 @@ def index_from_doc(doc: dict) -> tuple:
 
 @_printable
 def survey_row(chain, report: BoundaryReport) -> tuple:
-    """Row for the enumerated chain; ``det`` is its intersection determinant,
-    the remaining fields describe the classified (possibly reduced) chain."""
+    """Row for the enumerated chain; ``report = classify(chain, reduce=True)``
+    describes the classified (possibly reduced) chain.  ``det`` is the
+    enumerated chain's determinant, read off the report: a blow-down drops one
+    entry and flips the sign, K(..., a, -1, b, ...) = -K(..., a+1, b+1, ...)."""
     return (
         ",".join(str(v) for v in chain),
         report.verdict.value,
@@ -320,7 +321,7 @@ def survey_row(chain, report: BoundaryReport) -> tuple:
         str(report.lens[1]),
         report.winding.vs_pi.value,
         report.winding.vs_two_pi.value,
-        str(det_intersection(chain)),
+        str((-1) ** (len(chain) - len(report.chain)) * report.det),
         "true" if report.det_check else "false",
     )
 

@@ -28,6 +28,7 @@ from bisect import bisect_right
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
+from math import inf
 from operator import itemgetter
 from typing import List, Optional, Sequence, Tuple
 
@@ -80,21 +81,22 @@ def validate_itinerary(it: ReebItinerary) -> List[ItineraryViolation]:
     at interior corners; positive action for both boundary directions of
     every corner's Reeb cone.
     """
+    return _walk(it)[0]
+
+
+def _walk(it: ReebItinerary) -> Tuple[List[ItineraryViolation], list]:
+    """The violations of ``validate_itinerary`` and, for each interior corner
+    j that turns CCW, (j, r_in, r_out) with its edges' Reeb directions."""
     out: List[ItineraryViolation] = []
+    cones = []
     verts = it.vertices
     if len(verts) < 2:
         out.append(ItineraryViolation("anchor", 0, "need at least two vertices"))
-        return out
-    for which, (v, ray) in enumerate(
-        ((verts[0], it.start_ray), (verts[-1], it.end_ray))
-    ):
-        loc = 0 if which == 0 else len(verts) - 1
+        return out, cones
+    for loc, ray in ((0, it.start_ray), (len(verts) - 1, it.end_ray)):
+        v = verts[loc]
         if cross(v, ray) != 0 or dot(v, ray) <= 0:
-            out.append(
-                ItineraryViolation(
-                    "anchor", loc, "vertex %s not on ray %s" % (v, ray)
-                )
-            )
+            out.append(ItineraryViolation("anchor", loc, "vertex %s not on ray %s" % (v, ray)))
     edges = [
         (verts[j + 1][0] - verts[j][0], verts[j + 1][1] - verts[j][1])
         for j in range(len(verts) - 1)
@@ -102,9 +104,7 @@ def validate_itinerary(it: ReebItinerary) -> List[ItineraryViolation]:
     for j, e in enumerate(edges):
         if not cross(verts[j], e) > 0:
             out.append(
-                ItineraryViolation(
-                    "transversality", j, "edge %d has cross(V, W-V) <= 0" % j
-                )
+                ItineraryViolation("transversality", j, "edge %d has cross(V, W-V) <= 0" % j)
             )
     for j in range(1, len(verts) - 1):
         e_in, e_out = edges[j - 1], edges[j]
@@ -113,15 +113,14 @@ def validate_itinerary(it: ReebItinerary) -> List[ItineraryViolation]:
                 ItineraryViolation("convexity", j, "turn at vertex %d not CCW in (0, pi)" % j)
             )
             continue
-        for e in (e_in, e_out):
-            r = reeb_direction(primitive_of_rational(e))
+        r_in, r_out = (reeb_direction(primitive_of_rational(e)) for e in (e_in, e_out))
+        for r in (r_in, r_out):
             if not dot(r, verts[j]) > 0:
                 out.append(
-                    ItineraryViolation(
-                        "reeb_cone", j, "cone direction %s has action <= 0" % (r,)
-                    )
+                    ItineraryViolation("reeb_cone", j, "cone direction %s has action <= 0" % (r,))
                 )
-    return out
+        cones.append((j, r_in, r_out))
+    return out, cones
 
 
 @dataclass(frozen=True)
@@ -139,7 +138,7 @@ class FamilyCount:
     max_multiplicity: int
 
 
-def _cone_primitives(r_in, r_out, v, bound: Fraction) -> Tuple[int, int, list]:
+def _cone_primitives(r_in, r_out, v, bound: Fraction, room) -> Tuple[int, int, list]:
     """Primitive vectors strictly inside the CCW cone with <m, v> vs bound.
 
     Stern-Brocot descent on primitivized mediants.  A subcone (u, w) with
@@ -151,11 +150,12 @@ def _cone_primitives(r_in, r_out, v, bound: Fraction) -> Tuple[int, int, list]:
     the prune and both action tests compare ints; the descent order, and
     with it the first exact hit reported, is that of the unscaled descent.
     Returns (D, D * bound, found) with found listing (m, D * <m, v>) for
-    every m of action below the bound.
+    every m of action below the bound, stopping as soon as found holds
+    more than ``room`` of them (at once when ``room`` is negative).
     """
     scale, (vx, vy, top) = scale_to_ints((v[0], v[1], bound))
     found = []
-    stack = [(r_in, r_out)]
+    stack = [(r_in, r_out)] if room >= 0 else []
     while stack:
         u, w = stack.pop()
         x, y = u[0] + w[0], u[1] + w[1]
@@ -169,12 +169,16 @@ def _cone_primitives(r_in, r_out, v, bound: Fraction) -> Tuple[int, int, list]:
             )
         if action < top:
             found.append((m, action))
+            if len(found) > room:
+                break
         stack.append((u, m))
         stack.append((m, w))
     return scale, top, found
 
 
-def enumerate_orbits(it: ReebItinerary, bound) -> List[FamilyCount]:
+def enumerate_orbits(
+    it: ReebItinerary, bound, *, max_generators: Optional[int] = None
+) -> List[FamilyCount]:
     """All orbit families of base action < bound, with max cover multiplicity.
 
     For each interior corner, primitive slopes strictly inside the open CCW
@@ -183,32 +187,34 @@ def enumerate_orbits(it: ReebItinerary, bound) -> List[FamilyCount]:
     family is the largest m with m * base_action < bound, strictly; an exact
     collision with the bound raises :class:`ActionBoundHit`, mirroring the
     nondegeneracy requirement on the bound.
+
+    ``max_generators`` means what it means for ``enumerate_generators`` on
+    the families' split orbits.  Each family's two orbits and the empty
+    current are generators on their own, so the descent raises that
+    search's :class:`TooManyGenerators` as soon as 2 x families + 1 passes
+    the cap (before it starts when the cap is 0); of that and an exact hit,
+    it raises whichever it meets first.
     """
     bound = Fraction(bound)
     if bound <= 0:
         raise ValueError("action bound must be positive")
-    violations = validate_itinerary(it)
+    violations, cones = _walk(it)
     if violations:
         raise InvalidItinerary(violations)
-    verts = it.vertices
+    room = inf if max_generators is None else (max_generators - 1) // 2  # families that fit
     out: List[FamilyCount] = []
-    for j in range(1, len(verts) - 1):
-        v = verts[j]
-        e_in = (verts[j][0] - verts[j - 1][0], verts[j][1] - verts[j - 1][1])
-        e_out = (verts[j + 1][0] - verts[j][0], verts[j + 1][1] - verts[j][1])
-        r_in = reeb_direction(primitive_of_rational(e_in))
-        r_out = reeb_direction(primitive_of_rational(e_out))
-        scale, top, found = _cone_primitives(r_in, r_out, v, bound)
+    for j, r_in, r_out in cones:
+        scale, top, found = _cone_primitives(r_in, r_out, it.vertices[j], bound, room)
+        room -= len(found)
+        if room < 0:
+            break
         found.sort()
         for slope, action in found:
-            out.append(
-                FamilyCount(
-                    family=OrbitFamily(
-                        slope=slope, vertex=j, base_action=Fraction(action, scale)
-                    ),
-                    max_multiplicity=-(-top // action) - 1,  # ceil(top / action) - 1
-                )
-            )
+            family = OrbitFamily(slope=slope, vertex=j, base_action=Fraction(action, scale))
+            # the multiplicity is ceil(top / action) - 1
+            out.append(FamilyCount(family=family, max_multiplicity=-(-top // action) - 1))
+    if room < 0:
+        raise too_many_generators(max_generators, bound)
     return out
 
 

@@ -13,6 +13,10 @@ b_j = s_{j+1} from k on, so one pass builds both candidates at every
 position and ``lattice.spliced_counts`` turns them into every pivot's exact
 count.
 
+Every moment polygon, constructed or blown up, is assembled by ``_polygon``:
+edge j joins vertices j and j + 1, and the picture is re-read before it is
+returned.
+
 Chain positions and pivot indices are 1-based throughout, matching the
 notation (s_1, ..., s_n).
 
@@ -325,10 +329,9 @@ def classify(s: Sequence[int], reduce: bool = False) -> BoundaryReport:
         raise InternalInvariantError(
             "pivot %d sweep count %d != winding count %d for %s" % (i0, counts[0], count0, s)
         )
-    verdict0 = Verdict.OVERTWISTED if winding0.vs_pi is Cmp.GT else Verdict.TIGHT
-    for i, count in zip(pivots[1:], counts[1:]):
-        verdict = Verdict.OVERTWISTED if count >= 1 else Verdict.TIGHT
-        if verdict is not verdict0:
+    verdicts = [Verdict.OVERTWISTED if count >= 1 else Verdict.TIGHT for count in counts]
+    for i, verdict in zip(pivots[1:], verdicts[1:]):
+        if verdict is not verdicts[0]:
             raise InternalInvariantError(
                 "pivot %d verdict %s disagrees with pivot %d for %s" % (i, verdict, i0, s)
             )
@@ -339,7 +342,7 @@ def classify(s: Sequence[int], reduce: bool = False) -> BoundaryReport:
         pivot=i0,
         rays=RaySequence(w=rays0, pivot=i0),
         winding=winding0,
-        verdict=verdict0,
+        verdict=verdicts[0],
         lens=_lens_from_terminal_ray(s, last),
         det=det,
         det_check=det == (-1) ** (n - 1) * cross(w0, last),
@@ -396,6 +399,15 @@ def _verify_polygon(poly: MomentPolygon, s) -> None:
             )
 
 
+def _polygon(vertices, s, areas, rays) -> MomentPolygon:
+    """The polygon with edge j from vertex j to j + 1 labeled (s[j], areas[j]),
+    re-read by ``_verify_polygon``."""
+    edges = tuple(PolygonEdge(j, j + 1, sj, aj) for j, (sj, aj) in enumerate(zip(s, areas)))
+    poly = MomentPolygon(vertices=vertices, edges=edges, rays=rays)
+    _verify_polygon(poly, s)
+    return poly
+
+
 def moment_polygon(
     s: Sequence[int], i: int, z: Optional[Sequence] = None
 ) -> MomentPolygon:
@@ -427,17 +439,8 @@ def moment_polygon(
         (ax, ay), (bx, by) = tail[j - 1], head[j]
         pts.append((zs[j - 1] * ax + zs[j] * bx, zs[j - 1] * ay + zs[j] * by))
     pts.append((zs[n - 1] * tail[n - 1][0], zs[n - 1] * tail[n - 1][1]))
-    edges = tuple(
-        PolygonEdge(start=j, end=j + 1, self_intersection=s[j], area=a[j])
-        for j in range(n)
-    )
-    poly = MomentPolygon(
-        vertices=tuple((Fraction(x, scale), Fraction(y, scale)) for x, y in pts),
-        edges=edges,
-        rays=(head[0], tail[-1]),
-    )
-    _verify_polygon(poly, s)
-    return poly
+    vertices = tuple((Fraction(x, scale), Fraction(y, scale)) for x, y in pts)
+    return _polygon(vertices, s, a, (head[0], tail[-1]))
 
 
 def blow_up_corner(poly: MomentPolygon, vertex: int, size) -> MomentPolygon:
@@ -446,6 +449,8 @@ def blow_up_corner(poly: MomentPolygon, vertex: int, size) -> MomentPolygon:
 
     The corner must be interior (between two sphere edges) and Delzant: the
     primitive edge directions must form a positively oriented Z^2 basis.
+    Edge j of the result joins vertices j and j + 1, whatever the indices
+    of the input's edges.
     """
     size = Fraction(size)
     verts = poly.vertices
@@ -472,19 +477,8 @@ def blow_up_corner(poly: MomentPolygon, vertex: int, size) -> MomentPolygon:
         )
     va = (Fraction(vx - cut * d_in[0], scale), Fraction(vy - cut * d_in[1], scale))
     vb = (Fraction(vx + cut * d_out[0], scale), Fraction(vy + cut * d_out[1], scale))
-    new_verts = verts[:vertex] + (va, vb) + verts[vertex + 1:]
-    new_edges = []
-    for e in poly.edges[: vertex - 1]:
-        new_edges.append(e)
-    new_edges.append(
-        PolygonEdge(vertex - 1, vertex, e_in.self_intersection - 1, e_in.area - size)
-    )
-    new_edges.append(PolygonEdge(vertex, vertex + 1, -1, size))
-    new_edges.append(
-        PolygonEdge(vertex + 1, vertex + 2, e_out.self_intersection - 1, e_out.area - size)
-    )
-    for e in poly.edges[vertex + 1:]:
-        new_edges.append(PolygonEdge(e.start + 1, e.end + 1, e.self_intersection, e.area))
-    out = MomentPolygon(vertices=new_verts, edges=tuple(new_edges), rays=poly.rays)
-    _verify_polygon(out, [e.self_intersection for e in out.edges])
-    return out
+    s = [e.self_intersection for e in poly.edges]
+    a = [e.area for e in poly.edges]
+    s[vertex - 1 : vertex + 1] = [e_in.self_intersection - 1, -1, e_out.self_intersection - 1]
+    a[vertex - 1 : vertex + 1] = [e_in.area - size, size, e_out.area - size]
+    return _polygon(verts[:vertex] + (va, vb) + verts[vertex + 1:], s, a, poly.rays)

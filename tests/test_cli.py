@@ -9,9 +9,10 @@ from pathlib import Path
 from unittest import mock
 
 import pytest
-from hypothesis import HealthCheck, given, settings, strategies as st
+from hypothesis import HealthCheck, example, given, settings, strategies as st
 
 from plumbtoric import MalformedDocument, TooManyGenerators, cli, docio, moment_polygon, reeb
+from plumbtoric import PreconditionError, classify, det_intersection
 from plumbtoric.cli import main
 from plumbtoric.docio import polygon_from_doc, polygon_to_doc, render_svg
 
@@ -166,6 +167,19 @@ class TestSurveyCommand:
         (line,) = err.splitlines()
         assert json.loads(line)["error"]["type"] == "OutputTooLarge"
 
+    @given(st.lists(st.one_of(st.just(-1), st.integers(-4, 4)), min_size=2, max_size=12))
+    @example([2, -2, -1, -2, 3])  # a cascade: two blow-downs from one -1
+    @example([3, -2, -2, -1, 0, 2])  # three blow-downs flip the sign
+    @settings(max_examples=300)
+    def test_det_column_is_the_enumerated_chains(self, entries):
+        # the row reads det off the report of the reduced chain
+        chain = tuple(entries)
+        try:
+            report = classify(chain, reduce=True)
+        except PreconditionError:
+            return
+        assert docio.survey_row(chain, report)[6] == str(det_intersection(chain))
+
     @pytest.mark.parametrize("n", ["2..20000", "2..300000"])
     def test_huge_survey_refused_quickly(self, capsys, monkeypatch, n):
         monkeypatch.delenv("PLUMBTORIC_MAX_SURVEY", raising=False)
@@ -302,6 +316,27 @@ class TestReebOrbitsCommand:
         monkeypatch.setattr(reeb, "enumerate_generators", unreachable)
         for cap in range(15):
             refusal(cap)
+
+    @pytest.mark.parametrize(
+        "bound, error",
+        [("1e7", "TooManyGenerators"), ("1e4000", "TooManyGenerators"), ("1e5", "ActionBoundHit")],
+    )
+    def test_huge_bound_refused_quickly(self, capsys, monkeypatch, bound, error):
+        # the orbit descent stops at the generator cap; below 1e5 it meets
+        # an exact hit before it has found enough families
+        monkeypatch.delenv("PLUMBTORIC_MAX_GENERATORS", raising=False)
+        itinerary = str(GOLDEN / "itinerary.json")
+        start = time.perf_counter()
+        code, out, err = run(capsys, "reeb-orbits", "--itinerary", itinerary, "--action-bound", bound)
+        assert time.perf_counter() - start < 3.0
+        assert code == 2 and out == ""
+        (line,) = err.splitlines()
+        record = json.loads(line)["error"]
+        assert record["type"] == error
+        if bound == "1e7":
+            assert record["message"] == (
+                "more than 100000 ECH generators below action 10000000 (PLUMBTORIC_MAX_GENERATORS)"
+            )
 
     @pytest.mark.parametrize(
         "change",

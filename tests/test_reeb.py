@@ -133,6 +133,36 @@ class TestEnumerateOrbits:
         with pytest.raises(InvalidItinerary):
             enumerate_orbits(bad, 5)
 
+    def test_generator_cap(self):
+        # 7 families lie below 7: their 14 orbits and the empty current are
+        # 15 generators on their own
+        families = enumerate_orbits(DIP, 7)
+        orbits = [o for fc in families for o in perturb_split(fc.family)]
+        for cap in range(17):
+            if 15 > cap:
+                with pytest.raises(TooManyGenerators) as exc:
+                    enumerate_orbits(DIP, 7, max_generators=cap)
+                with pytest.raises(TooManyGenerators) as search:
+                    enumerate_generators(orbits, 7, max_generators=cap)
+                assert str(exc.value) == str(search.value)
+            else:
+                assert enumerate_orbits(DIP, 7, max_generators=cap) == families
+
+    def test_cap_without_corners(self):
+        # no corner, no family: only the empty current
+        flat = make_itinerary([(-1, -1), (1, -1)], (-1, -1), (1, -1))
+        with pytest.raises(TooManyGenerators):
+            enumerate_orbits(flat, 7, max_generators=0)
+        assert enumerate_orbits(flat, 7, max_generators=1) == []
+
+    def test_cap_and_exact_hit_first_met(self):
+        # cap 0 is passed before the descent starts; under cap 1 the first
+        # slope the descent meets, (0, -1), has action exactly 2
+        with pytest.raises(TooManyGenerators):
+            enumerate_orbits(DIP, 2, max_generators=0)
+        with pytest.raises(ActionBoundHit):
+            enumerate_orbits(DIP, 2, max_generators=1)
+
     def test_matches_brute_force_small(self):
         bound = F(25) / 2  # non-attainable: all actions here are even integers
         families = enumerate_orbits(DIP, bound)
