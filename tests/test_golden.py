@@ -2,7 +2,8 @@
 
 The files under ``tests/golden/`` hold, per case, the exact stdout
 (``<name>.out``) and, in ``manifest.json``, the exit status and the
-``error.type`` of the stderr record (null on success).  Refactors of the
+``error.type`` of the stderr record (null on success); for a failing case
+the manifest also holds the record's ``error.message``.  Refactors of the
 library must reproduce them byte for byte.  To regenerate them from the
 library on ``PYTHONPATH``:
 
@@ -80,6 +81,13 @@ CASES = {
     "error_malformed": ["classify", "--plumbing", "2,x"],
     "error_construct_negative": ["construct", "--plumbing", "-2,-3"],
     "error_construct_pivot": ["construct", "--plumbing", "-2,3", "--pivot", "1"],
+    # the height and area refusals print the offending rational value
+    "error_construct_rational_height": [
+        "construct", "--plumbing", "3,-2", "--heights", "-1/2,1/3",
+    ],
+    "error_construct_rational_area": [
+        "construct", "--plumbing", "3,-2", "--heights", "-1/2,-5/3",
+    ],
 }
 
 
@@ -87,8 +95,10 @@ def run_case(argv):
     out, err = io.StringIO(), io.StringIO()
     with redirect_stdout(out), redirect_stderr(err):
         code = main(list(argv))
-    error = json.loads(err.getvalue())["error"]["type"] if code else None
-    return out.getvalue(), {"exit": code, "error": error}
+    if not code:
+        return out.getvalue(), {"exit": code, "error": None}
+    error = json.loads(err.getvalue())["error"]
+    return out.getvalue(), {"exit": code, "error": error["type"], "message": error["message"]}
 
 
 @pytest.mark.parametrize("name", sorted(CASES))
