@@ -8,11 +8,13 @@ identical inputs produce bit-identical documents.
 Documents are written by ``dumps`` (``json.dumps(indent=2, sort_keys=True)``)
 except the reeb-orbits document, whose generator list can run to 10^5
 entries and is too slow for the indenting encoder, which is pure Python.
-``reeb_orbits_text`` writes it in its fixed shape, with the same bytes as
-``dumps`` of the document: each orbit's entry text, up to the multiplicity,
-is made once per call, and each generator (``current_to_doc``) joins those
-of its entries.  Output with an integer too long to print is refused as
-:class:`OutputTooLarge` (``_printable``).
+``reeb_orbits_text`` writes all of it in its fixed shape, with the same
+bytes as ``dumps`` of the document: each family from its
+``families_to_doc`` record, each split orbit from one template, and each
+orbit's generator-entry text, up to the multiplicity, made once per call;
+each generator (``current_to_doc``) joins those of its entries.  Output
+with an integer too long to print is refused as :class:`OutputTooLarge`
+(``_printable``).
 """
 
 from __future__ import annotations
@@ -191,15 +193,25 @@ def itinerary_from_doc(doc: dict) -> ReebItinerary:
 
 
 def families_to_doc(families: Sequence[reeb.FamilyCount]) -> list:
-    return [
-        {
-            "vertex": fc.family.vertex,
-            "slope": _vec(fc.family.slope),
-            "base_action": format_fraction(fc.family.base_action),
-            "max_multiplicity": fc.max_multiplicity,
-        }
-        for fc in families
-    ]
+    """One record per family.  Each base action object is formatted once:
+    the families of one corner that share an action share its Fraction."""
+    texts = {}
+    out = []
+    for fc in families:
+        family = fc.family
+        action = family.base_action
+        text = texts.get(id(action))
+        if text is None:
+            text = texts[id(action)] = format_fraction(action)
+        out.append(
+            {
+                "vertex": family.vertex,
+                "slope": _vec(family.slope),
+                "base_action": text,
+                "max_multiplicity": fc.max_multiplicity,
+            }
+        )
+    return out
 
 
 def _orbit_doc(orbit: reeb.PerturbedOrbit) -> dict:
@@ -242,27 +254,52 @@ def current_to_doc(current: reeb.ReebCurrent, texts: dict) -> str:
     return "[\n      %s\n      }\n    ]" % listed
 
 
-def _nested(doc) -> str:
-    """``doc`` as ``dumps`` writes it one level down in a document."""
-    return json.dumps(doc, indent=2, sort_keys=True).replace("\n", "\n  ")
+# one family and one split orbit as they sit in the reeb-orbits document
+_FAMILY_TEXT = (
+    '{\n      "base_action": "%s",\n      "max_multiplicity": %d,\n      "slope": [\n'
+    '        %d,\n        %d\n      ],\n      "vertex": %d\n    }'
+)
+_ORBIT_TEXT = (
+    '{\n      "base_action": "%s",\n      "cz": %d,\n      "eps_exponent": %d,\n'
+    '      "kind": "%s",\n      "slope": [\n        %d,\n        %d\n      ],\n'
+    '      "vertex": %d\n    }'
+)
+
+
+def _listing(items) -> str:
+    """A list of item texts as ``dumps`` writes it one level down."""
+    return "[\n    %s\n  ]" % ",\n    ".join(items) if items else "[]"
 
 
 @_printable
 def reeb_orbits_text(bound, families, orbits, generators) -> str:
     """The reeb-orbits document; each split orbit names its family's corner
     and slope.  The same bytes as ``dumps`` of the document, written in its
-    fixed shape."""
+    fixed shape: rationals print as "p/q" and the orbit kinds are plain
+    words, so no string needs JSON escaping."""
     texts = _entry_texts(orbits)
-    listed = ",\n    ".join([current_to_doc(g, texts) for g in generators])
-    listing = [
-        {**_orbit_doc(o), "vertex": o.family.vertex, "slope": _vec(o.family.slope)}
+    families_text = [
+        _FAMILY_TEXT % (f["base_action"], f["max_multiplicity"], *f["slope"], f["vertex"])
+        for f in families_to_doc(families)
+    ]
+    orbits_text = [
+        _ORBIT_TEXT
+        % (
+            format_fraction(o.base_action),
+            o.cz,
+            o.eps_exponent,
+            o.kind.value,
+            o.family.slope[0],
+            o.family.slope[1],
+            o.family.vertex,
+        )
         for o in orbits
     ]
-    return '{\n  "action_bound": %s,\n  "families": %s,\n  "generators": %s,\n  "orbits": %s\n}\n' % (
-        json.dumps(format_fraction(bound)),
-        _nested(families_to_doc(families)),
-        "[\n    %s\n  ]" % listed if generators else "[]",
-        _nested(listing),
+    return '{\n  "action_bound": "%s",\n  "families": %s,\n  "generators": %s,\n  "orbits": %s\n}\n' % (
+        format_fraction(bound),
+        _listing(families_text),
+        _listing([current_to_doc(g, texts) for g in generators]),
+        _listing(orbits_text),
     )
 
 

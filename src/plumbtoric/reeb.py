@@ -19,7 +19,8 @@ Both searches scale exact rationals to ints once over a common denominator
 and then compare ints only: the orbit descent scales each corner and the
 action bound, keeping the Stern-Brocot traversal order (and so the slope an
 :class:`ActionBoundHit` names), and the generator search scales the orbit
-actions and the bound.  Fractions are rebuilt only for what is returned.
+actions and the bound.  Fractions are built only for what is returned: one
+per distinct action at a corner, shared by the families that have it.
 """
 
 from __future__ import annotations
@@ -28,7 +29,7 @@ from bisect import bisect_right
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from math import inf
+from math import gcd, inf
 from operator import itemgetter
 from typing import List, Optional, Sequence, Tuple
 
@@ -146,23 +147,33 @@ def _cone_primitives(r_in, r_out, v, bound: Fraction, room) -> Tuple[int, int, l
     every interior lattice vector m = alpha u + beta w has alpha, beta >=
     1/d.  Exact hits <m, v> = bound abort with ActionBoundHit.
 
-    v and the bound are scaled once to ints over a common denominator D, so
-    the prune and both action tests compare ints; the descent order, and
-    with it the first exact hit reported, is that of the unscaled descent.
-    Returns (D, D * bound, found) with found listing (m, D * <m, v>) for
-    every m of action below the bound, stopping as soon as found holds
-    more than ``room`` of them (at once when ``room`` is negative).
+    v and the bound are scaled once to ints over a common denominator D, and
+    each node carries (u, w, D <u,v>, D <w,v>, d), so the prune and both
+    action tests compare ints with no dot or cross product per node.  The mediant u + w
+    has gcd g dividing d, and both children have cross d / g; a node with
+    d = 1 needs no gcd, as its mediant is already primitive.  The descent
+    order, and with it the first exact hit reported, is that of the
+    unscaled descent.  Returns (D, D * bound, found) with found listing
+    (m, D * <m, v>) for every m of action below the bound, stopping as soon
+    as found holds more than ``room`` of them (at once when ``room`` is
+    negative).
     """
     scale, (vx, vy, top) = scale_to_ints((v[0], v[1], bound))
     found = []
-    stack = [(r_in, r_out)] if room >= 0 else []
+    stack = []
+    if room >= 0:
+        a_in, a_out = r_in[0] * vx + r_in[1] * vy, r_out[0] * vx + r_out[1] * vy
+        stack.append((r_in, r_out, a_in, a_out, cross(r_in, r_out)))
     while stack:
-        u, w = stack.pop()
-        x, y = u[0] + w[0], u[1] + w[1]
-        if x * vx + y * vy > cross(u, w) * top:
+        u, w, a_u, a_w, d = stack.pop()
+        action = a_u + a_w
+        if action > d * top:
             continue
-        m = primitive((x, y))
-        action = m[0] * vx + m[1] * vy
+        m = (u[0] + w[0], u[1] + w[1])
+        if d > 1:
+            g = gcd(*m)
+            if g > 1:
+                m, action, d = (m[0] // g, m[1] // g), action // g, d // g
         if action == top:
             raise ActionBoundHit(
                 "orbit slope %s at vertex %s has action exactly %s" % (m, v, bound)
@@ -171,8 +182,8 @@ def _cone_primitives(r_in, r_out, v, bound: Fraction, room) -> Tuple[int, int, l
             found.append((m, action))
             if len(found) > room:
                 break
-        stack.append((u, m))
-        stack.append((m, w))
+        stack.append((u, m, a_u, action, d))
+        stack.append((m, w, action, a_w, d))
     return scale, top, found
 
 
@@ -194,6 +205,9 @@ def enumerate_orbits(
     search's :class:`TooManyGenerators` as soon as 2 x families + 1 passes
     the cap (before it starts when the cap is 0); of that and an exact hit,
     it raises whichever it meets first.
+
+    Families of one corner that share an action share its Fraction and
+    multiplicity, each computed once.
     """
     bound = Fraction(bound)
     if bound <= 0:
@@ -208,11 +222,14 @@ def enumerate_orbits(
         room -= len(found)
         if room < 0:
             break
-        found.sort()
+        found.sort(key=itemgetter(0))  # by slope; a corner's slopes are distinct
+        levels = {}  # scaled action -> (base action, multiplicity)
         for slope, action in found:
-            family = OrbitFamily(slope=slope, vertex=j, base_action=Fraction(action, scale))
-            # the multiplicity is ceil(top / action) - 1
-            out.append(FamilyCount(family=family, max_multiplicity=-(-top // action) - 1))
+            level = levels.get(action)
+            if level is None:
+                # the multiplicity is ceil(top / action) - 1
+                level = levels[action] = (Fraction(action, scale), -(-top // action) - 1)
+            out.append(FamilyCount(OrbitFamily(slope, j, level[0]), level[1]))
     if room < 0:
         raise too_many_generators(max_generators, bound)
     return out

@@ -15,7 +15,11 @@ count.
 
 Every moment polygon, constructed or blown up, is assembled by ``_polygon``:
 edge j joins vertices j and j + 1, and the picture is re-read before it is
-returned.
+returned.  Both constructions compute on ints scaled by one common
+denominator D, and the re-read (``_reread``) runs on the int points and int
+areas just built; Fractions are made afterwards, once, for the returned
+coordinates and areas only.  ``_verify_polygon`` re-reads a hand-made
+polygon by scaling it first.
 
 Chain positions and pivot indices are 1-based throughout, matching the
 notation (s_1, ..., s_n).
@@ -149,32 +153,42 @@ def _heights(s, i: int) -> Tuple[int, ...]:
     return tuple(z)
 
 
-def _validate_heights(s, i: int, z) -> None:
+def _validate_heights(s, i: int, z, zs) -> None:
+    """Refuse heights z that break the gluing construction for pivot i.  The
+    tests are homogeneous in z, so they run on zs = D z for any D > 0; a
+    refusal prints the value of z."""
     n = len(s)
     if len(z) != n:
         raise NonpositiveArea("heights length %d != chain length %d" % (len(z), n))
-    for j, zj in enumerate(z, start=1):
+    for j, zj in enumerate(zs, start=1):
         if not zj < 0:
-            raise NonpositiveArea("height z_%d = %s is not negative" % (j, zj))
+            raise NonpositiveArea("height z_%d = %s is not negative" % (j, z[j - 1]))
     for j in range(2, min(i, n - 1) + 1):
-        if not z[j - 1] < -s[j - 2] * z[j - 2]:
+        if not zs[j - 1] < -s[j - 2] * zs[j - 2]:
             raise NonpositiveArea(
                 "z_%d violates z_%d < -s_%d z_%d" % (j, j, j - 1, j - 1)
             )
     for j in range(max(i, 2), n):
-        if not z[j - 1] < -s[j] * z[j]:
+        if not zs[j - 1] < -s[j] * zs[j]:
             raise NonpositiveArea(
                 "z_%d violates z_%d < -s_%d z_%d" % (j, j, j + 1, j + 1)
             )
 
 
-def areas(s: Sequence[int], z: Sequence) -> tuple:
-    """Symplectic areas a_j = -s_j z_j - z_{j+1} - z_{j-1} (ends omit a term)."""
-    out = area_vector(as_chain(s), z)
+def _positive_areas(s, zs, scale: int = 1) -> list:
+    """D a for heights zs = D z, refused unless every area is positive; a
+    refusal prints the area a_j itself."""
+    out = area_vector(s, zs)
     for j, a in enumerate(out, start=1):
         if not a > 0:
-            raise NonpositiveArea("area a_%d = %s is not positive" % (j, a))
-    return tuple(out)
+            value = Fraction(a, scale) if scale > 1 else a
+            raise NonpositiveArea("area a_%d = %s is not positive" % (j, value))
+    return out
+
+
+def areas(s: Sequence[int], z: Sequence) -> tuple:
+    """Symplectic areas a_j = -s_j z_j - z_{j+1} - z_{j-1} (ends omit a term)."""
+    return tuple(_positive_areas(as_chain(s), z))
 
 
 @dataclass(frozen=True)
@@ -371,41 +385,69 @@ class MomentPolygon:
     rays: Tuple[tuple, tuple]
 
 
-def _verify_polygon(poly: MomentPolygon, s) -> None:
-    # The boundary is traversed with the image on its left, so the inward
-    # normal of a sphere edge is the left rotation of its direction; the
-    # first ray is traversed inward and the last one outward.  The vertices
-    # are re-read scaled to ints over one common denominator D: an edge with
-    # scaled displacement (dx, dy) has the primitive direction (dx, dy) / g
-    # and the affine length g / D, g = gcd(dx, dy), compared with its area
-    # by cross-multiplication.
-    scale, xy = lattice.scale_to_ints([c for p in poly.vertices for c in p])
-    xs, ys = xy[0::2], xy[1::2]
-    (r0x, r0y), (r1x, r1y) = poly.rays
+def _reread(steps, lengths, s, rays) -> None:
+    """The polygon re-read, on ints scaled by one common denominator D.
+
+    Edge j + 1 has the scaled displacement steps[j] and the scaled area
+    lengths[j] = D a_j.  The boundary is traversed with the image on its
+    left, so the inward normal of a sphere edge is the left rotation of its
+    direction; the first ray is traversed inward and the last one outward.
+    An edge with displacement (dx, dy) has the primitive direction
+    (dx, dy) / g and the affine length g / D, g = gcd(dx, dy), so its
+    length check is g == D a_j; each normal determinant must equal s_j.
+    """
+    (r0x, r0y), (r1x, r1y) = rays
     normals = [(r0y, -r0x)]
-    for j, e in enumerate(poly.edges, start=1):
-        dx, dy = xs[e.end] - xs[e.start], ys[e.end] - ys[e.start]
-        ux, uy = lattice.primitive((dx, dy))  # ZeroVector on a zero-length edge
-        g = dx // ux if ux else dy // uy
-        if g * e.area.denominator != e.area.numerator * scale:
+    for j, ((dx, dy), length) in enumerate(zip(steps, lengths), start=1):
+        g = gcd(dx, dy)
+        if not g:
+            lattice.primitive((dx, dy))  # raises ZeroVector: a zero-length edge
+        if g != length:
             raise InternalInvariantError("edge %d affine length != area" % j)
-        normals.append((-uy, ux))
+        normals.append((-dy // g, dx // g))
     normals.append((-r1y, r1x))
-    for j, sj in enumerate(s):
-        det = cross(normals[j + 2], normals[j])
+    for j, (sj, (ax, ay), (bx, by)) in enumerate(zip(s, normals[2:], normals)):
+        det = ax * by - ay * bx
         if det != sj:
             raise InternalInvariantError(
                 "normal determinant %d != s_%d = %d" % (det, j + 1, sj)
             )
 
 
-def _polygon(vertices, s, areas, rays) -> MomentPolygon:
-    """The polygon with edge j from vertex j to j + 1 labeled (s[j], areas[j]),
-    re-read by ``_verify_polygon``."""
+def _scaled(vertices, values: list) -> Tuple[int, list, list]:
+    """(D, the vertices times D, the values times D) for one common
+    denominator D of every vertex coordinate and value."""
+    coords = [c for p in vertices for c in p]
+    scale, ints = lattice.scale_to_ints(coords + values)
+    n = len(coords)
+    return scale, list(zip(ints[0:n:2], ints[1:n:2])), ints[n:]
+
+
+def _fractions(values, scale: int) -> list:
+    """Fraction(v, scale) for each int v; with scale 1, the one-argument
+    constructor, which skips the gcd."""
+    if scale == 1:
+        return [Fraction(v) for v in values]
+    return [Fraction(v, scale) for v in values]
+
+
+def _steps(pts, edges) -> list:
+    return [(pts[b][0] - pts[a][0], pts[b][1] - pts[a][1]) for a, b in edges]
+
+
+def _verify_polygon(poly: MomentPolygon, s) -> None:
+    """Re-read a polygon with any vertices, areas and edge indices."""
+    _, pts, lengths = _scaled(poly.vertices, [e.area for e in poly.edges])
+    _reread(_steps(pts, [(e.start, e.end) for e in poly.edges]), lengths, s, poly.rays)
+
+
+def _polygon(pts, lengths, s, rays, vertices, areas) -> MomentPolygon:
+    """The polygon with the given vertices and edge j from vertex j to j + 1
+    labeled (s[j], areas[j]), once ``_reread`` accepts its scaled points pts
+    and scaled areas lengths."""
+    _reread(_steps(pts, ((j, j + 1) for j in range(len(s)))), lengths, s, rays)
     edges = tuple(PolygonEdge(j, j + 1, sj, aj) for j, (sj, aj) in enumerate(zip(s, areas)))
-    poly = MomentPolygon(vertices=vertices, edges=edges, rays=rays)
-    _verify_polygon(poly, s)
-    return poly
+    return MomentPolygon(vertices, edges, rays)
 
 
 def moment_polygon(
@@ -418,29 +460,36 @@ def moment_polygon(
     areas are re-read from the picture (affine lengths, normal determinants)
     as an internal consistency check.
 
-    The corner M_j (z_j, z_{j+1}) has M_j = A_2 ... A_j, whose columns are
-    the candidate rays tail[j - 1] and head[j] of ``_candidate_rays``, so the
-    vertices are int combinations of those rays and of the heights scaled to
-    ints over their common denominator.
+    The heights are scaled once to ints zs = D z over their common
+    denominator D (D = 1 for the default int heights), and everything up to
+    the re-read is int arithmetic: the height and area checks, the areas
+    D a = -Q zs, and the vertices.  The corner M_j (z_j, z_{j+1}) has
+    M_j = A_2 ... A_j, whose columns are the candidate rays tail[j - 1] and
+    head[j] of ``_candidate_rays``, so D times a vertex is an int combination
+    of those rays and of zs.  Fractions are built for the returned
+    coordinates and areas only.
     """
     s = as_chain(s)
     _check_chain(s, i)
     if z is None:
-        z = _heights(s, i)
-    z = tuple(Fraction(v) for v in z)
-    _validate_heights(s, i, z)
-    a = areas(s, z)
+        z = zs = _heights(s, i)
+        scale = 1
+    else:
+        z = tuple(Fraction(v) for v in z)
+        scale, zs = lattice.scale_to_ints(z)
+    _validate_heights(s, i, z, zs)
+    lengths = _positive_areas(s, zs, scale)
     n = len(s)
     head, tail = _candidate_rays(s)
-    scale, zs = lattice.scale_to_ints(z)
     # the ray-end vertices z_1 w_0 and z_n w_last; M_1 is the identity
     pts = [(zs[0] * head[0][0], zs[0] * head[0][1]), (zs[0], zs[1])]
     for j in range(2, n):
         (ax, ay), (bx, by) = tail[j - 1], head[j]
         pts.append((zs[j - 1] * ax + zs[j] * bx, zs[j - 1] * ay + zs[j] * by))
     pts.append((zs[n - 1] * tail[n - 1][0], zs[n - 1] * tail[n - 1][1]))
-    vertices = tuple((Fraction(x, scale), Fraction(y, scale)) for x, y in pts)
-    return _polygon(vertices, s, a, (head[0], tail[-1]))
+    values = _fractions([c for p in pts for c in p] + lengths, scale)
+    vertices = tuple(zip(values[0 : 2 * n + 2 : 2], values[1 : 2 * n + 2 : 2]))
+    return _polygon(pts, lengths, s, (head[0], tail[-1]), vertices, values[2 * n + 2 :])
 
 
 def blow_up_corner(poly: MomentPolygon, vertex: int, size) -> MomentPolygon:
@@ -451,6 +500,10 @@ def blow_up_corner(poly: MomentPolygon, vertex: int, size) -> MomentPolygon:
     primitive edge directions must form a positively oriented Z^2 basis.
     Edge j of the result joins vertices j and j + 1, whatever the indices
     of the input's edges.
+
+    The polygon and the size are scaled once to ints over one common
+    denominator; the checks, the splice and the re-read of the result run
+    on those ints, and only the new values become Fractions.
     """
     size = Fraction(size)
     verts = poly.vertices
@@ -461,24 +514,31 @@ def blow_up_corner(poly: MomentPolygon, vertex: int, size) -> MomentPolygon:
         )
     if size <= 0:
         raise ValueError("blow-up size must be positive")
-    p, v, q = verts[vertex - 1 : vertex + 2]
-    scale, (px, py, vx, vy, qx, qy, cut) = lattice.scale_to_ints((*p, *v, *q, size))
+    edges = poly.edges
+    a = [e.area for e in edges]
+    scale, pts, lengths = _scaled(verts, a + [size])
+    cut = lengths.pop()
+    (px, py), (vx, vy), (qx, qy) = pts[vertex - 1 : vertex + 2]
     d_in = lattice.primitive((vx - px, vy - py))
     d_out = lattice.primitive((qx - vx, qy - vy))
     if cross(d_in, d_out) != 1:
         raise NotDelzantCorner(
             "edge directions %s, %s are not a positive Z^2 basis" % (d_in, d_out)
         )
-    e_in, e_out = poly.edges[vertex - 1], poly.edges[vertex]
-    if size >= e_in.area or size >= e_out.area:
+    e_in, e_out = edges[vertex - 1], edges[vertex]
+    l_in, l_out = lengths[vertex - 1], lengths[vertex]
+    if cut >= l_in or cut >= l_out:
         raise SizeTooLarge(
             "size %s must be smaller than both adjacent lengths %s, %s"
             % (size, e_in.area, e_out.area)
         )
-    va = (Fraction(vx - cut * d_in[0], scale), Fraction(vy - cut * d_in[1], scale))
-    vb = (Fraction(vx + cut * d_out[0], scale), Fraction(vy + cut * d_out[1], scale))
-    s = [e.self_intersection for e in poly.edges]
-    a = [e.area for e in poly.edges]
+    va = (vx - cut * d_in[0], vy - cut * d_in[1])
+    vb = (vx + cut * d_out[0], vy + cut * d_out[1])
+    pts[vertex : vertex + 1] = [va, vb]
+    lengths[vertex - 1 : vertex + 1] = [l_in - cut, cut, l_out - cut]
+    s = [e.self_intersection for e in edges]
     s[vertex - 1 : vertex + 1] = [e_in.self_intersection - 1, -1, e_out.self_intersection - 1]
-    a[vertex - 1 : vertex + 1] = [e_in.area - size, size, e_out.area - size]
-    return _polygon(verts[:vertex] + (va, vb) + verts[vertex + 1:], s, a, poly.rays)
+    xa, ya, xb, yb, a_in, a_out = _fractions((*va, *vb, l_in - cut, l_out - cut), scale)
+    a[vertex - 1 : vertex + 1] = [a_in, size, a_out]
+    vertices = verts[:vertex] + ((xa, ya), (xb, yb)) + verts[vertex + 1 :]
+    return _polygon(pts, lengths, s, poly.rays, vertices, a)

@@ -4,7 +4,7 @@ import random
 import subprocess
 import sys
 from fractions import Fraction
-from math import gcd
+from math import gcd, inf
 from pathlib import Path
 
 import pytest
@@ -179,9 +179,10 @@ class TestEnumerateOrbits:
         assert {fc.family.slope for fc in families} == expected
 
 
-def oracle_cone_primitives(r_in, r_out, v, bound: Fraction, found: list) -> None:
+def oracle_cone_primitives(r_in, r_out, v, bound: Fraction, found: list, room=inf) -> None:
     """The descent enumerate_orbits ran in Fraction arithmetic before its
-    actions were scaled to ints."""
+    actions were scaled to ints; it stops once found holds more than room
+    families.  An exact hit records the cross of its node as ``node_cross``."""
     stack = [(r_in, r_out)]
     while stack:
         u, w = stack.pop()
@@ -191,22 +192,33 @@ def oracle_cone_primitives(r_in, r_out, v, bound: Fraction, found: list) -> None
         m = primitive((u[0] + w[0], u[1] + w[1]))
         action = dot(m, v)
         if action == bound:
-            raise ActionBoundHit(
+            exc = ActionBoundHit(
                 "orbit slope %s at vertex %s has action exactly %s" % (m, v, bound)
             )
+            exc.node_cross = d
+            raise exc
         if action < bound:
             found.append((m, action))
+            if len(found) > room:
+                return
         stack.append((u, m))
         stack.append((m, w))
 
 
-def oracle_enumerate_orbits(it: ReebItinerary, bound):
+def oracle_enumerate_orbits(it: ReebItinerary, bound, max_generators=None):
+    """The families below the bound, corner by corner.  With a cap, the
+    descent stops with TooManyGenerators as soon as 2 x families + 1 passes
+    it; an exact hit met first wins, and records the families found before
+    it as ``families``."""
     bound = Fraction(bound)
     if bound <= 0:
         raise ValueError("action bound must be positive")
     violations = validate_itinerary(it)
     if violations:
         raise InvalidItinerary(violations)
+    cap = inf if max_generators is None else max_generators
+    if cap < 1:
+        raise TooManyGenerators("more than %d ECH generators below action %s" % (cap, bound))
     verts = it.vertices
     out = []
     for j in range(1, len(verts) - 1):
@@ -216,7 +228,14 @@ def oracle_enumerate_orbits(it: ReebItinerary, bound):
         r_in = reeb_direction(primitive_of_rational(e_in))
         r_out = reeb_direction(primitive_of_rational(e_out))
         found: list = []
-        oracle_cone_primitives(r_in, r_out, v, bound, found)
+        room = (cap - 1) // 2 - len(out)  # families that still fit under the cap
+        try:
+            oracle_cone_primitives(r_in, r_out, v, bound, found, room)
+        except ActionBoundHit as exc:
+            exc.families = len(out) + len(found)
+            raise
+        if 2 * (len(out) + len(found)) + 1 > cap:
+            raise TooManyGenerators("more than %d ECH generators below action %s" % (cap, bound))
         found.sort()
         for slope, action in found:
             mult = -(-bound // action) - 1  # ceil(bound / action) - 1
@@ -229,11 +248,11 @@ def oracle_enumerate_orbits(it: ReebItinerary, bound):
     return out
 
 
-def outcome(enumerate_fn, itinerary, bound):
+def outcome(enumerate_fn, itinerary, bound, **caps):
     try:
-        return enumerate_fn(itinerary, bound)
-    except ActionBoundHit as exc:
-        return "ActionBoundHit: %s" % exc
+        return enumerate_fn(itinerary, bound, **caps)
+    except (ActionBoundHit, TooManyGenerators) as exc:
+        return "%s: %s" % (type(exc).__name__, exc)
 
 
 def lower_hull(points):
@@ -339,6 +358,43 @@ def itineraries_and_bounds(draw):
     return it, bound
 
 
+def benchmark_curve(half):
+    """The symmetric convex integer curve of the geometry benchmark built
+    from ``half`` (edge steps (dx, -dy)), on the horizontal rays."""
+    width = sum(dx for dx, _ in half)
+    points = [(-width, 0)]
+    for dx, dy in tuple((dx, -dy) for dx, dy in half) + tuple(reversed(half)):
+        points.append((points[-1][0] + dx, points[-1][1] + dy))
+    return make_itinerary(points, (-1, 0), (1, 0))
+
+
+# corner cones of cross 2, 3, 2, 8, 2, 3, 2 and 3, 5, 3, 6, 3, 5, 3
+CURVE_B = benchmark_curve(((1, 4), (1, 2), (2, 1), (4, 1)))
+CURVE_C = benchmark_curve(((1, 3), (2, 3), (3, 2), (3, 1)))
+WIDE_CONE_CURVES = [
+    pytest.param(curve, seed, id="%s-%s" % (name, seed))
+    for name, curve in (("B", CURVE_B), ("C", CURVE_C))
+    for seed in (None, 3, 4)
+]
+
+
+def wide_cone_image(curve, seed):
+    return curve if seed is None else sl2z_image(drawn_sl2z_word(seed), curve)
+
+
+def actions_below(itinerary, bound):
+    """The distinct family actions below the bound, each a bound that the
+    descent hits exactly."""
+    return sorted({fc.family.base_action for fc in oracle_enumerate_orbits(itinerary, bound)})
+
+
+def oracle_hit(itinerary, bound):
+    """The oracle's exact hit at a bound that is some family's action."""
+    with pytest.raises(ActionBoundHit) as info:
+        oracle_enumerate_orbits(itinerary, bound)
+    return info.value
+
+
 class TestDescentOracle:
     """The integer-scaled descent against the Fraction descent it replaced:
     the same families in the same order, or the same first exact hit."""
@@ -354,6 +410,45 @@ class TestDescentOracle:
         if isinstance(got, list):
             assert all(type(fc.family.base_action) is Fraction for fc in got + expected)
             assert all(type(fc.max_multiplicity) is int for fc in got)
+
+    def test_wide_cone_crosses(self):
+        for curve, crosses in ((CURVE_B, (2, 3, 2, 8, 2, 3, 2)), (CURVE_C, (3, 5, 3, 6, 3, 5, 3))):
+            cones = plumbtoric.reeb._walk(curve)[1]
+            assert tuple(cross(r_in, r_out) for _, r_in, r_out in cones) == crosses
+
+    @pytest.mark.parametrize("curve, seed", WIDE_CONE_CURVES)
+    def test_wide_cone_exact_hits(self, curve, seed):
+        """Every action below 121/2 taken as the bound: the first hit in
+        descent order, met in subcones of cross 1 and of cross > 1 alike."""
+        it = wide_cone_image(curve, seed)
+        node_crosses = []
+        for bound in actions_below(it, F(121) / 2):
+            expected = outcome(oracle_enumerate_orbits, it, bound)
+            assert outcome(enumerate_orbits, it, bound) == expected
+            node_crosses.append(oracle_hit(it, bound).node_cross)
+        assert 1 in node_crosses and max(node_crosses) > 1
+
+    @pytest.mark.parametrize("curve, seed", WIDE_CONE_CURVES)
+    def test_wide_cone_generator_caps(self, curve, seed):
+        """Caps below the family count, and caps on either side of the
+        families an exact hit follows: the same families or the same first
+        error as the oracle."""
+        it = wide_cone_image(curve, seed)
+        bound = F(161) / 2
+        count = len(oracle_enumerate_orbits(it, bound))
+        for cap in sorted({0, 1, 2, 3, 4, count // 2, count - 1, count, 2 * count, 2 * count + 1}):
+            expected = outcome(oracle_enumerate_orbits, it, bound, max_generators=cap)
+            got = outcome(enumerate_orbits, it, bound, max_generators=cap)
+            assert got == expected
+            assert isinstance(got, list) == (2 * count + 1 <= cap)
+        firsts = set()
+        for bound in actions_below(it, F(121) / 2):
+            found = oracle_hit(it, bound).families
+            for cap in {2 * found + k for k in (-1, 0, 1, 2)}:
+                expected = outcome(oracle_enumerate_orbits, it, bound, max_generators=cap)
+                assert outcome(enumerate_orbits, it, bound, max_generators=cap) == expected
+                firsts.add(expected.split(":")[0])
+        assert firsts == {"ActionBoundHit", "TooManyGenerators"}
 
     def test_exact_hit_message_names_fraction_vertex(self):
         it = make_itinerary(
@@ -595,7 +690,15 @@ def oracle_reeb_orbits_text(bound, families, orbits, generators):
     JSON encoder: how it was written before the fixed-shape writer."""
     doc = {
         "action_bound": docio.format_fraction(bound),
-        "families": docio.families_to_doc(families),
+        "families": [
+            {
+                "vertex": fc.family.vertex,
+                "slope": list(fc.family.slope),
+                "base_action": docio.format_fraction(fc.family.base_action),
+                "max_multiplicity": fc.max_multiplicity,
+            }
+            for fc in families
+        ],
         "orbits": [
             {**oracle_orbit_doc(o), "vertex": o.family.vertex, "slope": list(o.family.slope)}
             for o in orbits

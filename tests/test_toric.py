@@ -2,7 +2,7 @@ import itertools
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import event, given, settings, strategies as st
 
 from plumbtoric import (
     Cmp,
@@ -16,6 +16,7 @@ from plumbtoric import (
     NotConcaveCase,
     NotCoprime,
     NotDelzantCorner,
+    PlumbtoricError,
     SizeTooLarge,
     TooShort,
     Verdict,
@@ -35,6 +36,7 @@ from plumbtoric import (
     ray_sequence,
 )
 from plumbtoric import lattice, toric
+from plumbtoric.plumbing import area_vector
 
 # chains acceptable to the construction: no -1, at least one entry >= 0
 construction_chains = (
@@ -525,6 +527,205 @@ class TestReReadFaults:
             SizeTooLarge, match="^size 2/3 must be smaller than both adjacent lengths 2/3, 47/12$"
         ):
             blow_up_corner(self.POLY, 1, Fraction(2, 3))
+
+
+# The Fraction implementations of moment_polygon and blow_up_corner from
+# before the polygon paths ran on scaled ints, kept as the oracle for
+# TestPolygonOracle.
+
+
+def oracle_verify_polygon(poly, s):
+    scale, xy = lattice.scale_to_ints([c for p in poly.vertices for c in p])
+    xs, ys = xy[0::2], xy[1::2]
+    (r0x, r0y), (r1x, r1y) = poly.rays
+    normals = [(r0y, -r0x)]
+    for j, e in enumerate(poly.edges, start=1):
+        dx, dy = xs[e.end] - xs[e.start], ys[e.end] - ys[e.start]
+        ux, uy = lattice.primitive((dx, dy))
+        g = dx // ux if ux else dy // uy
+        if g * e.area.denominator != e.area.numerator * scale:
+            raise InternalInvariantError("edge %d affine length != area" % j)
+        normals.append((-uy, ux))
+    normals.append((-r1y, r1x))
+    for j, sj in enumerate(s):
+        det = cross(normals[j + 2], normals[j])
+        if det != sj:
+            raise InternalInvariantError(
+                "normal determinant %d != s_%d = %d" % (det, j + 1, sj)
+            )
+
+
+def oracle_polygon(vertices, s, areas, rays):
+    edges = tuple(PolygonEdge(j, j + 1, sj, aj) for j, (sj, aj) in enumerate(zip(s, areas)))
+    poly = MomentPolygon(vertices=vertices, edges=edges, rays=rays)
+    oracle_verify_polygon(poly, s)
+    return poly
+
+
+def oracle_validate_heights(s, i, z):
+    n = len(s)
+    if len(z) != n:
+        raise NonpositiveArea("heights length %d != chain length %d" % (len(z), n))
+    for j, zj in enumerate(z, start=1):
+        if not zj < 0:
+            raise NonpositiveArea("height z_%d = %s is not negative" % (j, zj))
+    for j in range(2, min(i, n - 1) + 1):
+        if not z[j - 1] < -s[j - 2] * z[j - 2]:
+            raise NonpositiveArea("z_%d violates z_%d < -s_%d z_%d" % (j, j, j - 1, j - 1))
+    for j in range(max(i, 2), n):
+        if not z[j - 1] < -s[j] * z[j]:
+            raise NonpositiveArea("z_%d violates z_%d < -s_%d z_%d" % (j, j, j + 1, j + 1))
+
+
+def oracle_areas(s, z):
+    out = area_vector(s, z)
+    for j, a in enumerate(out, start=1):
+        if not a > 0:
+            raise NonpositiveArea("area a_%d = %s is not positive" % (j, a))
+    return tuple(out)
+
+
+def oracle_moment_polygon(s, i, z=None):
+    s = tuple(s)
+    toric._check_chain(s, i)
+    if z is None:
+        z = toric._heights(s, i)
+    z = tuple(Fraction(v) for v in z)
+    oracle_validate_heights(s, i, z)
+    a = oracle_areas(s, z)
+    n = len(s)
+    head, tail = toric._candidate_rays(s)
+    scale, zs = lattice.scale_to_ints(z)
+    pts = [(zs[0] * head[0][0], zs[0] * head[0][1]), (zs[0], zs[1])]
+    for j in range(2, n):
+        (ax, ay), (bx, by) = tail[j - 1], head[j]
+        pts.append((zs[j - 1] * ax + zs[j] * bx, zs[j - 1] * ay + zs[j] * by))
+    pts.append((zs[n - 1] * tail[n - 1][0], zs[n - 1] * tail[n - 1][1]))
+    vertices = tuple((Fraction(x, scale), Fraction(y, scale)) for x, y in pts)
+    return oracle_polygon(vertices, s, a, (head[0], tail[-1]))
+
+
+def oracle_blow_up_corner(poly, vertex, size):
+    size = Fraction(size)
+    verts = poly.vertices
+    if not 1 <= vertex <= len(verts) - 2:
+        raise NotDelzantCorner(
+            "vertex %d is not an interior corner (valid: 1..%d); the ray-end "
+            "vertices are not fixed points" % (vertex, len(verts) - 2)
+        )
+    if size <= 0:
+        raise ValueError("blow-up size must be positive")
+    p, v, q = verts[vertex - 1 : vertex + 2]
+    scale, (px, py, vx, vy, qx, qy, cut) = lattice.scale_to_ints((*p, *v, *q, size))
+    d_in = lattice.primitive((vx - px, vy - py))
+    d_out = lattice.primitive((qx - vx, qy - vy))
+    if cross(d_in, d_out) != 1:
+        raise NotDelzantCorner(
+            "edge directions %s, %s are not a positive Z^2 basis" % (d_in, d_out)
+        )
+    e_in, e_out = poly.edges[vertex - 1], poly.edges[vertex]
+    if size >= e_in.area or size >= e_out.area:
+        raise SizeTooLarge(
+            "size %s must be smaller than both adjacent lengths %s, %s"
+            % (size, e_in.area, e_out.area)
+        )
+    va = (Fraction(vx - cut * d_in[0], scale), Fraction(vy - cut * d_in[1], scale))
+    vb = (Fraction(vx + cut * d_out[0], scale), Fraction(vy + cut * d_out[1], scale))
+    s = [e.self_intersection for e in poly.edges]
+    a = [e.area for e in poly.edges]
+    s[vertex - 1 : vertex + 1] = [e_in.self_intersection - 1, -1, e_out.self_intersection - 1]
+    a[vertex - 1 : vertex + 1] = [e_in.area - size, size, e_out.area - size]
+    return oracle_polygon(verts[:vertex] + (va, vb) + verts[vertex + 1 :], s, a, poly.rays)
+
+
+def build_outcome(build, *args):
+    """What ``build`` returns, or its error as (type, message)."""
+    try:
+        return build(*args)
+    except PlumbtoricError as exc:
+        return type(exc), str(exc)
+
+
+def assert_same_polygon_outcome(build, oracle, *args):
+    got, expected = build_outcome(build, *args), build_outcome(oracle, *args)
+    assert got == expected
+    if isinstance(got, MomentPolygon):
+        values = [c for v in got.vertices for c in v] + [e.area for e in got.edges]
+        assert all(type(x) is Fraction for x in values)
+    return got
+
+
+# heights: the defaults, the defaults times a rational, the defaults moved
+# a little (so that a height or an area may just fail), or drawn freely
+# (negative, zero or positive, int or rational), now and then one too many
+# or too few
+def drawn_heights(data, s, i):
+    kind = data.draw(st.sampled_from(["default", "scaled", "moved", "ints", "rationals"]))
+    if kind == "default":
+        return None
+    if kind in ("scaled", "moved"):
+        c = data.draw(st.fractions(Fraction(1, 6), 6, max_denominator=6).filter(lambda c: c > 0))
+        z = [c * v for v in choose_heights(s, i)]
+        if kind == "moved":
+            j = data.draw(st.integers(0, len(s) - 1))
+            z[j] += data.draw(st.fractions(-3, 3, max_denominator=6))
+        return tuple(z)
+    n = len(s) + data.draw(st.sampled_from([0] * 8 + [-1, 1]))
+    if kind == "ints":
+        return tuple(data.draw(st.lists(st.integers(-9, 1), min_size=n, max_size=n)))
+    rationals = st.fractions(-9, 1, max_denominator=6)
+    return tuple(data.draw(st.lists(rationals, min_size=n, max_size=n)))
+
+
+class TestPolygonOracle:
+    """moment_polygon and blow_up_corner on scaled ints against the Fraction
+    implementations they replaced: an equal polygon, or the same error type
+    with the same message."""
+
+    @given(construction_chains, st.data())
+    @settings(max_examples=100, deadline=None)
+    def test_random_chains_and_heights(self, s, data):
+        for i in pivots_of(s):
+            z = drawn_heights(data, s, i)
+            poly = assert_same_polygon_outcome(moment_polygon, oracle_moment_polygon, s, i, z)
+            if not isinstance(poly, MomentPolygon):
+                event("refused: %s" % poly[1].split()[0])
+                continue
+            event("polygon")
+            sizes = st.fractions(Fraction(1, 6), 4, max_denominator=6).filter(lambda q: q > 0)
+            for corner in range(0, len(poly.vertices)):
+                size = data.draw(sizes)
+                assert_same_polygon_outcome(blow_up_corner, oracle_blow_up_corner, poly, corner, size)
+
+    def test_exhaustive_short_chains(self):
+        values = [v for v in range(-4, 4) if v != -1]
+        for n in (2, 3, 4):
+            for s in itertools.product(values, repeat=n):
+                for i in pivots_of(s):
+                    poly = assert_same_polygon_outcome(moment_polygon, oracle_moment_polygon, s, i)
+                    assert isinstance(poly, MomentPolygon)
+                    for corner in range(1, len(poly.vertices) - 1):
+                        assert_same_polygon_outcome(
+                            blow_up_corner, oracle_blow_up_corner, poly, corner, Fraction(1, 2)
+                        )
+
+    def test_exhaustive_moved_rational_heights(self):
+        """Heights over denominator 3 that just pass or just fail a height,
+        gluing or area check, on the chains of length 2 and 3."""
+        values = [v for v in range(-4, 4) if v != -1]
+        refusals = set()
+        for n in (2, 3):
+            for s in itertools.product(values, repeat=n):
+                for i in pivots_of(s):
+                    z0 = [Fraction(2, 3) * v for v in choose_heights(s, i)]
+                    for j, step in itertools.product(range(n), (-2, 1, 4)):
+                        z = z0[:j] + [z0[j] + Fraction(step, 3)] + z0[j + 1 :]
+                        got = assert_same_polygon_outcome(
+                            moment_polygon, oracle_moment_polygon, s, i, tuple(z)
+                        )
+                        if not isinstance(got, MomentPolygon):
+                            refusals.add(got[1].split()[0])
+        assert refusals == {"height", "z_2", "area"}
 
 
 def _overtwisted_sufficient(s):
