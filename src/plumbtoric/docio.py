@@ -193,25 +193,15 @@ def itinerary_from_doc(doc: dict) -> ReebItinerary:
 
 
 def families_to_doc(families: Sequence[reeb.FamilyCount]) -> list:
-    """One record per family.  Each base action object is formatted once:
-    the families of one corner that share an action share its Fraction."""
-    texts = {}
-    out = []
-    for fc in families:
-        family = fc.family
-        action = family.base_action
-        text = texts.get(id(action))
-        if text is None:
-            text = texts[id(action)] = format_fraction(action)
-        out.append(
-            {
-                "vertex": family.vertex,
-                "slope": _vec(family.slope),
-                "base_action": text,
-                "max_multiplicity": fc.max_multiplicity,
-            }
-        )
-    return out
+    return [
+        {
+            "vertex": fc.family.vertex,
+            "slope": _vec(fc.family.slope),
+            "base_action": format_fraction(fc.family.base_action),
+            "max_multiplicity": fc.max_multiplicity,
+        }
+        for fc in families
+    ]
 
 
 def _orbit_doc(orbit: reeb.PerturbedOrbit) -> dict:

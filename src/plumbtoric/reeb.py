@@ -20,7 +20,7 @@ and then compare ints only: the orbit descent scales each corner and the
 action bound, keeping the Stern-Brocot traversal order (and so the slope an
 :class:`ActionBoundHit` names), and the generator search scales the orbit
 actions and the bound.  Fractions are built only for what is returned: one
-per distinct action at a corner, shared by the families that have it.
+base action per family.
 """
 
 from __future__ import annotations
@@ -205,9 +205,6 @@ def enumerate_orbits(
     search's :class:`TooManyGenerators` as soon as 2 x families + 1 passes
     the cap (before it starts when the cap is 0); of that and an exact hit,
     it raises whichever it meets first.
-
-    Families of one corner that share an action share its Fraction and
-    multiplicity, each computed once.
     """
     bound = Fraction(bound)
     if bound <= 0:
@@ -223,13 +220,10 @@ def enumerate_orbits(
         if room < 0:
             break
         found.sort(key=itemgetter(0))  # by slope; a corner's slopes are distinct
-        levels = {}  # scaled action -> (base action, multiplicity)
         for slope, action in found:
-            level = levels.get(action)
-            if level is None:
-                # the multiplicity is ceil(top / action) - 1
-                level = levels[action] = (Fraction(action, scale), -(-top // action) - 1)
-            out.append(FamilyCount(OrbitFamily(slope, j, level[0]), level[1]))
+            # the multiplicity is ceil(top / action) - 1
+            base = Fraction(action, scale)
+            out.append(FamilyCount(OrbitFamily(slope, j, base), -(-top // action) - 1))
     if room < 0:
         raise too_many_generators(max_generators, bound)
     return out

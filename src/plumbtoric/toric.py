@@ -15,11 +15,13 @@ count.
 
 Every moment polygon, constructed or blown up, is assembled by ``_polygon``:
 edge j joins vertices j and j + 1, and the picture is re-read before it is
-returned.  Both constructions compute on ints scaled by one common
-denominator D, and the re-read (``_reread``) runs on the int points and int
-areas just built; Fractions are made afterwards, once, for the returned
-coordinates and areas only.  ``_verify_polygon`` re-reads a hand-made
-polygon by scaling it first.
+returned.  The re-read (``_reread``) runs on ints scaled by one common
+denominator D.  ``moment_polygon`` computes on such ints from the heights
+on, re-reads the int points and int areas it just built, and only then
+makes Fractions, once, for the returned coordinates and areas.
+``blow_up_corner`` splices the new vertices and areas into the input's
+Fractions and re-reads the result through ``_verify_polygon``, which scales
+any polygon to ints first.
 
 Chain positions and pivot indices are 1-based throughout, matching the
 notation (s_1, ..., s_n).
@@ -181,8 +183,7 @@ def _positive_areas(s, zs, scale: int = 1) -> list:
     out = area_vector(s, zs)
     for j, a in enumerate(out, start=1):
         if not a > 0:
-            value = Fraction(a, scale) if scale > 1 else a
-            raise NonpositiveArea("area a_%d = %s is not positive" % (j, value))
+            raise NonpositiveArea("area a_%d = %s is not positive" % (j, Fraction(a, scale)))
     return out
 
 
@@ -414,38 +415,22 @@ def _reread(steps, lengths, s, rays) -> None:
             )
 
 
-def _scaled(vertices, values: list) -> Tuple[int, list, list]:
-    """(D, the vertices times D, the values times D) for one common
-    denominator D of every vertex coordinate and value."""
-    coords = [c for p in vertices for c in p]
-    scale, ints = lattice.scale_to_ints(coords + values)
-    n = len(coords)
-    return scale, list(zip(ints[0:n:2], ints[1:n:2])), ints[n:]
-
-
-def _fractions(values, scale: int) -> list:
-    """Fraction(v, scale) for each int v; with scale 1, the one-argument
-    constructor, which skips the gcd."""
-    if scale == 1:
-        return [Fraction(v) for v in values]
-    return [Fraction(v, scale) for v in values]
-
-
 def _steps(pts, edges) -> list:
     return [(pts[b][0] - pts[a][0], pts[b][1] - pts[a][1]) for a, b in edges]
 
 
 def _verify_polygon(poly: MomentPolygon, s) -> None:
-    """Re-read a polygon with any vertices, areas and edge indices."""
-    _, pts, lengths = _scaled(poly.vertices, [e.area for e in poly.edges])
-    _reread(_steps(pts, [(e.start, e.end) for e in poly.edges]), lengths, s, poly.rays)
+    """Re-read a polygon with any vertices, areas and edge indices, scaled
+    to ints over one common denominator."""
+    coords = [c for p in poly.vertices for c in p]
+    _, ints = lattice.scale_to_ints(coords + [e.area for e in poly.edges])
+    n = len(coords)
+    pts = list(zip(ints[0:n:2], ints[1:n:2]))
+    _reread(_steps(pts, [(e.start, e.end) for e in poly.edges]), ints[n:], s, poly.rays)
 
 
-def _polygon(pts, lengths, s, rays, vertices, areas) -> MomentPolygon:
-    """The polygon with the given vertices and edge j from vertex j to j + 1
-    labeled (s[j], areas[j]), once ``_reread`` accepts its scaled points pts
-    and scaled areas lengths."""
-    _reread(_steps(pts, ((j, j + 1) for j in range(len(s)))), lengths, s, rays)
+def _polygon(vertices, s, areas, rays) -> MomentPolygon:
+    """The polygon with edge j from vertex j to j + 1 labeled (s[j], areas[j])."""
     edges = tuple(PolygonEdge(j, j + 1, sj, aj) for j, (sj, aj) in enumerate(zip(s, areas)))
     return MomentPolygon(vertices, edges, rays)
 
@@ -487,9 +472,10 @@ def moment_polygon(
         (ax, ay), (bx, by) = tail[j - 1], head[j]
         pts.append((zs[j - 1] * ax + zs[j] * bx, zs[j - 1] * ay + zs[j] * by))
     pts.append((zs[n - 1] * tail[n - 1][0], zs[n - 1] * tail[n - 1][1]))
-    values = _fractions([c for p in pts for c in p] + lengths, scale)
-    vertices = tuple(zip(values[0 : 2 * n + 2 : 2], values[1 : 2 * n + 2 : 2]))
-    return _polygon(pts, lengths, s, (head[0], tail[-1]), vertices, values[2 * n + 2 :])
+    rays = (head[0], tail[-1])
+    _reread(_steps(pts, ((j, j + 1) for j in range(n))), lengths, s, rays)
+    vertices = tuple((Fraction(x, scale), Fraction(y, scale)) for x, y in pts)
+    return _polygon(vertices, s, [Fraction(l, scale) for l in lengths], rays)
 
 
 def blow_up_corner(poly: MomentPolygon, vertex: int, size) -> MomentPolygon:
@@ -499,11 +485,7 @@ def blow_up_corner(poly: MomentPolygon, vertex: int, size) -> MomentPolygon:
     The corner must be interior (between two sphere edges) and Delzant: the
     primitive edge directions must form a positively oriented Z^2 basis.
     Edge j of the result joins vertices j and j + 1, whatever the indices
-    of the input's edges.
-
-    The polygon and the size are scaled once to ints over one common
-    denominator; the checks, the splice and the re-read of the result run
-    on those ints, and only the new values become Fractions.
+    of the input's edges.  The result is re-read by ``_verify_polygon``.
     """
     size = Fraction(size)
     verts = poly.vertices
@@ -514,31 +496,26 @@ def blow_up_corner(poly: MomentPolygon, vertex: int, size) -> MomentPolygon:
         )
     if size <= 0:
         raise ValueError("blow-up size must be positive")
-    edges = poly.edges
-    a = [e.area for e in edges]
-    scale, pts, lengths = _scaled(verts, a + [size])
-    cut = lengths.pop()
-    (px, py), (vx, vy), (qx, qy) = pts[vertex - 1 : vertex + 2]
+    p, v, q = verts[vertex - 1 : vertex + 2]
+    scale, (px, py, vx, vy, qx, qy, cut) = lattice.scale_to_ints((*p, *v, *q, size))
     d_in = lattice.primitive((vx - px, vy - py))
     d_out = lattice.primitive((qx - vx, qy - vy))
     if cross(d_in, d_out) != 1:
         raise NotDelzantCorner(
             "edge directions %s, %s are not a positive Z^2 basis" % (d_in, d_out)
         )
-    e_in, e_out = edges[vertex - 1], edges[vertex]
-    l_in, l_out = lengths[vertex - 1], lengths[vertex]
-    if cut >= l_in or cut >= l_out:
+    e_in, e_out = poly.edges[vertex - 1], poly.edges[vertex]
+    if size >= e_in.area or size >= e_out.area:
         raise SizeTooLarge(
             "size %s must be smaller than both adjacent lengths %s, %s"
             % (size, e_in.area, e_out.area)
         )
-    va = (vx - cut * d_in[0], vy - cut * d_in[1])
-    vb = (vx + cut * d_out[0], vy + cut * d_out[1])
-    pts[vertex : vertex + 1] = [va, vb]
-    lengths[vertex - 1 : vertex + 1] = [l_in - cut, cut, l_out - cut]
-    s = [e.self_intersection for e in edges]
+    va = (Fraction(vx - cut * d_in[0], scale), Fraction(vy - cut * d_in[1], scale))
+    vb = (Fraction(vx + cut * d_out[0], scale), Fraction(vy + cut * d_out[1], scale))
+    s = [e.self_intersection for e in poly.edges]
+    a = [e.area for e in poly.edges]
     s[vertex - 1 : vertex + 1] = [e_in.self_intersection - 1, -1, e_out.self_intersection - 1]
-    xa, ya, xb, yb, a_in, a_out = _fractions((*va, *vb, l_in - cut, l_out - cut), scale)
-    a[vertex - 1 : vertex + 1] = [a_in, size, a_out]
-    vertices = verts[:vertex] + ((xa, ya), (xb, yb)) + verts[vertex + 1 :]
-    return _polygon(pts, lengths, s, poly.rays, vertices, a)
+    a[vertex - 1 : vertex + 1] = [e_in.area - size, size, e_out.area - size]
+    blown = _polygon(verts[:vertex] + (va, vb) + verts[vertex + 1 :], s, a, poly.rays)
+    _verify_polygon(blown, s)
+    return blown
