@@ -36,6 +36,8 @@ CASES = {
     "classify_overtwisted": ["classify", "--plumbing", "2,1,3"],
     "classify_3_-2_-2": ["classify", "--plumbing", "3,-2,-2"],
     "classify_reduce": ["classify", "--plumbing", "2,-1,2", "--reduce"],
+    # rays past 10^308: the display-only swept angle takes its rescale path
+    "classify_huge_entries": ["classify", "--plumbing", ",".join(["3" * 160] * 2)],
     "construct_heights": [
         "construct", "--plumbing", "-2,1,0,-2", "--heights", "-1,-3,-3,-1",
     ],
