@@ -2,25 +2,27 @@
 
 Exact rationals serialize as "p/q" strings ("p" when the denominator is 1)
 so no binary-float drift ever enters a document; floats appear only in
-display-only fields suffixed ``_approx``.  All output is deterministic:
-identical inputs produce bit-identical documents.
+display-only fields suffixed ``_approx``, computed here and held by no
+exact type.  All output is deterministic: identical inputs produce
+bit-identical documents.
 
 Documents are written by ``dumps`` (``json.dumps(indent=2, sort_keys=True)``)
 except the reeb-orbits document, whose generator list can run to 10^5
 entries and is too slow for the indenting encoder, which is pure Python.
 ``reeb_orbits_text`` writes all of it in its fixed shape, with the same
 bytes as ``dumps`` of the document: each family from its
-``families_to_doc`` record, each split orbit from one template, and each
-orbit's generator-entry text, up to the multiplicity, made once per call;
-each generator (``current_to_doc``) joins those of its entries.  Output
-with an integer too long to print is refused as :class:`OutputTooLarge`
-(``_printable``).
+``families_to_doc`` record, and each split orbit and each orbit's
+generator-entry text, up to the multiplicity, from one template each (the
+entry texts once per call); each generator (``current_to_doc``) joins those
+of its entries.  Output with an integer too long to print is refused as
+:class:`OutputTooLarge` (``_printable``).
 """
 
 from __future__ import annotations
 
 import functools
 import json
+import math
 import re
 import sys
 from fractions import Fraction
@@ -28,7 +30,7 @@ from typing import Sequence
 
 from . import reeb
 from .errors import MalformedDocument, OutputTooLarge
-from .lattice import WindingVerdict
+from .lattice import WindingVerdict, cross, dot
 from .reeb import ReebItinerary
 from .toric import BoundaryReport, MomentPolygon, PolygonEdge
 
@@ -113,14 +115,31 @@ def _pair(v, parse) -> tuple:
     return parse(v[0]), parse(v[1])
 
 
-def winding_to_doc(w: WindingVerdict) -> dict:
+def swept_degrees_approx(rays) -> float:
+    """The CCW angle, in degrees and for display only, swept by consecutive
+    rays: each step's atan2(cross, dot) in (0, 2 pi), after dividing a cross
+    or dot past the float range by the larger of the two."""
+    total = 0.0
+    atan2, two_pi = math.atan2, 2 * math.pi
+    for u, v in zip(rays, rays[1:]):
+        c, d = cross(u, v), dot(u, v)
+        try:
+            ang = atan2(c, d)
+        except OverflowError:
+            big = max(abs(c), abs(d))
+            ang = atan2(c / big, d / big)
+        total += ang if ang > 0 else ang + two_pi
+    return math.degrees(total)
+
+
+def winding_to_doc(w: WindingVerdict, rays) -> dict:
     return {
         "vs_pi": w.vs_pi.value,
         "vs_2pi": w.vs_two_pi.value,
         "crossings_of_start": w.crossings_of_start,
         "crossings_of_antipode": w.crossings_of_antipode,
         "final_landing": w.final_landing.value if w.final_landing else None,
-        "swept_degrees_approx": w.approx_degrees,
+        "swept_degrees_approx": swept_degrees_approx(rays),
     }
 
 
@@ -137,7 +156,7 @@ def report_to_doc(report: BoundaryReport) -> dict:
         "chain": list(report.chain),
         "pivot": report.pivot,
         "rays": [_vec(w) for w in report.rays.w],
-        "winding": winding_to_doc(report.winding),
+        "winding": winding_to_doc(report.winding, report.rays.w),
         "verdict": report.verdict.value,
         "lens": {"k": report.lens[0], "l": report.lens[1]},
         "det": report.det,
@@ -204,15 +223,6 @@ def families_to_doc(families: Sequence[reeb.FamilyCount]) -> list:
     ]
 
 
-def _orbit_doc(orbit: reeb.PerturbedOrbit) -> dict:
-    return {
-        "kind": orbit.kind.value,
-        "base_action": format_fraction(orbit.base_action),
-        "eps_exponent": orbit.eps_exponent,
-        "cz": orbit.cz,
-    }
-
-
 def _entry_texts(orbits) -> dict:
     """id(orbit) -> (rank, text of its generator entry up to the multiplicity).
 
@@ -226,11 +236,10 @@ def _entry_texts(orbits) -> dict:
     """
     ranked = sorted(orbits, key=lambda o: (o.base_action, o.eps_exponent, o.kind.value, o.cz))
     texts = {}
-    for rank, orbit in enumerate(ranked):
-        if id(orbit) not in texts:  # a repeated object keeps its first rank
-            # the orbit's fields one to a line; "multiplicity" sorts after them
-            fields = json.dumps(_orbit_doc(orbit), sort_keys=True, separators=(",\n        ", ": "))
-            texts[id(orbit)] = (rank, '{\n        %s,\n        "multiplicity": ' % fields[1:-1])
+    for rank, o in enumerate(ranked):
+        if id(o) not in texts:  # a repeated object keeps its first rank
+            fields = (format_fraction(o.base_action), o.cz, o.eps_exponent, o.kind.value)
+            texts[id(o)] = (rank, _ENTRY_TEXT % fields)
     return texts
 
 
@@ -244,7 +253,7 @@ def current_to_doc(current: reeb.ReebCurrent, texts: dict) -> str:
     return "[\n      %s\n      }\n    ]" % listed
 
 
-# one family and one split orbit as they sit in the reeb-orbits document
+# one family, split orbit and generator entry (bar its multiplicity) as printed
 _FAMILY_TEXT = (
     '{\n      "base_action": "%s",\n      "max_multiplicity": %d,\n      "slope": [\n'
     '        %d,\n        %d\n      ],\n      "vertex": %d\n    }'
@@ -253,6 +262,10 @@ _ORBIT_TEXT = (
     '{\n      "base_action": "%s",\n      "cz": %d,\n      "eps_exponent": %d,\n'
     '      "kind": "%s",\n      "slope": [\n        %d,\n        %d\n      ],\n'
     '      "vertex": %d\n    }'
+)
+_ENTRY_TEXT = (
+    '{\n        "base_action": "%s",\n        "cz": %d,\n        "eps_exponent": %d,\n'
+    '        "kind": "%s",\n        "multiplicity": '
 )
 
 

@@ -9,7 +9,7 @@ Swept angles are never computed with trigonometry.  A sequence of rays is
 compared against the half turn and the full turn with integer cross/dot
 signs only: one count of how often the rotating direction wraps past the
 start direction, plus where the last ray lies relative to that direction
-and its antipode.  Floats appear only in display fields.
+and its antipode, with no float: ``docio`` computes the display angle.
 
 The position of a ray and the wrap of a step are defined once, in
 ``_step``: ``step_class`` reads one ray's position, ``winding_compare``
@@ -21,7 +21,6 @@ step's wrap only on its two rays.
 
 from __future__ import annotations
 
-import math
 from enum import Enum
 from dataclasses import dataclass
 from fractions import Fraction
@@ -159,7 +158,6 @@ class WindingVerdict:
     w0 (an exact landing followed by further rotation counts as passed):
     ``crossings_of_antipode`` = (c + 1) // 2 and ``crossings_of_start`` =
     c // 2.  ``final_landing`` records an exact landing at the last ray.
-    ``approx_degrees`` is display-only.
     """
 
     vs_pi: Cmp
@@ -167,7 +165,6 @@ class WindingVerdict:
     crossings_of_start: int
     crossings_of_antipode: int
     final_landing: Optional[Landing]
-    approx_degrees: float
 
 
 def _step(w0x, w0y, u, pu: int, v):
@@ -212,28 +209,15 @@ def winding_compare(rays: Sequence[Vec2]) -> WindingVerdict:
     if w0x == 0 and w0y == 0:
         raise ZeroVector("rays must be nonzero")
     wraps = pos = 0
-    approx = 0.0
-    atan2 = math.atan2
-    two_pi = 2 * math.pi
-    for idx in range(1, len(rays)):
-        v = rays[idx]
+    for v in rays[1:]:
         pos, wrap = _step(w0x, w0y, u, pos, v)
         wraps += wrap
-        cross, dot = u[0] * v[1] - u[1] * v[0], u[0] * v[0] + u[1] * v[1]
-        try:
-            ang = atan2(cross, dot)
-        except OverflowError:  # display only; ints past the float range
-            big = max(abs(cross), abs(dot))
-            ang = atan2(cross / big, dot / big)
-        approx += ang if ang > 0 else ang + two_pi
         u = v
     passed = _passed(wraps, pos)
     landing = (Landing.START, None, Landing.ANTIPODE, None)[pos]
     vs_pi = Cmp.GT if passed >= 1 else Cmp.EQ if pos == 2 else Cmp.LT
     vs_two_pi = Cmp.GT if passed >= 2 else Cmp.EQ if passed == 1 and pos == 0 else Cmp.LT
-    return WindingVerdict(
-        vs_pi, vs_two_pi, passed // 2, (passed + 1) // 2, landing, math.degrees(approx)
-    )
+    return WindingVerdict(vs_pi, vs_two_pi, passed // 2, (passed + 1) // 2, landing)
 
 
 def spliced_counts(head: Sequence[Vec2], tail: Sequence[Vec2], ks: Sequence[int]) -> list:
