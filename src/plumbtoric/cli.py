@@ -89,7 +89,7 @@ def _cmd_construct(args) -> str:
         # pivot, moment_polygon raises NoNonnegativeEntry
         pivot = min(toric._valid_pivots(chain), default=None)
     heights = None
-    if args.heights:
+    if args.heights is not None:
         heights = tuple(docio.parse_fraction(h) for h in args.heights.split(","))
     poly = toric.moment_polygon(chain, pivot, heights)
     if args.format == "svg":
@@ -111,8 +111,8 @@ def _survey_chunk(chains) -> List[tuple]:
 def _cmd_survey(args) -> str:
     n_lo, n_hi = _parse_range(args.n)
     v_lo, v_hi = _parse_range(args.range)
-    if n_lo < 2 or v_lo > v_hi:
-        raise MalformedDocument("survey needs n >= 2 and a nonempty value range")
+    if n_lo < 2 or n_lo > n_hi or v_lo > v_hi:
+        raise MalformedDocument("survey needs n >= 2 and nonempty length and value ranges")
     if args.jobs < 1:
         raise MalformedDocument("--jobs must be at least 1")
     cap = _env_cap("PLUMBTORIC_MAX_SURVEY", DEFAULT_SURVEY_CAP)

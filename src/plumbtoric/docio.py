@@ -14,8 +14,11 @@ bytes as ``dumps`` of the document: each family from its
 ``families_to_doc`` record, and each split orbit and each orbit's
 generator-entry text, up to the multiplicity, from one template each (the
 entry texts once per call); each generator (``current_to_doc``) joins those
-of its entries.  Output with an integer too long to print is refused as
-:class:`OutputTooLarge` (``_printable``).
+of its entries.  The other two bulk writers work the same way: each survey
+CSV row is one ``_CSV_ROW`` template, and each element of the SVG picture
+one template with its coordinates in ``%.3f`` fields.  Output with an
+integer too long to print is refused as :class:`OutputTooLarge`
+(``_printable``).
 """
 
 from __future__ import annotations
@@ -355,7 +358,7 @@ def survey_row(chain, report: BoundaryReport) -> tuple:
     enumerated chain's determinant, read off the report: a blow-down drops one
     entry and flips the sign, K(..., a, -1, b, ...) = -K(..., a+1, b+1, ...)."""
     return (
-        ",".join(str(v) for v in chain),
+        ",".join(map(str, chain)),
         report.verdict.value,
         str(report.lens[0]),
         str(report.lens[1]),
@@ -366,11 +369,15 @@ def survey_row(chain, report: BoundaryReport) -> tuple:
     )
 
 
+# the survey table's head, and one row as printed: the chain column quoted
+_CSV_HEAD = "%s\n%s\n" % (SURVEY_HEADER, ",".join(SURVEY_COLUMNS))
+_CSV_ROW = '"%s"' + ",%s" * (len(SURVEY_COLUMNS) - 1) + "\n"
+
+
 def survey_to_csv(rows: Sequence[tuple]) -> str:
-    lines = [SURVEY_HEADER, ",".join(SURVEY_COLUMNS)]
-    for row in rows:
-        lines.append('"%s",%s' % (row[0], ",".join(row[1:])))
-    return "\n".join(lines) + "\n"
+    """The survey table: the header, the column names, then each row through
+    the one template ``_CSV_ROW``."""
+    return _CSV_HEAD + "".join([_CSV_ROW % row for row in rows])
 
 
 def survey_to_json(rows: Sequence[tuple]) -> str:
@@ -381,10 +388,27 @@ def survey_to_json(rows: Sequence[tuple]) -> str:
 # SVG rendering
 
 _SVG_SCALE = 480.0
-
-
-def _fmt(x: float) -> str:
-    return "%.3f" % x
+# the picture's elements as printed, every coordinate a %.3f field
+_SVG_HEAD = (
+    '<?xml version="1.0" encoding="UTF-8"?>\n'
+    '<svg xmlns="http://www.w3.org/2000/svg" version="1.1" '
+    'width="%d" height="%d" viewBox="0 0 %d %d">\n'
+    '<g font-family="monospace" font-size="11">\n' % ((_SVG_SCALE,) * 4)
+)
+_SVG_ORIGIN = '<circle class="origin" cx="%.3f" cy="%.3f" r="3" fill="black"/>\n'
+_SVG_RAY = (
+    '<line class="ray %s" x1="%.3f" y1="%.3f" x2="%.3f" y2="%.3f" '
+    'stroke="blue" stroke-dasharray="6,4"/>\n'
+)
+_SVG_EDGE = (
+    '<line class="edge" x1="%.3f" y1="%.3f" x2="%.3f" y2="%.3f" '
+    'stroke="darkorange" stroke-width="2"/>\n'
+    '<text class="edge-label" x="%.3f" y="%.3f">s=%d a=%s</text>\n'
+)
+_SVG_TAIL = (
+    '<polyline class="boundary" points="%s" fill="none" stroke="green" '
+    'stroke-dasharray="2,3"/>\n</g>\n</svg>\n'
+)
 
 
 @_printable
@@ -394,7 +418,8 @@ def render_svg(poly: MomentPolygon) -> str:
     Edges are labeled with self-intersection and area, the terminal rays are
     dashed radial lines through the end vertices, the origin is marked, and a
     green piecewise-linear arc sketches the boundary curve transverse to the
-    radial rays (display only).
+    radial rays (display only).  Each vertex is converted to pixels once, and
+    each element is written by one template.
     """
     pts = [(float(x), float(y)) for x, y in poly.vertices]
     ray_tips = [(x * 1.45, y * 1.45) for x, y in (pts[0], pts[-1])]
@@ -405,48 +430,21 @@ def render_svg(poly: MomentPolygon) -> str:
     x0, y1 = min(xs) - margin, max(ys) + margin
     scale = _SVG_SCALE / (span + 2 * margin)
 
-    def to_px(p):
-        return ((p[0] - x0) * scale, (y1 - p[1]) * scale)
+    def to_px(x, y):
+        return (x - x0) * scale, (y1 - y) * scale
 
-    parts = [
-        '<?xml version="1.0" encoding="UTF-8"?>',
-        '<svg xmlns="http://www.w3.org/2000/svg" version="1.1" '
-        'width="%d" height="%d" viewBox="0 0 %d %d">' % ((_SVG_SCALE,) * 4),
-        '<g font-family="monospace" font-size="11">',
-    ]
-    ox, oy = to_px((0.0, 0.0))
-    parts.append(
-        '<circle class="origin" cx="%s" cy="%s" r="3" fill="black"/>'
-        % (_fmt(ox), _fmt(oy))
-    )
-    for tip, cls in ((ray_tips[0], "ray start-ray"), (ray_tips[1], "ray end-ray")):
-        tx, ty = to_px(tip)
-        parts.append(
-            '<line class="%s" x1="%s" y1="%s" x2="%s" y2="%s" '
-            'stroke="blue" stroke-dasharray="6,4"/>' % (cls, _fmt(ox), _fmt(oy), _fmt(tx), _fmt(ty))
-        )
+    origin = to_px(0.0, 0.0)
+    px = [to_px(x, y) for x, y in pts]
+    parts = [_SVG_HEAD, _SVG_ORIGIN % origin]
+    for (x, y), cls in zip(ray_tips, ("start-ray", "end-ray")):
+        parts.append(_SVG_RAY % (cls, *origin, *to_px(x, y)))
     for e in poly.edges:
-        (ax, ay), (bx, by) = to_px(pts[e.start]), to_px(pts[e.end])
-        parts.append(
-            '<line class="edge" x1="%s" y1="%s" x2="%s" y2="%s" '
-            'stroke="darkorange" stroke-width="2"/>' % (_fmt(ax), _fmt(ay), _fmt(bx), _fmt(by))
-        )
-        mx, my = (ax + bx) / 2, (ay + by) / 2
-        parts.append(
-            '<text class="edge-label" x="%s" y="%s">s=%d a=%s</text>'
-            % (_fmt(mx + 4), _fmt(my - 4), e.self_intersection, format_fraction(e.area))
-        )
+        (ax, ay), (bx, by) = px[e.start], px[e.end]
+        label = ((ax + bx) / 2 + 4, (ay + by) / 2 - 4, e.self_intersection, format_fraction(e.area))
+        parts.append(_SVG_EDGE % (ax, ay, bx, by, *label))
     arc = [ray_tips[0]] + pts + [ray_tips[1]]
-    arc_pts = " ".join(
-        "%s,%s" % tuple(map(_fmt, to_px((0.35 * p[0], 0.35 * p[1])))) for p in arc
-    )
-    parts.append(
-        '<polyline class="boundary" points="%s" fill="none" stroke="green" '
-        'stroke-dasharray="2,3"/>' % arc_pts
-    )
-    parts.append("</g>")
-    parts.append("</svg>")
-    return "\n".join(parts) + "\n"
+    parts.append(_SVG_TAIL % " ".join(["%.3f,%.3f" % to_px(0.35 * x, 0.35 * y) for x, y in arc]))
+    return "".join(parts)
 
 
 @_printable

@@ -11,7 +11,7 @@ from unittest import mock
 import pytest
 from hypothesis import HealthCheck, example, given, settings, strategies as st
 
-from plumbtoric import MalformedDocument, TooManyGenerators, cli, docio, moment_polygon, reeb
+from plumbtoric import MalformedDocument, TooManyGenerators, cli, docio, errors, moment_polygon, reeb
 from plumbtoric import PreconditionError, classify, det_intersection
 from plumbtoric.cli import main
 from plumbtoric.docio import polygon_from_doc, polygon_to_doc, render_svg
@@ -120,6 +120,12 @@ class TestConstructCommand:
         (line,) = err.splitlines()
         assert json.loads(line)["error"]["type"] == "OutputTooLarge"
 
+    def test_empty_heights_exit_2(self, capsys):
+        # an empty --heights is a bad rational, not the default heights
+        code, out, err = run(capsys, "construct", "--plumbing", "2,3", "--heights", "")
+        assert code == 2 and out == ""
+        assert json.loads(err)["error"]["type"] == "MalformedDocument"
+
     def test_default_pivot_follows_chain_gate(self, capsys):
         # the -1 error comes before the pivot search, with or without --pivot
         for extra in ((), ("--pivot", "1")):
@@ -149,6 +155,13 @@ class TestSurveyCommand:
             for line in serial.splitlines()[2:]
         ]
         assert keys == sorted(keys)
+
+    def test_reversed_length_range_exits_2(self, capsys):
+        # refused like a reversed value range, not answered with an empty table
+        for n, values in (("3..2", "0..1"), ("2", "1..0")):
+            code, out, err = run(capsys, "survey", "--n", n, "--range", values)
+            assert code == 2 and out == ""
+            assert json.loads(err)["error"]["type"] == "MalformedDocument"
 
     def test_cap_respected(self, capsys, monkeypatch):
         monkeypatch.setenv("PLUMBTORIC_MAX_SURVEY", "10")
@@ -676,3 +689,98 @@ class TestDocumentFuzz:
     @given(itinerary_doc, action_bound)
     def test_itinerary_documents(self, doc, bound):
         run_document(["reeb-orbits", "--itinerary", "-", "--action-bound", bound], doc)
+
+
+# flag values: small ints, LO..HI ranges (reversed ones too), rationals
+# (exponents past the printable range too), the golden documents, and, in
+# one draw of four, an empty string or junk.  No junk value starts with
+# "--", so none is read as an abbreviated option such as --h(elp).
+flag_junk = st.sampled_from(["", " ", "-", "-x", "..", "1..", "..2", "1/0", "nan", "inf", "a,b", "0x1f"])
+flag_int = st.integers(-3, 8).map(str)
+flag_range = st.builds("{}..{}".format, st.integers(-4, 6), st.integers(-4, 6))
+flag_length = st.builds("{}..{}".format, st.integers(0, 6), st.integers(0, 6)) | st.integers(0, 6).map(str)
+flag_rational = st.sampled_from(["1e99999", "1e-5000", "-1e99999", "0e99999", "2.5", "1/2"]) | st.builds(
+    "{}/{}".format, st.integers(-10, 60), st.integers(0, 4)
+)
+flag_chain = st.lists(st.integers(-4, 4), min_size=1, max_size=6).map(lambda s: ",".join(map(str, s)))
+golden_doc = st.sampled_from(
+    ["itinerary.json", "itinerary_image.json", "itinerary_rational.json", "index.json", "missing.json"]
+).map(lambda name: str(GOLDEN / name))
+
+
+def or_junk(*values):
+    good = st.one_of(*values)
+    return st.sampled_from([good, good, good, flag_junk]).flatmap(lambda drawn: drawn)
+
+
+def required(name, values):
+    return values.map(lambda v: [name, v])
+
+
+def flag(name, values):
+    """Nothing, or the flag and a value drawn from ``values``."""
+    return st.just([]) | required(name, values)
+
+
+def switch(name):
+    return st.sampled_from([[], [name]])
+
+
+def command_argv(command, *parts):
+    return st.tuples(*parts).map(lambda drawn: [command] + [tok for part in drawn for tok in part])
+
+
+output = flag("--output", st.just("-"))
+flag_argv = st.one_of(
+    command_argv(
+        "classify", required("--plumbing", or_junk(flag_chain, flag_int)), switch("--reduce"), output
+    ),
+    command_argv(
+        "construct",
+        required("--plumbing", or_junk(flag_chain, flag_int)),
+        flag("--pivot", or_junk(flag_int)),
+        flag("--heights", or_junk(st.lists(flag_rational | flag_int, max_size=6).map(",".join))),
+        flag("--format", or_junk(st.sampled_from(["json", "svg"]))),
+        switch("--reduce"),
+        output,
+    ),
+    command_argv(
+        "survey",
+        required("--n", or_junk(flag_length)),
+        required("--range", or_junk(flag_range, flag_int)),
+        flag("--jobs", st.just("1")),
+        flag("--format", or_junk(st.sampled_from(["csv", "json"]))),
+        switch("--exclude-minus-one"),
+        output,
+    ),
+    command_argv(
+        "reeb-orbits",
+        required("--itinerary", or_junk(golden_doc)),
+        required("--action-bound", or_junk(flag_rational, flag_int)),
+        output,
+    ),
+    command_argv("index", required("--input", or_junk(golden_doc)), output),
+)
+
+
+class TestFlagFuzz:
+    @settings(max_examples=2000, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    @given(flag_argv)
+    def test_flags_exit_0_or_2_with_one_record(self, argv):
+        stdout, stderr = io.StringIO(), io.StringIO()
+        caps = {"PLUMBTORIC_MAX_SURVEY": "400", "PLUMBTORIC_MAX_GENERATORS": "500"}
+        start = time.perf_counter()
+        # a junk "-" names stdin as the document
+        with mock.patch.object(sys, "stdin", io.StringIO("")), mock.patch.dict(
+            os.environ, caps
+        ), contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+            code = main(argv)
+        assert time.perf_counter() - start < 2.0
+        assert code in (0, 2)
+        if code == 0:
+            assert stdout.getvalue() and not stderr.getvalue()
+        else:
+            assert stdout.getvalue() == ""
+            (line,) = stderr.getvalue().splitlines()
+            error_type = json.loads(line)["error"]["type"]
+            assert issubclass(getattr(errors, error_type), PreconditionError)

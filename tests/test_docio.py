@@ -1,10 +1,12 @@
-"""The display-only swept angle: made by the document writer alone, with the
-same bits as the float loop ``winding_compare`` used to run beside its exact
-count."""
+"""The document writer against oracles of its earlier code: the display-only
+swept angle, made by the writer alone with the same bits as the float loop
+``winding_compare`` used to run beside its exact count, and the SVG and CSV
+writers, with the same bytes as their helper-based versions."""
 
 import itertools
 import math
 import random
+from fractions import Fraction
 from pathlib import Path
 from unittest import mock
 
@@ -12,7 +14,7 @@ import pytest
 from hypothesis import example, given, strategies as st
 
 import plumbtoric as pt
-from plumbtoric import docio
+from plumbtoric import cli, docio, toric
 from plumbtoric.cli import main
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -93,3 +95,115 @@ def test_only_the_writer_makes_a_float(capsys):
     assert capsys.readouterr().out == (GOLDEN / "survey_csv.out").read_text()
     for name, report in reports.items():
         assert docio.dumps(docio.report_to_doc(report)) == (GOLDEN / (name + ".out")).read_text()
+
+
+# ---------------------------------------------------------------------------
+# The two bulk writers, pinned against the library's earlier helper-based
+# versions: each element is now one % template, with the same bytes.
+
+
+def _fmt(x):
+    return "%.3f" % x
+
+
+def oracle_render_svg(poly):
+    pts = [(float(x), float(y)) for x, y in poly.vertices]
+    ray_tips = [(x * 1.45, y * 1.45) for x, y in (pts[0], pts[-1])]
+    xs = [p[0] for p in pts + ray_tips] + [0.0]
+    ys = [p[1] for p in pts + ray_tips] + [0.0]
+    span = max(max(xs) - min(xs), max(ys) - min(ys), 1e-9)
+    margin = 0.08 * span
+    x0, y1 = min(xs) - margin, max(ys) + margin
+    scale = 480.0 / (span + 2 * margin)
+
+    def to_px(p):
+        return ((p[0] - x0) * scale, (y1 - p[1]) * scale)
+
+    parts = [
+        '<?xml version="1.0" encoding="UTF-8"?>',
+        '<svg xmlns="http://www.w3.org/2000/svg" version="1.1" '
+        'width="%d" height="%d" viewBox="0 0 %d %d">' % ((480.0,) * 4),
+        '<g font-family="monospace" font-size="11">',
+    ]
+    ox, oy = to_px((0.0, 0.0))
+    parts.append(
+        '<circle class="origin" cx="%s" cy="%s" r="3" fill="black"/>' % (_fmt(ox), _fmt(oy))
+    )
+    for tip, cls in ((ray_tips[0], "ray start-ray"), (ray_tips[1], "ray end-ray")):
+        tx, ty = to_px(tip)
+        parts.append(
+            '<line class="%s" x1="%s" y1="%s" x2="%s" y2="%s" '
+            'stroke="blue" stroke-dasharray="6,4"/>' % (cls, _fmt(ox), _fmt(oy), _fmt(tx), _fmt(ty))
+        )
+    for e in poly.edges:
+        (ax, ay), (bx, by) = to_px(pts[e.start]), to_px(pts[e.end])
+        parts.append(
+            '<line class="edge" x1="%s" y1="%s" x2="%s" y2="%s" '
+            'stroke="darkorange" stroke-width="2"/>' % (_fmt(ax), _fmt(ay), _fmt(bx), _fmt(by))
+        )
+        mx, my = (ax + bx) / 2, (ay + by) / 2
+        parts.append(
+            '<text class="edge-label" x="%s" y="%s">s=%d a=%s</text>'
+            % (_fmt(mx + 4), _fmt(my - 4), e.self_intersection, docio.format_fraction(e.area))
+        )
+    arc = [ray_tips[0]] + pts + [ray_tips[1]]
+    arc_pts = " ".join("%s,%s" % tuple(map(_fmt, to_px((0.35 * p[0], 0.35 * p[1])))) for p in arc)
+    parts.append(
+        '<polyline class="boundary" points="%s" fill="none" stroke="green" '
+        'stroke-dasharray="2,3"/>' % arc_pts
+    )
+    parts.append("</g>")
+    parts.append("</svg>")
+    return "\n".join(parts) + "\n"
+
+
+def oracle_survey_to_csv(rows):
+    lines = [docio.SURVEY_HEADER, ",".join(docio.SURVEY_COLUMNS)]
+    for row in rows:
+        lines.append('"%s",%s' % (row[0], ",".join(row[1:])))
+    return "\n".join(lines) + "\n"
+
+
+def sweep_polygons():
+    """The first-pivot polygon of every seventh criterion-06 chain; of every
+    50th of those also the polygon with heights scaled by 7/3, and of every
+    10th a corner blow-up of size 1/2."""
+    chains = [
+        s for n in range(2, 7) for s in itertools.product(SWEEP_VALUES, repeat=n) if max(s) >= 0
+    ]
+    for k, s in enumerate(chains[::7]):
+        pivot = next(i for i, v in enumerate(s, start=1) if v >= 0)
+        try:
+            poly = pt.moment_polygon(s, pivot)
+        except pt.PreconditionError:
+            continue
+        yield poly
+        if k % 50 == 0:
+            yield pt.moment_polygon(s, pivot, [Fraction(7, 3) * h for h in toric._heights(s, pivot)])
+        if k % 10 == 0:
+            try:
+                yield pt.blow_up_corner(poly, 1 + k % (len(s) - 1), Fraction(1, 2))
+            except pt.PreconditionError:
+                pass
+
+
+class TestBulkWriters:
+    def test_svg_same_bytes_on_sweep_polygons(self):
+        count = 0
+        for poly in sweep_polygons():
+            assert docio.render_svg(poly) == oracle_render_svg(poly)
+            count += 1
+        assert count >= 20000
+
+    def test_csv_same_bytes_on_survey_rows(self):
+        chains = [
+            s for n in range(2, 5) for s in itertools.product(range(-3, 3), repeat=n) if max(s) >= 0
+        ]
+        rows = cli._survey_chunk(sorted(chains))
+        assert len(rows) > 1000
+        assert docio.survey_to_csv(rows) == oracle_survey_to_csv(rows)
+        assert docio.survey_to_csv([]) == oracle_survey_to_csv([])
+
+    @given(st.lists(st.tuples(*[st.text()] * len(docio.SURVEY_COLUMNS)), max_size=5))
+    def test_csv_same_bytes_on_any_strings(self, rows):
+        assert docio.survey_to_csv(rows) == oracle_survey_to_csv(rows)
