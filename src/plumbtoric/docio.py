@@ -199,6 +199,8 @@ def polygon_from_doc(doc: dict) -> MomentPolygon:
             for e in doc["edges"]
         )
         rays = (_pair(doc["rays"][0], parse_int), _pair(doc["rays"][1], parse_int))
+        if len(edges) != len(vertices) - 1:
+            raise ValueError("%d edges for %d vertices" % (len(edges), len(vertices)))
     except _READ_ERRORS as exc:
         raise MalformedDocument("bad moment-polygon document: %s" % exc) from None
     return MomentPolygon(vertices=vertices, edges=edges, rays=rays)

@@ -15,13 +15,12 @@ count.
 
 Every moment polygon, constructed or blown up, is assembled by ``_polygon``:
 edge j joins vertices j and j + 1, and the picture is re-read before it is
-returned.  The re-read (``_reread``) runs on ints scaled by one common
-denominator D.  ``moment_polygon`` computes on such ints from the heights
-on, re-reads the int points and int areas it just built, and only then
-makes Fractions, once, for the returned coordinates and areas.
-``blow_up_corner`` splices the new vertices and areas into the input's
-Fractions and re-reads the result through ``_verify_polygon``, which scales
-any polygon to ints first.
+returned.  The re-read (``_reread``) runs once per polygon, on the int
+points and int areas its builder computed over one common denominator D.
+``moment_polygon`` computes on such ints from the heights on and only then
+makes Fractions, once, for the returned coordinates and areas;
+``blow_up_corner`` scales its input once and builds Fractions only for the
+values the chop changes.
 
 Chain positions and pivot indices are 1-based throughout, matching the
 notation (s_1, ..., s_n).
@@ -386,10 +385,10 @@ class MomentPolygon:
     rays: Tuple[tuple, tuple]
 
 
-def _reread(steps, lengths, s, rays) -> None:
+def _reread(pts, lengths, s, rays) -> None:
     """The polygon re-read, on ints scaled by one common denominator D.
 
-    Edge j + 1 has the scaled displacement steps[j] and the scaled area
+    Edge j + 1 runs from pts[j] to pts[j + 1] and has the scaled area
     lengths[j] = D a_j.  The boundary is traversed with the image on its
     left, so the inward normal of a sphere edge is the left rotation of its
     direction; the first ray is traversed inward and the last one outward.
@@ -399,7 +398,8 @@ def _reread(steps, lengths, s, rays) -> None:
     """
     (r0x, r0y), (r1x, r1y) = rays
     normals = [(r0y, -r0x)]
-    for j, ((dx, dy), length) in enumerate(zip(steps, lengths), start=1):
+    for j, ((px, py), (qx, qy), length) in enumerate(zip(pts, pts[1:], lengths), start=1):
+        dx, dy = qx - px, qy - py
         g = gcd(dx, dy)
         if not g:
             lattice.primitive((dx, dy))  # raises ZeroVector: a zero-length edge
@@ -413,20 +413,6 @@ def _reread(steps, lengths, s, rays) -> None:
             raise InternalInvariantError(
                 "normal determinant %d != s_%d = %d" % (det, j + 1, sj)
             )
-
-
-def _steps(pts, edges) -> list:
-    return [(pts[b][0] - pts[a][0], pts[b][1] - pts[a][1]) for a, b in edges]
-
-
-def _verify_polygon(poly: MomentPolygon, s) -> None:
-    """Re-read a polygon with any vertices, areas and edge indices, scaled
-    to ints over one common denominator."""
-    coords = [c for p in poly.vertices for c in p]
-    _, ints = lattice.scale_to_ints(coords + [e.area for e in poly.edges])
-    n = len(coords)
-    pts = list(zip(ints[0:n:2], ints[1:n:2]))
-    _reread(_steps(pts, [(e.start, e.end) for e in poly.edges]), ints[n:], s, poly.rays)
 
 
 def _polygon(vertices, s, areas, rays) -> MomentPolygon:
@@ -473,7 +459,7 @@ def moment_polygon(
         pts.append((zs[j - 1] * ax + zs[j] * bx, zs[j - 1] * ay + zs[j] * by))
     pts.append((zs[n - 1] * tail[n - 1][0], zs[n - 1] * tail[n - 1][1]))
     rays = (head[0], tail[-1])
-    _reread(_steps(pts, ((j, j + 1) for j in range(n))), lengths, s, rays)
+    _reread(pts, lengths, s, rays)
     vertices = tuple((Fraction(x, scale), Fraction(y, scale)) for x, y in pts)
     return _polygon(vertices, s, [Fraction(l, scale) for l in lengths], rays)
 
@@ -485,10 +471,13 @@ def blow_up_corner(poly: MomentPolygon, vertex: int, size) -> MomentPolygon:
     The corner must be interior (between two sphere edges) and Delzant: the
     primitive edge directions must form a positively oriented Z^2 basis.
     Edge j of the result joins vertices j and j + 1, whatever the indices
-    of the input's edges.  The result is re-read by ``_verify_polygon``.
+    of the input's edges, which must be one fewer than its vertices.  The
+    corner check and the re-read run on the input scaled to ints once.
     """
     size = Fraction(size)
-    verts = poly.vertices
+    verts, edges = poly.vertices, poly.edges
+    if len(edges) != len(verts) - 1:
+        raise InternalInvariantError("%d edges for %d vertices" % (len(edges), len(verts)))
     if not 1 <= vertex <= len(verts) - 2:
         raise NotDelzantCorner(
             "vertex %d is not an interior corner (valid: 1..%d); the ray-end "
@@ -496,26 +485,33 @@ def blow_up_corner(poly: MomentPolygon, vertex: int, size) -> MomentPolygon:
         )
     if size <= 0:
         raise ValueError("blow-up size must be positive")
-    p, v, q = verts[vertex - 1 : vertex + 2]
-    scale, (px, py, vx, vy, qx, qy, cut) = lattice.scale_to_ints((*p, *v, *q, size))
+    n = 2 * len(verts)
+    values = [c for p in verts for c in p] + [e.area for e in edges]
+    scale, ints = lattice.scale_to_ints(values + [size])
+    pts = list(zip(ints[0:n:2], ints[1:n:2]))
+    lengths, cut = ints[n:-1], ints[-1]
+    (px, py), (vx, vy), (qx, qy) = pts[vertex - 1 : vertex + 2]
     d_in = lattice.primitive((vx - px, vy - py))
     d_out = lattice.primitive((qx - vx, qy - vy))
     if cross(d_in, d_out) != 1:
         raise NotDelzantCorner(
             "edge directions %s, %s are not a positive Z^2 basis" % (d_in, d_out)
         )
-    e_in, e_out = poly.edges[vertex - 1], poly.edges[vertex]
-    if size >= e_in.area or size >= e_out.area:
+    e_in, e_out = edges[vertex - 1], edges[vertex]
+    l_in, l_out = lengths[vertex - 1], lengths[vertex]
+    if cut >= l_in or cut >= l_out:
         raise SizeTooLarge(
             "size %s must be smaller than both adjacent lengths %s, %s"
             % (size, e_in.area, e_out.area)
         )
-    va = (Fraction(vx - cut * d_in[0], scale), Fraction(vy - cut * d_in[1], scale))
-    vb = (Fraction(vx + cut * d_out[0], scale), Fraction(vy + cut * d_out[1], scale))
-    s = [e.self_intersection for e in poly.edges]
-    a = [e.area for e in poly.edges]
+    va = (vx - cut * d_in[0], vy - cut * d_in[1])
+    vb = (vx + cut * d_out[0], vy + cut * d_out[1])
+    pts[vertex : vertex + 1] = [va, vb]
+    lengths[vertex - 1 : vertex + 1] = [l_in - cut, cut, l_out - cut]
+    s = [e.self_intersection for e in edges]
     s[vertex - 1 : vertex + 1] = [e_in.self_intersection - 1, -1, e_out.self_intersection - 1]
-    a[vertex - 1 : vertex + 1] = [e_in.area - size, size, e_out.area - size]
-    blown = _polygon(verts[:vertex] + (va, vb) + verts[vertex + 1 :], s, a, poly.rays)
-    _verify_polygon(blown, s)
-    return blown
+    _reread(pts, lengths, s, poly.rays)
+    new = tuple((Fraction(x, scale), Fraction(y, scale)) for x, y in (va, vb))
+    a = [e.area for e in edges]
+    a[vertex - 1 : vertex + 1] = [Fraction(l_in - cut, scale), size, Fraction(l_out - cut, scale)]
+    return _polygon(verts[:vertex] + new + verts[vertex + 1 :], s, a, poly.rays)

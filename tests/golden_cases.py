@@ -1,0 +1,142 @@
+"""The golden CLI cases and a harness for them that needs no pytest.
+
+The files under ``tests/golden/`` hold, per case, the exact stdout
+(``<name>.out``) and, in ``manifest.json``, the exit status and the
+``error.type`` of the stderr record (null on success); for a failing case
+the manifest also holds the record's ``error.message``.  Refactors of the
+library must reproduce them byte for byte.  With the library on
+``PYTHONPATH``, to compare every case with its files, or to rewrite the
+files from the library:
+
+    python tests/golden_cases.py --check
+    python tests/golden_cases.py --regenerate
+
+``test_golden.py`` runs the same comparison under pytest, one test per case.
+"""
+
+import io
+import json
+import os
+import sys
+from contextlib import redirect_stderr, redirect_stdout
+from pathlib import Path
+
+from plumbtoric.cli import main
+
+GOLDEN = Path(__file__).parent / "golden"
+ITINERARY = str(GOLDEN / "itinerary.json")
+INDEX = str(GOLDEN / "index.json")
+# rational vertices over denominators 2, 3 and 6, five corners
+RATIONAL_ITINERARY = str(GOLDEN / "itinerary_rational.json")
+# ITINERARY moved by (2, 1; 1, 1) in SL(2,Z): the same actions, but other
+# slopes, so families come out in another order and ties fall elsewhere
+IMAGE_ITINERARY = str(GOLDEN / "itinerary_image.json")
+CAPS = ("PLUMBTORIC_MAX_SURVEY", "PLUMBTORIC_MAX_GENERATORS")
+
+CASES = {
+    "classify_tight": ["classify", "--plumbing", "-2,1,0,-2"],
+    "classify_overtwisted": ["classify", "--plumbing", "2,1,3"],
+    "classify_3_-2_-2": ["classify", "--plumbing", "3,-2,-2"],
+    "classify_reduce": ["classify", "--plumbing", "2,-1,2", "--reduce"],
+    # rays past 10^308: the display-only swept angle takes its rescale path
+    "classify_huge_entries": ["classify", "--plumbing", ",".join(["3" * 160] * 2)],
+    "construct_heights": [
+        "construct", "--plumbing", "-2,1,0,-2", "--heights", "-1,-3,-3,-1",
+    ],
+    "construct_svg": ["construct", "--plumbing", "2,3", "--format", "svg"],
+    "construct_rational_heights": [
+        "construct", "--plumbing", "-2,1,0,-2", "--heights", "-1/2,-5/3,-7/4,-2/3",
+    ],
+    "construct_rational_svg": [
+        "construct", "--plumbing", "3,-2,-2,0,2", "--heights", "-13/2,-10/3,-3/2,-2/3,-1/2",
+        "--format", "svg",
+    ],
+    "construct_five": ["construct", "--plumbing", "3,-2,-2,0,2"],
+    "survey_csv": ["survey", "--n", "2..3", "--range", "-3..1"],
+    "survey_json_jobs2": [
+        "survey", "--n", "2..3", "--range", "-3..1", "--format", "json", "--jobs", "2",
+    ],
+    "reeb_orbits_5": ["reeb-orbits", "--itinerary", ITINERARY, "--action-bound", "5"],
+    "reeb_orbits_31_3": [
+        "reeb-orbits", "--itinerary", ITINERARY, "--action-bound", "31/3",
+    ],
+    # from 37/3 on, generators hold two orbits with equal document fields
+    # (equal-base families at slopes (-1, -2) and (1, -2)), so this pins
+    # their tie order
+    "reeb_orbits_37_3": [
+        "reeb-orbits", "--itinerary", ITINERARY, "--action-bound", "37/3",
+    ],
+    "reeb_orbits_image_31_3": [
+        "reeb-orbits", "--itinerary", IMAGE_ITINERARY, "--action-bound", "31/3",
+    ],
+    # below every action: no families, and the empty current alone
+    "reeb_orbits_1": ["reeb-orbits", "--itinerary", ITINERARY, "--action-bound", "1"],
+    "reeb_orbits_rational_21_2": [
+        "reeb-orbits", "--itinerary", RATIONAL_ITINERARY, "--action-bound", "21/2",
+    ],
+    # 19/2 is the action of slope (-1, -3) at the corner (-3/2, -8/3)
+    "error_reeb_orbits_exact_bound": [
+        "reeb-orbits", "--itinerary", RATIONAL_ITINERARY, "--action-bound", "19/2",
+    ],
+    "index": ["index", "--input", INDEX],
+    "error_minus_one": ["classify", "--plumbing", "2,-1,2"],
+    "error_not_concave": ["classify", "--plumbing", "-2,-3"],
+    "error_too_short": ["classify", "--plumbing", "5"],
+    "error_malformed": ["classify", "--plumbing", "2,x"],
+    "error_construct_negative": ["construct", "--plumbing", "-2,-3"],
+    "error_construct_pivot": ["construct", "--plumbing", "-2,3", "--pivot", "1"],
+    # the height and area refusals print the offending rational value
+    "error_construct_rational_height": [
+        "construct", "--plumbing", "3,-2", "--heights", "-1/2,1/3",
+    ],
+    "error_construct_rational_area": [
+        "construct", "--plumbing", "3,-2", "--heights", "-1/2,-5/3",
+    ],
+}
+
+
+def run_case(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        code = main(list(argv))
+    if not code:
+        return out.getvalue(), {"exit": code, "error": None}
+    error = json.loads(err.getvalue())["error"]
+    return out.getvalue(), {"exit": code, "error": error["type"], "message": error["message"]}
+
+
+def expected(name):
+    """The pinned stdout and status of case ``name``."""
+    manifest = json.loads((GOLDEN / "manifest.json").read_text())
+    return (GOLDEN / (name + ".out")).read_text(), manifest[name]
+
+
+def regenerate():
+    for var in CAPS:
+        os.environ.pop(var, None)
+    manifest = {}
+    for name, argv in sorted(CASES.items()):
+        out, manifest[name] = run_case(argv)
+        (GOLDEN / (name + ".out")).write_text(out)
+    (GOLDEN / "manifest.json").write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n")
+
+
+def check() -> list:
+    """The names of the cases whose output differs from their files."""
+    for var in CAPS:
+        os.environ.pop(var, None)
+    return [name for name, argv in sorted(CASES.items()) if run_case(argv) != expected(name)]
+
+
+if __name__ == "__main__":
+    if sys.argv[1:] == ["--regenerate"]:
+        regenerate()
+    elif sys.argv[1:] == ["--check"]:
+        differ = check()
+        for name in differ:
+            print("differs: %s" % name)
+        print("%d of %d golden cases match" % (len(CASES) - len(differ), len(CASES)))
+        sys.exit(1 if differ else 0)
+    else:
+        print("usage: golden_cases.py --check | --regenerate", file=sys.stderr)
+        sys.exit(2)

@@ -163,6 +163,16 @@ class TestSurveyCommand:
             assert code == 2 and out == ""
             assert json.loads(err)["error"]["type"] == "MalformedDocument"
 
+    @pytest.mark.parametrize("jobs", ["0", "-1"])
+    def test_jobs_below_one_exits_2(self, capsys, jobs):
+        code, out, err = run(capsys, "survey", "--n", "2", "--range", "0..1", "--jobs", jobs)
+        assert code == 2 and out == ""
+        error = json.loads(err)["error"]
+        assert (error["type"], error["message"]) == (
+            "MalformedDocument",
+            "--jobs must be at least 1",
+        )
+
     def test_cap_respected(self, capsys, monkeypatch):
         monkeypatch.setenv("PLUMBTORIC_MAX_SURVEY", "10")
         code, _, err = run(capsys, "survey", "--n", "4", "--range", "-3..3")
@@ -574,6 +584,16 @@ class TestPolygonRoundTrip:
         with pytest.raises(MalformedDocument, match="pair"):
             polygon_from_doc(doc)
 
+    @pytest.mark.parametrize("extra", [-1, 1])
+    def test_edge_count_not_vertex_count_minus_one(self, extra):
+        doc = json.loads(json.dumps(polygon_to_doc(moment_polygon((-2, 1, 0, -2), 2))))
+        doc["edges"] = doc["edges"][:extra] if extra < 0 else doc["edges"] + doc["edges"][-1:]
+        with pytest.raises(
+            MalformedDocument,
+            match="^bad moment-polygon document: %d edges for 5 vertices$" % (4 + extra),
+        ):
+            polygon_from_doc(doc)
+
     def test_exact_rationals_survive(self):
         poly = moment_polygon((3, -2), 1)
         doc = polygon_to_doc(poly)
@@ -748,7 +768,7 @@ flag_argv = st.one_of(
         "survey",
         required("--n", or_junk(flag_length)),
         required("--range", or_junk(flag_range, flag_int)),
-        flag("--jobs", st.just("1")),
+        flag("--jobs", st.sampled_from(["-1", "0", "1"])),
         flag("--format", or_junk(st.sampled_from(["csv", "json"]))),
         switch("--exclude-minus-one"),
         output,

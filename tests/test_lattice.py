@@ -99,6 +99,10 @@ class TestContinuedFraction:
     def test_undefined_tail(self):
         assert continued_fraction([3, 1, 1]) is None
 
+    def test_empty(self):
+        with pytest.raises(TooShort, match="^continued fraction of an empty sequence$"):
+            continued_fraction(())
+
     @given(st.integers(-9, 9))
     def test_singleton(self, s):
         assert continued_fraction([s]) == s

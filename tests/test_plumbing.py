@@ -10,6 +10,7 @@ from plumbtoric import (
     MovePreconditionFailed,
     NeumannMove,
     NonpositiveArea,
+    TooShort,
     areas,
     blow_down,
     continued_fraction,
@@ -236,6 +237,26 @@ class TestNeumannMoves:
             neumann_move((1, 0, 3), NeumannMove.R3, 2)  # neighbor is an end
         with pytest.raises(MovePreconditionFailed):
             neumann_move((1, 2, 1, 3, 1), NeumannMove.R3, 3)  # entry not 0
+
+    @pytest.mark.parametrize("site", [0, 4])
+    def test_site_out_of_range(self, site):
+        with pytest.raises(MovePreconditionFailed, match="^site %d out of range 1..3$" % site):
+            neumann_move((2, 1, 3), NeumannMove.R1_MID, site)
+
+    def test_unknown_move(self):
+        with pytest.raises(MovePreconditionFailed, match="^unknown move 'R1_MID'$"):
+            neumann_move((2, 1, 3), "R1_MID", 2)
+
+
+class TestAsChain:
+    def test_empty(self):
+        with pytest.raises(TooShort, match="^empty plumbing chain$"):
+            as_chain(())
+
+    @pytest.mark.parametrize("entry", [2.0, Fraction(2), True, "2"])
+    def test_non_int_entry(self, entry):
+        with pytest.raises(TypeError, match="^self-intersection numbers must be integers$"):
+            as_chain((3, entry))
 
 
 class TestNegativeGSCheck:

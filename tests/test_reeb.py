@@ -43,7 +43,7 @@ from plumbtoric import (
     validate_itinerary,
     winding_compare,
 )
-from plumbtoric.reeb import FamilyCount, OrbitFamily
+from plumbtoric.reeb import FamilyCount, ItineraryViolation, OrbitFamily
 from plumbtoric.lattice import primitive, primitive_of_rational
 
 
@@ -105,6 +105,12 @@ class TestValidateItinerary:
         kinds = {v.kind for v in validate_itinerary(bad)}
         assert "anchor" in kinds
 
+    def test_one_vertex(self):
+        lone = make_itinerary([(0, -2)], (0, -1), (0, -1))
+        assert validate_itinerary(lone) == [
+            ItineraryViolation("anchor", 0, "need at least two vertices")
+        ]
+
 
 class TestEnumerateOrbits:
     def test_worked_example(self):
@@ -127,6 +133,11 @@ class TestEnumerateOrbits:
     def test_exact_bound_aborts(self):
         with pytest.raises(ActionBoundHit):
             enumerate_orbits(DIP, 2)
+
+    @pytest.mark.parametrize("bound", [0, F("-1/2")])
+    def test_nonpositive_bound(self, bound):
+        with pytest.raises(ValueError, match="^action bound must be positive$"):
+            enumerate_orbits(DIP, bound)
 
     def test_invalid_itinerary_rejected(self):
         bad = make_itinerary([(1, 1), (2, 2), (2, 4)], (1, 1), (1, 2))
@@ -488,6 +499,16 @@ class TestEnumerateGenerators:
     def test_below_all_actions(self):
         gens = enumerate_generators([hyperbolic_orbit(3), elliptic_orbit(3)], 2)
         assert gens == [ReebCurrent(())]
+
+    @pytest.mark.parametrize("bound", [0, F("-1/2")])
+    def test_nonpositive_bound(self, bound):
+        with pytest.raises(ValueError, match="^action bound must be positive$"):
+            enumerate_generators([elliptic_orbit(2)], bound)
+
+    @pytest.mark.parametrize("action", [0, -2])
+    def test_nonpositive_orbit_action(self, action):
+        with pytest.raises(ValueError, match="^orbit actions must be positive$"):
+            enumerate_generators([elliptic_orbit(2), hyperbolic_orbit(action)], 5)
 
     def test_two_pairs(self):
         orbits = [
@@ -871,6 +892,10 @@ class TestPositivity:
 
     def test_forbidden(self):
         assert positivity_sign((0, -1), (-1, 0)) == -1
+
+    def test_zero_slope(self):
+        with pytest.raises(ZeroVector, match="^Reeb slope must be nonzero$"):
+            positivity_sign((0, 0), (1, 0))
 
 
 class TestTorsionVerdict:

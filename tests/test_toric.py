@@ -290,6 +290,35 @@ class TestCrossChecksFire:
         assert not classify((3, -2, -2)).det_check
 
 
+class TestRaySequenceChecksFire:
+    """ray_sequence re-checks each glued ray against its pair (a, b); for
+    (2, 3) at pivot 1 the rays are w0 = (1, -2) and tail[1] = (-3, 1), with
+    cross -5 = 1 - 2 * 3."""
+
+    def corrupt(self, monkeypatch, ray):
+        real = toric._candidate_rays
+
+        def corrupt_tail(s):
+            head, tail = real(s)
+            tail[1] = ray
+            return head, tail
+
+        monkeypatch.setattr(toric, "_candidate_rays", corrupt_tail)
+
+    def test_cross(self, monkeypatch):
+        self.corrupt(monkeypatch, (-3, 2))
+        with pytest.raises(
+            InternalInvariantError, match=r"^cross\(w_0, w_1\) != 1 - a b for \(2, 3\)$"
+        ):
+            ray_sequence((2, 3), 1)
+
+    def test_primitive(self, monkeypatch):
+        # tail[1] + 3 w0 keeps the cross but has gcd 5
+        self.corrupt(monkeypatch, (0, -5))
+        with pytest.raises(InternalInvariantError, match=r"^ray \(0, -5\) not primitive$"):
+            ray_sequence((2, 3), 1)
+
+
 class TestLensInvariant:
     def test_sphere_example(self):
         assert lens_invariant((2, 1, 3)) == (1, 0)
@@ -318,6 +347,13 @@ class TestLensEquivalent:
     def test_s1_times_s2(self):
         assert lens_equivalent((0, 1), (0, -1))
         assert not lens_equivalent((0, 1), (0, 3))
+
+    def test_different_orders(self):
+        assert not lens_equivalent((5, 2), (7, 2))
+
+    def test_negative_order(self):
+        with pytest.raises(ValueError, match="^k must be nonnegative$"):
+            lens_equivalent((-5, 2), (5, 2))
 
 
 class TestMomentPolygon:
@@ -384,6 +420,43 @@ class TestBlowUpCorner:
         poly = moment_polygon((2, 3), 1, (-1, -1))
         with pytest.raises(NotDelzantCorner):
             blow_up_corner(poly, 0, Fraction(1, 2))
+
+    @pytest.mark.parametrize("size", [0, Fraction(-1, 2)])
+    def test_size_not_positive(self, size):
+        with pytest.raises(ValueError, match="^blow-up size must be positive$"):
+            blow_up_corner(moment_polygon((0, 3), 1), 1, size)
+
+    def test_corner_not_delzant(self):
+        poly = MomentPolygon(
+            vertices=((0, 2), (0, 0), (2, 1)),
+            edges=(PolygonEdge(0, 1, 0, 2), PolygonEdge(1, 2, 0, 1)),
+            rays=((0, 1), (2, 1)),
+        )
+        with pytest.raises(
+            NotDelzantCorner,
+            match=r"^edge directions \(0, -1\), \(2, 1\) are not a positive Z\^2 basis$",
+        ):
+            blow_up_corner(poly, 1, Fraction(1, 2))
+
+    def test_edges_renumbered(self):
+        # edge j of the result joins vertices j and j + 1, whatever the
+        # indices the input's edges carry
+        poly = moment_polygon((-2, 1, 0, -2), 2)
+        relabeled = MomentPolygon(
+            poly.vertices,
+            tuple(PolygonEdge(7, j, e.self_intersection, e.area) for j, e in enumerate(poly.edges)),
+            poly.rays,
+        )
+        chopped = blow_up_corner(relabeled, 2, Fraction(1, 2))
+        assert chopped == blow_up_corner(poly, 2, Fraction(1, 2))
+        assert [(e.start, e.end) for e in chopped.edges] == [(j, j + 1) for j in range(5)]
+
+    @pytest.mark.parametrize("extra", [-1, 1])
+    def test_edge_count_not_vertex_count_minus_one(self, extra):
+        poly = moment_polygon((-2, 1, 0, -2), 2)
+        edges = poly.edges[:extra] if extra < 0 else poly.edges + poly.edges[-1:]
+        with pytest.raises(InternalInvariantError, match="^%d edges for 5 vertices$" % (4 + extra)):
+            blow_up_corner(MomentPolygon(poly.vertices, edges, poly.rays), 2, Fraction(1, 2))
 
     def test_corner_with_radial_edges(self):
         # both sphere edges of this corner point along rays from the origin
@@ -500,25 +573,22 @@ class TestReReadFaults:
         bad = PolygonEdge(e.start, e.end, e.self_intersection, e.area + Fraction(1, 12))
         off = MomentPolygon(poly.vertices, poly.edges[:2] + (bad,) + poly.edges[3:], poly.rays)
         with pytest.raises(InternalInvariantError, match="^edge 3 affine length != area$"):
-            toric._verify_polygon(off, self.S)
+            blow_up_corner(off, 3, Fraction(1, 5))
         with pytest.raises(InternalInvariantError, match="^edge 4 affine length != area$"):
             blow_up_corner(off, 1, Fraction(1, 5))
 
-    @pytest.mark.parametrize("corner", [None, 1, 3])
+    @pytest.mark.parametrize("corner", [1, 2, 3])
     def test_zero_length_edge(self, corner):
         verts = list(self.POLY.vertices)
         verts[3] = verts[2]
         zero = MomentPolygon(tuple(verts), self.POLY.edges, self.POLY.rays)
         with pytest.raises(ZeroVector, match=r"^\(0, 0\) has no direction$"):
-            if corner is None:
-                toric._verify_polygon(zero, self.S)
-            else:
-                blow_up_corner(zero, corner, Fraction(1, 5))
+            blow_up_corner(zero, corner, Fraction(1, 5))
 
     def test_swapped_rays(self):
         swapped = MomentPolygon(self.POLY.vertices, self.POLY.edges, self.POLY.rays[::-1])
         with pytest.raises(InternalInvariantError, match="^normal determinant 1 != s_1 = -2$"):
-            toric._verify_polygon(swapped, self.S)
+            blow_up_corner(swapped, 3, Fraction(1, 5))
         with pytest.raises(InternalInvariantError, match="^normal determinant 2 != s_1 = -3$"):
             blow_up_corner(swapped, 1, Fraction(1, 5))
 
