@@ -15,10 +15,9 @@ bytes as ``dumps`` of the document: each family from its
 generator-entry text, up to the multiplicity, from one template each (the
 entry texts once per call); each generator (``current_to_doc``) joins those
 of its entries.  The other two bulk writers work the same way: each survey
-CSV row is one ``_CSV_ROW`` template, and each element of the SVG picture
-one template with its coordinates in ``%.3f`` fields.  Output with an
-integer too long to print is refused as :class:`OutputTooLarge`
-(``_printable``).
+CSV row is one f-string, and each element of the SVG picture one template
+with its coordinates in ``%.3f`` fields.  Output with an integer too long
+to print is refused as :class:`OutputTooLarge` (``_printable``).
 """
 
 from __future__ import annotations
@@ -371,15 +370,16 @@ def survey_row(chain, report: BoundaryReport) -> tuple:
     )
 
 
-# the survey table's head, and one row as printed: the chain column quoted
 _CSV_HEAD = "%s\n%s\n" % (SURVEY_HEADER, ",".join(SURVEY_COLUMNS))
-_CSV_ROW = '"%s"' + ",%s" * (len(SURVEY_COLUMNS) - 1) + "\n"
 
 
 def survey_to_csv(rows: Sequence[tuple]) -> str:
-    """The survey table: the header, the column names, then each row through
-    the one template ``_CSV_ROW``."""
-    return _CSV_HEAD + "".join([_CSV_ROW % row for row in rows])
+    """The survey table: the header, the column names, then each row as one
+    f-string over its ``SURVEY_COLUMNS`` fields, the chain column quoted."""
+    return _CSV_HEAD + "".join([
+        f'"{s}",{verdict},{k},{l},{vs_pi},{vs_2pi},{det},{det_check}\n'
+        for s, verdict, k, l, vs_pi, vs_2pi, det, det_check in rows
+    ])
 
 
 def survey_to_json(rows: Sequence[tuple]) -> str:

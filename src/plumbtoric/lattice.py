@@ -108,7 +108,8 @@ def continued_fraction(entries: Sequence[int]) -> Optional[Fraction]:
 
     Evaluated right to left over exact rationals.  Returns ``None`` when an
     intermediate tail evaluates to zero, making the next division undefined;
-    that is a legitimate value of the expression, not a failure.
+    that is a legitimate value of the expression, not a failure.  ``classify``
+    does not use it: its lens check compares int continuants on every chain.
     """
     if not entries:
         raise TooShort("continued fraction of an empty sequence")

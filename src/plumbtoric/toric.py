@@ -4,7 +4,8 @@ A linear plumbing chain with some entry >= 0 is decomposed into L-shapes,
 one per consecutive pair, which are glued by the SL(2,Z) matrices
 A_j = [[-s_j, -1], [1, 0]].  The glued image determines a sequence of
 integer rays; the exact angle they sweep decides tight versus overtwisted,
-and the normalized terminal rays identify the lens space on the boundary.
+and the terminal ray r gives the lens pair (cross(w_0, r), r_x), checked on
+every chain to equal the continuants (-1)^(n-1) (K(s_1..s_n), K(s_2..s_n)).
 
 The verdict does not depend on the pivot, and ``classify`` checks that for
 every valid pivot at about the cost of one.  With k = min(i, n - 1), pivot
@@ -53,7 +54,7 @@ from .errors import (
     TooShort,
 )
 from .lattice import Cmp, MatSL2Z, WindingVerdict, cross
-from .plumbing import _det, area_vector, as_chain, blow_down, is_negative_definite
+from .plumbing import _det, _minors, area_vector, as_chain, blow_down, is_negative_definite
 
 
 def gluing_matrix(s_j: int) -> MatSL2Z:
@@ -252,27 +253,24 @@ def _lens_normalize(k: int, l: int) -> Tuple[int, int]:
 def lens_invariant(s: Sequence[int]) -> Tuple[int, int]:
     """(k, l) with boundary L(k, l), normalized to k >= 0 and l in [0, k).
 
-    Computed from the terminal ray: B.R_2 = (-l, -k) with
-    B = [[-1, 0], [-s_1, -1]], then cross-checked against the continued
-    fraction k/l = [s_1, ..., s_n] whenever the latter is defined.
+    Read off the terminal ray r as (cross(w_0, r), r_x), then checked, on
+    every chain, against the continuant pair: it must equal
+    (-1)^(n-1) (K(s_1..s_n), K(s_2..s_n)), all in ints.
     """
     s = as_chain(s)
     _concave_pivots(s)
     return _lens_from_terminal_ray(s, _candidate_rays(s)[1][-1])
 
 
-def _lens_from_terminal_ray(s, r2) -> Tuple[int, int]:
-    x = -r2[0]  # B.R_2 with B = [[-1, 0], [-s_1, -1]]
-    y = -s[0] * r2[0] - r2[1]
-    k_raw, l_raw = -y, -x
-    cf = lattice.continued_fraction(s)
-    if cf is not None:
-        # Fraction(k_raw, l_raw) == cf, by cross multiplication
-        if l_raw == 0 or k_raw * cf.denominator != cf.numerator * l_raw:
-            raise InconsistentInvariant(
-                "ray pair (%d, %d) disagrees with continued fraction %s for %s"
-                % (k_raw, l_raw, cf, s)
-            )
+def _lens_from_terminal_ray(s, r) -> Tuple[int, int]:
+    k_raw, l_raw = s[0] * r[0] + r[1], r[0]  # cross(w_0, r), r_x
+    *_, l, k = _minors(s[::-1])  # K is symmetric: K(s_2..s_n), K(s_1..s_n)
+    sign = (-1) ** (len(s) - 1)
+    if k_raw != sign * k or l_raw != sign * l:
+        raise InconsistentInvariant(
+            "ray pair (%d, %d) disagrees with continuant pair (%d, %d) for %s"
+            % (k_raw, l_raw, sign * k, sign * l, s)
+        )
     return _lens_normalize(k_raw, l_raw)
 
 

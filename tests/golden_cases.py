@@ -38,6 +38,9 @@ CASES = {
     "classify_overtwisted": ["classify", "--plumbing", "2,1,3"],
     "classify_3_-2_-2": ["classify", "--plumbing", "3,-2,-2"],
     "classify_reduce": ["classify", "--plumbing", "2,-1,2", "--reduce"],
+    # the inner tails (0, 0) and 0 vanish, so the continued fraction of this
+    # chain is undefined; the lens pair is still checked, on continuants
+    "classify_zero_tail": ["classify", "--plumbing", "3,0,0"],
     # rays past 10^308: the display-only swept angle takes its rescale path
     "classify_huge_entries": ["classify", "--plumbing", ",".join(["3" * 160] * 2)],
     "construct_heights": [

@@ -192,7 +192,11 @@ def test_criterion_06_det_identity_exhaustive(sweep):
 
 def test_criterion_07_lens_cross_check_never_fires(sweep):
     assert sweep.lens_failures == []
-    _passed(7, "ray-normalization vs continued fraction consistent on %d chains" % sweep.total)
+    _passed(
+        7,
+        "terminal-ray lens pair equals the continuant pair (-1)^(n-1) (K(s), K(s_2..s_n)) "
+        "on %d chains" % sweep.total,
+    )
 
 
 def test_criterion_08_theorem_suites(sweep):

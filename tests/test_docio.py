@@ -3,6 +3,7 @@ swept angle, made by the writer alone with the same bits as the float loop
 ``winding_compare`` used to run beside its exact count, and the SVG and CSV
 writers, with the same bytes as their helper-based versions."""
 
+import csv
 import itertools
 import math
 import random
@@ -201,7 +202,12 @@ class TestBulkWriters:
         ]
         rows = cli._survey_chunk(sorted(chains))
         assert len(rows) > 1000
-        assert docio.survey_to_csv(rows) == oracle_survey_to_csv(rows)
+        text = docio.survey_to_csv(rows)
+        assert text == oracle_survey_to_csv(rows)
+        # the row f-string names its fields itself, so pin their count
+        records = list(csv.reader(text.splitlines()[1:]))
+        assert len(records) == len(rows) + 1
+        assert {len(r) for r in records} == {len(docio.SURVEY_COLUMNS)}
         assert docio.survey_to_csv([]) == oracle_survey_to_csv([])
 
     @given(st.lists(st.tuples(*[st.text()] * len(docio.SURVEY_COLUMNS)), max_size=5))

@@ -27,6 +27,7 @@ from plumbtoric import (
     boundary_rays,
     choose_heights,
     classify,
+    continued_fraction,
     cross,
     decompose,
     det_intersection,
@@ -239,11 +240,32 @@ class TestCrossChecksFire:
     """Each internal cross-check of classify raises (or flags) on bad data."""
 
     def test_lens_routes(self, monkeypatch):
-        monkeypatch.setattr(lattice, "continued_fraction", lambda s: Fraction(7, 3))
-        with pytest.raises(InconsistentInvariant):
-            classify((3, -2, -2))
-        with pytest.raises(InconsistentInvariant):
-            lens_invariant((3, -2, -2))
+        # the continuant pair of (3, -2, -2) is (11, 3); each half is broken once
+        for pair in ((7, 3), (11, 4)):
+            monkeypatch.setattr(toric, "_minors", lambda s: iter(pair))
+            with pytest.raises(InconsistentInvariant):
+                classify((3, -2, -2))
+            with pytest.raises(InconsistentInvariant):
+                lens_invariant((3, -2, -2))
+
+    def test_lens_routes_zero_tail(self, monkeypatch):
+        # (3, 0, 0) has no continued fraction, since its inner tails vanish.
+        # (r_x + 1, r_y - 3) keeps cross(w_0, r) = 3 r_x + r_y but moves
+        # l = r_x, so the terminal ray (-1, 0) becomes (0, -3), which
+        # normalizes to (3, 0) in place of (3, 1).
+        real = toric._candidate_rays
+
+        def corrupt_last(s):
+            head, tail = real(s)
+            rx, ry = tail[-1]
+            tail[-1] = (rx + 1, ry - 3)
+            return head, tail
+
+        assert lens_invariant((3, 0, 0)) == (3, 1)
+        monkeypatch.setattr(toric, "_candidate_rays", corrupt_last)
+        for fn in (lens_invariant, classify):
+            with pytest.raises(InconsistentInvariant, match=r"^ray pair \(-3, 0\) disagrees"):
+                fn((3, 0, 0))
 
     def test_pivot_independence(self, monkeypatch):
         # (2, 1, 3) is overtwisted; pivot 2's count is corrupted to tight
@@ -328,6 +350,23 @@ class TestLensInvariant:
 
     def test_borderline_sphere(self):
         assert lens_invariant((-4, 0, 3)) == (1, 0)
+
+    @given(
+        st.lists(st.integers(-6, 6).filter(lambda v: v != -1), min_size=2, max_size=40)
+        .map(tuple)
+        .filter(lambda s: max(s) >= 0)
+    )
+    def test_terminal_ray_gives_signed_continuants(self, s):
+        sign = (-1) ** (len(s) - 1)
+        k, l = sign * det_intersection(s), sign * det_intersection(s[1:])
+        w0, r = boundary_rays(s, pivots_of(s)[0])
+        assert (cross(w0, r), r[0]) == (k, l)
+        cf = continued_fraction(s)
+        if cf is not None:
+            assert Fraction(k, l) == cf
+        if k < 0:
+            k, l = -k, -l
+        assert lens_invariant(s) == ((0, 1) if k == 0 else (1, 0) if k == 1 else (k, l % k))
 
 
 class TestLensEquivalent:
