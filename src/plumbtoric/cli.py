@@ -9,11 +9,13 @@ Each subcommand returns its text and ``main`` is the one writer, to stdout or
 The survey driver enumerates chains with some entry >= 0 (chains containing
 -1 are blown down before classification unless --exclude-minus-one drops
 them); the total number of entries of the enumerated chains is capped by
-PLUMBTORIC_MAX_SURVEY (default 10^6).  Rows are sorted by the chain tuple,
-so output does not depend on the worker count (--jobs, at most the CPU
-count).  reeb-orbits refuses once it passes PLUMBTORIC_MAX_GENERATORS generators
-(default 10^5), during the orbit enumeration when the families' orbits alone
-pass it.
+PLUMBTORIC_MAX_SURVEY (default 10^6).  Each distinct reduced chain is
+classified once and its row re-keyed to every chain that blows down to it;
+--jobs (at most the CPU count) splits the distinct reduced chains among
+worker processes.  Rows are sorted by the chain tuple, so output does not
+depend on the worker count.  reeb-orbits refuses once it passes
+PLUMBTORIC_MAX_GENERATORS generators (default 10^5), during the orbit
+enumeration when the families' orbits alone pass it.
 """
 
 from __future__ import annotations
@@ -97,14 +99,50 @@ def _cmd_construct(args) -> str:
     return docio.dumps(docio.polygon_to_doc(poly))
 
 
-def _survey_chunk(chains) -> List[tuple]:
+def _survey_chunk(chains) -> List[Optional[tuple]]:
+    """The row of each chain, none holding a -1, or None where classify refuses it."""
     rows = []
     for chain in chains:
         try:
-            report = toric.classify(chain, reduce=True)
+            report = toric.classify(chain)
         except PreconditionError:
-            continue  # e.g. reduces below length 2; no classifiable boundary
-        rows.append(docio.survey_row(chain, report))
+            rows.append(None)  # e.g. reduced below length 2; no classifiable boundary
+            continue
+        rows.append(docio.survey_row(chain, report))  # OutputTooLarge is not skipped
+    return rows
+
+
+def _blow_down(chain) -> tuple:
+    try:
+        return plumbing.blow_down(chain)
+    except PreconditionError:
+        return ()  # nothing left, which classify refuses too
+
+
+def survey_rows(chains, jobs: int = 1) -> List[tuple]:
+    """The survey rows of ``chains``, in their order, skipping the chains
+    ``classify(chain, reduce=True)`` refuses.
+
+    Each distinct reduced chain is classified once, by ``jobs`` worker
+    processes (in this one for ``jobs`` 1), and its row is re-keyed to every
+    chain that blows down to it.  The tables here are freed on return.
+    """
+    reduced = [_blow_down(chain) if -1 in chain else chain for chain in chains]
+    distinct = list(dict.fromkeys(reduced))  # in first-seen order
+    if jobs > 1 and len(distinct) > 1:
+        size = max(1, len(distinct) // (4 * jobs))
+        chunks = [distinct[i : i + size] for i in range(0, len(distinct), size)]
+        with ProcessPoolExecutor(max_workers=jobs) as pool:
+            found = itertools.chain.from_iterable(pool.map(_survey_chunk, chunks))
+            table = dict(zip(distinct, found))
+    else:
+        table = dict(zip(distinct, _survey_chunk(distinct)))
+    rows = []
+    for chain, key in zip(chains, reduced):
+        row = table[key]
+        if row is not None:
+            blow_downs = len(chain) - len(key)
+            rows.append(docio.rekey_survey_row(row, chain, blow_downs) if blow_downs else row)
     return rows
 
 
@@ -134,18 +172,9 @@ def _cmd_survey(args) -> str:
             if args.exclude_minus_one and -1 in chain:
                 continue
             chains.append(chain)
-    chains.sort()  # chunks and pool.map keep this order, so rows come out sorted
-    # the pool forks all its workers at once
-    jobs = min(args.jobs, os.cpu_count() or 1)
-    if jobs > 1 and len(chains) > 1:
-        size = max(1, len(chains) // (4 * jobs))
-        chunks = [chains[i : i + size] for i in range(0, len(chains), size)]
-        rows = []
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            for part in pool.map(_survey_chunk, chunks):
-                rows.extend(part)
-    else:
-        rows = _survey_chunk(chains)
+    chains.sort()  # rows come out in this order
+    # the pool forks all its workers at once, so at most one per CPU
+    rows = survey_rows(chains, min(args.jobs, os.cpu_count() or 1))
     return docio.survey_to_json(rows) if args.format == "json" else docio.survey_to_csv(rows)
 
 

@@ -357,7 +357,11 @@ def survey_row(chain, report: BoundaryReport) -> tuple:
     """Row for the enumerated chain; ``report = classify(chain, reduce=True)``
     describes the classified (possibly reduced) chain.  ``det`` is the
     enumerated chain's determinant, read off the report: a blow-down drops one
-    entry and flips the sign, K(..., a, -1, b, ...) = -K(..., a+1, b+1, ...)."""
+    entry and flips the sign, K(..., a, -1, b, ...) = -K(..., a+1, b+1, ...).
+
+    The survey calls it once per distinct reduced chain, with ``chain`` the
+    reduced chain itself, and ``rekey_survey_row`` gives every enumerated
+    chain that reduces to it its own row."""
     return (
         ",".join(map(str, chain)),
         report.verdict.value,
@@ -368,6 +372,17 @@ def survey_row(chain, report: BoundaryReport) -> tuple:
         str((-1) ** (len(chain) - len(report.chain)) * report.det),
         "true" if report.det_check else "false",
     )
+
+
+@_printable
+def rekey_survey_row(row: tuple, chain, blow_downs: int) -> tuple:
+    """The ``survey_row`` of a reduced chain, re-keyed to the enumerated
+    ``chain`` that loses ``blow_downs`` entries to it: its own chain text, and
+    ``det`` negated when ``blow_downs`` is odd (never printed as -0)."""
+    det = row[6]
+    if blow_downs % 2 and det != "0":
+        det = det[1:] if det[0] == "-" else "-" + det
+    return (",".join(map(str, chain)),) + row[1:6] + (det, row[7])
 
 
 _CSV_HEAD = "%s\n%s\n" % (SURVEY_HEADER, ",".join(SURVEY_COLUMNS))

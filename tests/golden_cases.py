@@ -59,6 +59,9 @@ CASES = {
     "survey_json_jobs2": [
         "survey", "--n", "2..3", "--range", "-3..1", "--format", "json", "--jobs", "2",
     ],
+    # blow-down cascades: 144 chains lose two or more -1s, 117 flip the sign
+    # of det (15 of them on det 0, printed 0) and 20 reduce to no boundary
+    "survey_cascade_jobs2": ["survey", "--n", "4..5", "--range", "-2..0", "--jobs", "2"],
     "reeb_orbits_5": ["reeb-orbits", "--itinerary", ITINERARY, "--action-bound", "5"],
     "reeb_orbits_31_3": [
         "reeb-orbits", "--itinerary", ITINERARY, "--action-bound", "31/3",

@@ -1,5 +1,7 @@
+import concurrent.futures
 import contextlib
 import io
+import itertools
 import json
 import os
 import sys
@@ -9,10 +11,10 @@ from pathlib import Path
 from unittest import mock
 
 import pytest
-from hypothesis import HealthCheck, example, given, settings, strategies as st
+from hypothesis import HealthCheck, assume, example, given, settings, strategies as st
 
 from plumbtoric import MalformedDocument, TooManyGenerators, cli, docio, errors, moment_polygon, reeb
-from plumbtoric import PreconditionError, classify, det_intersection
+from plumbtoric import PreconditionError, blow_down, classify, det_intersection
 from plumbtoric.cli import main
 from plumbtoric.docio import polygon_from_doc, polygon_to_doc, render_svg
 
@@ -23,6 +25,25 @@ def run(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def survey_chains(lengths, values):
+    """Every chain of a length and with entries in the closed ranges, sorted."""
+    (n_lo, n_hi), (v_lo, v_hi) = lengths, values
+    entries = range(v_lo, v_hi + 1)
+    return sorted(c for n in range(n_lo, n_hi + 1) for c in itertools.product(entries, repeat=n))
+
+
+def oracle_survey_rows(chains):
+    # each chain classified on its own, as the survey once did
+    rows = []
+    for chain in chains:
+        try:
+            report = classify(chain, reduce=True)
+        except PreconditionError:
+            continue
+        rows.append(docio.survey_row(chain, report))
+    return rows
 
 
 class TestClassifyCommand:
@@ -193,15 +214,48 @@ class TestSurveyCommand:
     @given(st.lists(st.one_of(st.just(-1), st.integers(-4, 4)), min_size=2, max_size=12))
     @example([2, -2, -1, -2, 3])  # a cascade: two blow-downs from one -1
     @example([3, -2, -2, -1, 0, 2])  # three blow-downs flip the sign
+    @example([0, -1, 0])  # one blow-down to (1, 1), of det 0: never printed -0
     @settings(max_examples=300)
     def test_det_column_is_the_enumerated_chains(self, entries):
-        # the row reads det off the report of the reduced chain
+        # the re-keyed row negates the reduced chain's det per blow-down
         chain = tuple(entries)
-        try:
-            report = classify(chain, reduce=True)
-        except PreconditionError:
-            return
-        assert docio.survey_row(chain, report)[6] == str(det_intersection(chain))
+        for row in cli.survey_rows([chain]):
+            assert row[0] == ",".join(map(str, chain))
+            assert row[6] == str(det_intersection(chain))
+
+    @given(
+        st.tuples(st.integers(2, 5), st.integers(2, 5)).map(sorted),
+        st.tuples(st.integers(-4, 3), st.integers(-4, 3)).map(sorted),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_rows_are_each_chains_own(self, lengths, values):
+        # also the chains with no entry >= 0, which the survey never lists:
+        # some holding -1 blow down to nothing, and the rest are refused
+        chains = survey_chains(lengths, values)
+        assume(len(chains) <= 2500)
+        assert cli.survey_rows(chains) == oracle_survey_rows(chains)
+
+    def test_rows_in_the_pool_are_each_chains_own(self):
+        chains = survey_chains((2, 4), (-3, 1))
+        assert cli.survey_rows(chains, jobs=2) == oracle_survey_rows(chains)
+
+    @pytest.mark.parametrize("jobs", ["1", "2"])
+    def test_each_distinct_reduced_chain_classified_once(self, capsys, monkeypatch, jobs):
+        calls = []
+
+        def counted(chain, reduce=False):
+            calls.append(chain)
+            return classify(chain, reduce)
+
+        monkeypatch.setattr(cli.toric, "classify", counted)
+        # workers in this process, so their calls are counted here
+        monkeypatch.setattr(cli, "ProcessPoolExecutor", concurrent.futures.ThreadPoolExecutor)
+        monkeypatch.setattr(cli.os, "cpu_count", lambda: 2)
+        argv = ["survey", "--n", "2..4", "--range", "-3..1", "--jobs", jobs]
+        assert run(capsys, *argv)[0] == 0
+        chains = [c for c in survey_chains((2, 4), (-3, 1)) if max(c) >= 0]
+        reduced = {blow_down(c) if -1 in c else c for c in chains}
+        assert len(calls) == len(set(calls)) == len(reduced) < len(chains)
 
     @pytest.mark.parametrize("n", ["2..20000", "2..300000"])
     def test_huge_survey_refused_quickly(self, capsys, monkeypatch, n):

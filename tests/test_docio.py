@@ -200,7 +200,7 @@ class TestBulkWriters:
         chains = [
             s for n in range(2, 5) for s in itertools.product(range(-3, 3), repeat=n) if max(s) >= 0
         ]
-        rows = cli._survey_chunk(sorted(chains))
+        rows = cli.survey_rows(sorted(chains))
         assert len(rows) > 1000
         text = docio.survey_to_csv(rows)
         assert text == oracle_survey_to_csv(rows)
