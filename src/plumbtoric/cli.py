@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import functools
 import itertools
 import json
 import os
@@ -223,7 +224,11 @@ class _Parser(argparse.ArgumentParser):
         raise MalformedDocument("%s: %s" % (self.prog, message))
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process and shared by every
+    ``main`` call: parsing reads it and writes only the fresh namespace
+    each call returns."""
     parser = _Parser(
         prog="plumbtoric",
         description="Classify concave boundaries of linear plumbings and "

@@ -12,12 +12,14 @@ entries and is too slow for the indenting encoder, which is pure Python.
 ``reeb_orbits_text`` writes all of it in its fixed shape, with the same
 bytes as ``dumps`` of the document: each family from its
 ``families_to_doc`` record, and each split orbit and each orbit's
-generator-entry text, up to the multiplicity, from one template each (the
-entry texts once per call); each generator (``current_to_doc``) joins those
-of its entries.  The other two bulk writers work the same way: each survey
-CSV row is one f-string, and each element of the SVG picture one template
-with its coordinates in ``%.3f`` fields.  Output with an integer too long
-to print is refused as :class:`OutputTooLarge` (``_printable``).
+generator-entry text, up to the multiplicity, from one template each (once
+per call).  Each (orbit, multiplicity) entry text is built once per
+document, when a generator first holds it, and each generator
+(``current_to_doc``) joins those of its entries.  The other two bulk
+writers work the same way: each survey CSV row is one f-string, and each
+element of the SVG picture one template with its coordinates in ``%.3f``
+fields.  Output with an integer too long to print is refused as
+:class:`OutputTooLarge` (``_printable``).
 """
 
 from __future__ import annotations
@@ -227,8 +229,24 @@ def families_to_doc(families: Sequence[reeb.FamilyCount]) -> list:
     ]
 
 
+class _EntryTexts(dict):
+    """(id(orbit), multiplicity) -> (rank, the generator entry's text), each
+    entry text built on its first lookup and kept for the document."""
+
+    def __init__(self, heads):
+        super().__init__()
+        self.heads = heads  # id(orbit) -> (rank, its entry text up to the multiplicity)
+
+    def __missing__(self, key):
+        rank, head = self.heads[key[0]]
+        self[key] = value = (rank, head + str(key[1]))
+        return value
+
+
 def _entry_texts(orbits) -> dict:
-    """id(orbit) -> (rank, text of its generator entry up to the multiplicity).
+    """The entry texts of one document, by (id(orbit), multiplicity): each
+    orbit's rank and text up to the multiplicity are built here, and each
+    (orbit, multiplicity) text once, when a generator first holds it.
 
     Ranks follow one stable sort by (base action, eps exponent, kind, CZ):
     ``enumerate_generators`` lists a current's entries by (base action, eps
@@ -239,21 +257,29 @@ def _entry_texts(orbits) -> dict:
     one goes through two Fractions and its family.
     """
     ranked = sorted(orbits, key=lambda o: (o.base_action, o.eps_exponent, o.kind.value, o.cz))
-    texts = {}
+    heads = {}
     for rank, o in enumerate(ranked):
-        if id(o) not in texts:  # a repeated object keeps its first rank
+        if id(o) not in heads:  # a repeated object keeps its first rank
             fields = (format_fraction(o.base_action), o.cz, o.eps_exponent, o.kind.value)
-            texts[id(o)] = (rank, _ENTRY_TEXT % fields)
-    return texts
+            heads[id(o)] = (rank, _ENTRY_TEXT % fields)
+    return _EntryTexts(heads)
 
 
 def current_to_doc(current: reeb.ReebCurrent, texts: dict) -> str:
     """One generator's text as it sits in the reeb-orbits document, with
-    ``texts`` from the orbit list the generator was drawn from."""
-    if not current.entries:
+    ``texts`` from ``_entry_texts`` of the orbit list the generator was
+    drawn from: its entries' texts joined in rank order, sorted only when
+    there are two or more (a current's orbits are distinct, so their ranks
+    are)."""
+    entries = current.entries
+    if not entries:
         return "[]"
-    entries = sorted([(texts[id(orbit)], mult) for orbit, mult in current.entries])
-    listed = "\n      },\n      ".join([text + str(mult) for (_, text), mult in entries])
+    if len(entries) == 1:
+        orbit, mult = entries[0]
+        listed = texts[id(orbit), mult][1]
+    else:
+        ranked = sorted([texts[id(orbit), mult] for orbit, mult in entries])
+        listed = "\n      },\n      ".join([text for _, text in ranked])
     return "[\n      %s\n      }\n    ]" % listed
 
 

@@ -19,8 +19,9 @@ Both searches scale exact rationals to ints once over a common denominator
 and then compare ints only: the orbit descent scales each corner and the
 action bound, keeping the Stern-Brocot traversal order (and so the slope an
 :class:`ActionBoundHit` names), and the generator search scales the orbit
-actions and the bound.  Fractions are built only for what is returned: one
-base action per family.
+actions and the bound.  The generator search also packs each entry's sort
+key into one int and sorts its generators on flat tuples of ints.
+Fractions are built only for what is returned: one base action per family.
 """
 
 from __future__ import annotations
@@ -340,10 +341,18 @@ def enumerate_generators(
     bound; each node of the search is an emitted generator.
 
     Order: generators are sorted by total action, then entry count, then
-    sorted entry keys.  That key ties often, and ties keep the emission
-    order, which is lexicographic in the multiplicity vector over the orbits
-    sorted by (base action, eps exponent, CZ, kind); orbits that tie on that
-    key keep the caller's order, never a hash order.
+    sorted entry keys.  An entry's key is the tuple (base action, eps
+    exponent, kind, multiplicity) packed into one int, ``rank * span +
+    multiplicity``: ``rank`` is the dense rank of the orbit's (scaled
+    action, eps exponent, kind) among the orbits', and ``span`` exceeds
+    every multiplicity the search can emit, so the packing keeps the tuple
+    order and its ties.  Each generator's sort key is the flat int tuple
+    (base total, eps total, entry count, *sorted entry keys), which orders
+    as the nested key did (equal counts give equal lengths), and the
+    currents are built after the sort.  The sort key ties often, and ties
+    keep the emission order, which is lexicographic in the multiplicity
+    vector over the orbits sorted by (base action, eps exponent, CZ, kind);
+    orbits that tie on that key keep the caller's order, never a hash order.
 
     With ``max_generators`` set, the search raises
     :class:`TooManyGenerators` as soon as it emits one more than that.
@@ -359,36 +368,43 @@ def enumerate_generators(
         if o.base_action <= 0:
             raise ValueError("orbit actions must be positive")
     _, (top, *scaled) = scale_to_ints([bound] + [Fraction(o.base_action) for o in ordered])
+    triples = [(action, o.eps_exponent, o.kind.value) for action, o in zip(scaled, ordered)]
+    rank = {t: r for r, t in enumerate(sorted(set(triples)))}
+    # no multiplicity reaches top // (the smallest action) + 1
+    span = top // scaled[0] + 1 if scaled else 1
+    # per orbit: its action, eps exponent, whether it is elliptic and, by
+    # multiplicity from 0 to the largest the search can give it, its
+    # one-entry tuple and its entry key (the root node pushes about as many
+    # children of this orbit)
+    steps = []
+    for orbit, action, t in zip(ordered, scaled, triples):
+        elliptic = orbit.kind is OrbitKind.ELLIPTIC
+        mults = range(top // action + 1 if elliptic else 2)
+        by_mult = [(((orbit, m),), rank[t] * span + m) for m in mults]
+        steps.append((action, orbit.eps_exponent, elliptic, by_mult))
 
-    found = []  # (canonical key, current), in emission order
-    # a node: entries, their sort keys, base and eps totals, last orbit index;
+    found = []  # (sort key, entries), in emission order
+    # a node: entries, their keys, base and eps totals, last orbit index;
     # children are pushed in reverse so that they pop in emission order
     stack = [((), (), 0, 0, -1)]
     while stack:
         entries, keys, base, eps, last = stack.pop()
-        found.append((((base, eps), len(keys), sorted(keys)), ReebCurrent._trusted(entries)))
+        # a flat tuple of ints, which the garbage collector stops tracking
+        found.append(((base, eps, len(keys), *sorted(keys)), entries))
         if max_generators is not None and len(found) > max_generators:
             raise too_many_generators(max_generators, bound)
         room = top - base
         for k in range(last + 1, bisect_right(scaled, room, last + 1)):
-            orbit, action = ordered[k], scaled[k]
-            top_mult = room // action if orbit.kind is OrbitKind.ELLIPTIC else 1
-            for mult in range(top_mult, 0, -1):
-                child_eps = eps + mult * orbit.eps_exponent
+            action, orbit_eps, elliptic, by_mult = steps[k]
+            for mult in range(room // action if elliptic else 1, 0, -1):
+                child_eps = eps + mult * orbit_eps
                 if mult * action == room and child_eps >= 0:
                     continue
-                stack.append(
-                    (
-                        entries + ((orbit, mult),),
-                        keys + ((action, orbit.eps_exponent, orbit.kind.value, mult),),
-                        base + mult * action,
-                        child_eps,
-                        k,
-                    )
-                )
+                entry, key = by_mult[mult]
+                stack.append((entries + entry, keys + (key,), base + mult * action, child_eps, k))
 
     found.sort(key=itemgetter(0))
-    return [current for _, current in found]
+    return [ReebCurrent._trusted(entries) for _, entries in found]
 
 
 @dataclass(frozen=True)

@@ -577,6 +577,53 @@ class TestUsageErrors:
         assert "--plumbing" in capsys.readouterr().out
 
 
+class TestSharedParser:
+    """``main`` calls in one process share one parser; no call's flags,
+    output file or usage error may reach the next call."""
+
+    SURVEY = ["survey", "--n", "2..3", "--range", "-3..1"]
+    REEB = ["reeb-orbits", "--itinerary", str(GOLDEN / "itinerary.json"), "--action-bound", "37/3"]
+
+    def test_built_once(self):
+        assert cli.build_parser() is cli.build_parser()
+
+    def test_fresh_parser_each_call_gives_the_same_bytes(self, capsys, tmp_path):
+        sequence = [
+            self.SURVEY + ["--format", "json", "--output", str(tmp_path / "survey.json")],
+            self.SURVEY,
+            ["reeb-orbits", "--itinerary", str(GOLDEN / "itinerary.json")],  # no --action-bound
+            self.REEB,
+            ["classify", "--plumbing", "2,x", "--reduce"],
+            ["classify", "--plumbing", "2,-1,2"],  # --reduce not carried over
+        ]
+        fresh = []
+        for argv in sequence:
+            cli.build_parser.cache_clear()
+            fresh.append(run(capsys, *argv))
+        shared = [run(capsys, *argv) for argv in sequence]
+        assert shared == fresh
+        assert [code for code, _, _ in shared] == [0, 0, 2, 0, 2, 2]
+        assert json.loads(shared[5][2])["error"]["type"] == "MinusOnePresent"
+
+    def test_json_to_file_then_csv_to_stdout(self, capsys, tmp_path):
+        path = tmp_path / "survey.json"
+        code, out, _ = run(capsys, *self.SURVEY, "--format", "json", "--output", str(path))
+        assert code == 0 and out == ""
+        assert path.read_text() == (GOLDEN / "survey_json_jobs2.out").read_text()
+        path.unlink()
+        code, out, _ = run(capsys, *self.SURVEY)
+        assert code == 0 and out == (GOLDEN / "survey_csv.out").read_text()
+        assert not path.exists()
+
+    def test_usage_error_then_reeb_orbits(self, capsys):
+        code, out, err = run(capsys, "reeb-orbits", "--itinerary", str(GOLDEN / "itinerary.json"))
+        assert code == 2 and out == ""
+        assert "--action-bound" in json.loads(err)["error"]["message"]
+        code, out, err = run(capsys, *self.REEB)
+        assert (code, err) == (0, "")
+        assert out == (GOLDEN / "reeb_orbits_37_3.out").read_text()
+
+
 decimal_text = st.builds(
     "{}{}{}{}e{}{}".format,
     st.sampled_from(["", "-", "+", " "]),

@@ -660,6 +660,19 @@ class TestGeneratorOracle:
         ),
         st.fractions(min_value=Fraction(1, 3), max_value=4, max_denominator=3),
     )
+    # the edges of the search's int entry keys: two elliptic orbits with one
+    # key rank (they differ only in CZ), each reaching multiplicity 7 =
+    # 11/3 // 1/2, the largest the key's span leaves room for
+    @example(
+        [PerturbedOrbit(OrbitKind.ELLIPTIC, F("1/2"), 1, 2), PerturbedOrbit(OrbitKind.ELLIPTIC, F("1/2"), 1, 0)],
+        F("11/3"),
+    )
+    # a hyperbolic orbit at exactly the bound (below it only by its eps
+    # exponent) next to a small elliptic orbit, which sets the span
+    @example(
+        [PerturbedOrbit(OrbitKind.POSITIVE_HYPERBOLIC, F(3), -1, 0), PerturbedOrbit(OrbitKind.ELLIPTIC, F("1/2"), 1, 1)],
+        F(3),
+    )
     def test_random_orbit_sets(self, orbits, bound):
         assert enumerate_generators(orbits, bound) == oracle_generators(orbits, bound)
 
