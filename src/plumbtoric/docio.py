@@ -202,6 +202,9 @@ def polygon_from_doc(doc: dict) -> MomentPolygon:
         rays = (_pair(doc["rays"][0], parse_int), _pair(doc["rays"][1], parse_int))
         if len(edges) != len(vertices) - 1:
             raise ValueError("%d edges for %d vertices" % (len(edges), len(vertices)))
+        for j, e in enumerate(edges):  # edge j joins vertices j and j + 1
+            if (e.start, e.end) != (j, j + 1):
+                raise ValueError("edge %d joins vertices %d and %d" % (j, e.start, e.end))
     except _READ_ERRORS as exc:
         raise MalformedDocument("bad moment-polygon document: %s" % exc) from None
     return MomentPolygon(vertices=vertices, edges=edges, rays=rays)
@@ -384,6 +387,8 @@ def survey_row(chain, report: BoundaryReport) -> tuple:
     describes the classified (possibly reduced) chain.  ``det`` is the
     enumerated chain's determinant, read off the report: a blow-down drops one
     entry and flips the sign, K(..., a, -1, b, ...) = -K(..., a+1, b+1, ...).
+    ``det_check`` reads "true" on every row: the determinant identity is the
+    k half of the one integer lens check, and ``classify`` raises where it fails.
 
     The survey calls it once per distinct reduced chain, with ``chain`` the
     reduced chain itself, and ``rekey_survey_row`` gives every enumerated

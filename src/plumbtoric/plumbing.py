@@ -44,7 +44,8 @@ def intersection_matrix(s: Sequence[int]):
 
 def det_intersection(s: Sequence[int]) -> int:
     """det Q via the tridiagonal recurrence d_k = s_k d_{k-1} - d_{k-2}."""
-    return _det(as_chain(s))
+    *_, det = _minors(as_chain(s))
+    return det
 
 
 def _minors(s: Chain):
@@ -53,11 +54,6 @@ def _minors(s: Chain):
     for v in s:
         prev2, prev1 = prev1, v * prev1 - prev2
         yield prev1
-
-
-def _det(s: Chain) -> int:
-    *_, det = _minors(s)
-    return det
 
 
 def is_negative_definite(s: Sequence[int]) -> bool:

@@ -26,6 +26,7 @@ Fractions are built only for what is returned: one base action per family.
 
 from __future__ import annotations
 
+import sys
 from bisect import bisect_right
 from dataclasses import dataclass
 from enum import Enum
@@ -355,7 +356,9 @@ def enumerate_generators(
     orbits that tie on that key keep the caller's order, never a hash order.
 
     With ``max_generators`` set, the search raises
-    :class:`TooManyGenerators` as soon as it emits one more than that.
+    :class:`TooManyGenerators` as soon as the generators it has emitted or
+    pushed number more than that: every pushed node is emitted later, so the
+    raise is exact, and it comes before a node pushes its children.
     """
     bound = Fraction(bound)
     if bound <= 0:
@@ -372,14 +375,15 @@ def enumerate_generators(
     rank = {t: r for r, t in enumerate(sorted(set(triples)))}
     # no multiplicity reaches top // (the smallest action) + 1
     span = top // scaled[0] + 1 if scaled else 1
+    cap = sys.maxsize if max_generators is None else max_generators  # no list is longer
     # per orbit: its action, eps exponent, whether it is elliptic and, by
-    # multiplicity from 0 to the largest the search can give it, its
-    # one-entry tuple and its entry key (the root node pushes about as many
-    # children of this orbit)
+    # multiplicity from 0 to the largest the search can give it (at most the
+    # cap: a current at multiplicity m comes with those at 1..m-1), its
+    # one-entry tuple and its entry key
     steps = []
     for orbit, action, t in zip(ordered, scaled, triples):
         elliptic = orbit.kind is OrbitKind.ELLIPTIC
-        mults = range(top // action + 1 if elliptic else 2)
+        mults = range(min(top // action, cap) + 1 if elliptic else 2)
         by_mult = [(((orbit, m),), rank[t] * span + m) for m in mults]
         steps.append((action, orbit.eps_exponent, elliptic, by_mult))
 
@@ -387,21 +391,25 @@ def enumerate_generators(
     # a node: entries, their keys, base and eps totals, last orbit index;
     # children are pushed in reverse so that they pop in emission order
     stack = [((), (), 0, 0, -1)]
+    if cap < 1:  # the empty generator alone passes it
+        raise too_many_generators(max_generators, bound)
     while stack:
         entries, keys, base, eps, last = stack.pop()
         # a flat tuple of ints, which the garbage collector stops tracking
         found.append(((base, eps, len(keys), *sorted(keys)), entries))
-        if max_generators is not None and len(found) > max_generators:
-            raise too_many_generators(max_generators, bound)
         room = top - base
         for k in range(last + 1, bisect_right(scaled, room, last + 1)):
             action, orbit_eps, elliptic, by_mult = steps[k]
-            for mult in range(room // action if elliptic else 1, 0, -1):
-                child_eps = eps + mult * orbit_eps
-                if mult * action == room and child_eps >= 0:
-                    continue
+            most = room // action if elliptic else 1
+            if most * action == room and eps + most * orbit_eps >= 0:
+                most -= 1  # a total at the bound counts as above it
+            if len(found) + len(stack) + most > cap:
+                raise too_many_generators(max_generators, bound)
+            for mult in range(most, 0, -1):
                 entry, key = by_mult[mult]
-                stack.append((entries + entry, keys + (key,), base + mult * action, child_eps, k))
+                stack.append(
+                    (entries + entry, keys + (key,), base + mult * action, eps + mult * orbit_eps, k)
+                )
 
     found.sort(key=itemgetter(0))
     return [ReebCurrent._trusted(entries) for _, entries in found]

@@ -6,6 +6,8 @@ A_j = [[-s_j, -1], [1, 0]].  The glued image determines a sequence of
 integer rays; the exact angle they sweep decides tight versus overtwisted,
 and the terminal ray r gives the lens pair (cross(w_0, r), r_x), checked on
 every chain to equal the continuants (-1)^(n-1) (K(s_1..s_n), K(s_2..s_n)).
+Its k half is the identity det Q = (-1)^(n-1) cross(w_0, r), so every report
+``classify`` returns has ``det_check`` true.
 
 The verdict does not depend on the pivot, and ``classify`` checks that for
 every valid pivot at about the cost of one.  With k = min(i, n - 1), pivot
@@ -54,7 +56,7 @@ from .errors import (
     TooShort,
 )
 from .lattice import Cmp, MatSL2Z, WindingVerdict, cross
-from .plumbing import _det, _minors, area_vector, as_chain, blow_down, is_negative_definite
+from .plumbing import _minors, area_vector, as_chain, blow_down, is_negative_definite
 
 
 def gluing_matrix(s_j: int) -> MatSL2Z:
@@ -259,10 +261,10 @@ def lens_invariant(s: Sequence[int]) -> Tuple[int, int]:
     """
     s = as_chain(s)
     _concave_pivots(s)
-    return _lens_from_terminal_ray(s, _candidate_rays(s)[1][-1])
+    return _lens_from_terminal_ray(s, _candidate_rays(s)[1][-1])[0]
 
 
-def _lens_from_terminal_ray(s, r) -> Tuple[int, int]:
+def _lens_from_terminal_ray(s, r) -> Tuple[Tuple[int, int], int]:
     k_raw, l_raw = s[0] * r[0] + r[1], r[0]  # cross(w_0, r), r_x
     *_, l, k = _minors(s[::-1])  # K is symmetric: K(s_2..s_n), K(s_1..s_n)
     sign = (-1) ** (len(s) - 1)
@@ -271,7 +273,7 @@ def _lens_from_terminal_ray(s, r) -> Tuple[int, int]:
             "ray pair (%d, %d) disagrees with continuant pair (%d, %d) for %s"
             % (k_raw, l_raw, sign * k, sign * l, s)
         )
-    return _lens_normalize(k_raw, l_raw)
+    return _lens_normalize(k_raw, l_raw), k  # and K(s_1..s_n) = det Q
 
 
 def lens_equivalent(a: Tuple[int, int], b: Tuple[int, int]) -> bool:
@@ -308,7 +310,7 @@ class BoundaryReport:
     verdict: Verdict
     lens: Tuple[int, int]
     det: int  # det Q of ``chain``
-    det_check: bool
+    det_check: bool  # true on every report: classify raises where it fails
     cone_is_whole_plane: bool
 
 
@@ -320,6 +322,8 @@ def classify(s: Sequence[int], reduce: bool = False) -> BoundaryReport:
     exact count of every other valid pivot; every pivot's verdict must
     agree, and the smallest pivot's count must equal ``winding_compare``'s
     (an :class:`InternalInvariantError` flags either disagreement loudly).
+    One continuant pass gives det Q and the lens pair; its raising check
+    includes the determinant identity, so ``det_check`` is always true.
     With ``reduce`` set, -1 entries are blown down first; otherwise they
     raise, so the standing assumption s_j != -1 stays visible to the caller.
     """
@@ -347,17 +351,16 @@ def classify(s: Sequence[int], reduce: bool = False) -> BoundaryReport:
             raise InternalInvariantError(
                 "pivot %d verdict %s disagrees with pivot %d for %s" % (i, verdict, i0, s)
             )
-    w0, last = head[0], tail[-1]
-    det = _det(s)
+    lens, det = _lens_from_terminal_ray(s, tail[-1])
     return BoundaryReport(
         chain=s,
         pivot=i0,
         rays=RaySequence(w=rays0, pivot=i0),
         winding=winding0,
         verdict=verdicts[0],
-        lens=_lens_from_terminal_ray(s, last),
+        lens=lens,
         det=det,
-        det_check=det == (-1) ** (n - 1) * cross(w0, last),
+        det_check=True,  # the lens check raised where the identity fails
         cone_is_whole_plane=winding0.vs_two_pi in (Cmp.EQ, Cmp.GT),
     )
 

@@ -695,6 +695,18 @@ class TestPolygonRoundTrip:
         ):
             polygon_from_doc(doc)
 
+    @pytest.mark.parametrize("start, end", [(9, 2), (0, 3), (1, 1), (2, 1)])
+    def test_edge_not_joining_its_own_vertices(self, start, end):
+        # edge 1 must join vertices 1 and 2; (9, 2) once ended in an IndexError
+        # from render_svg, and (0, 3) drew the wrong segment
+        doc = json.loads(json.dumps(polygon_to_doc(moment_polygon((-2, 1, 0, -2), 2))))
+        doc["edges"][1].update(start=start, end=end)
+        with pytest.raises(
+            MalformedDocument,
+            match="^bad moment-polygon document: edge 1 joins vertices %d and %d$" % (start, end),
+        ):
+            polygon_from_doc(doc)
+
     def test_exact_rationals_survive(self):
         poly = moment_polygon((3, -2), 1)
         doc = polygon_to_doc(poly)

@@ -3,6 +3,7 @@ import os
 import random
 import subprocess
 import sys
+import time
 from fractions import Fraction
 from math import gcd, inf
 from pathlib import Path
@@ -540,6 +541,13 @@ class TestEnumerateGenerators:
         with pytest.raises(TooManyGenerators):
             enumerate_generators(orbits, 5, max_generators=4)
 
+    def test_cap_trips_before_the_work_it_bounds(self):
+        # 10**6 + 1 generators lie below this bound, all children of the root
+        start = time.perf_counter()
+        with pytest.raises(TooManyGenerators, match="^more than 10 ECH generators below action 2000001/2$"):
+            enumerate_generators([elliptic_orbit(1)], 10**6 + Fraction(1, 2), max_generators=10)
+        assert time.perf_counter() - start < 1
+
     def test_order_does_not_depend_on_hash_seed(self):
         # the README itinerary at 31/3 has equal-action families, whose orbits
         # tie on (base action, eps exponent, CZ, kind)
@@ -674,7 +682,12 @@ class TestGeneratorOracle:
         F(3),
     )
     def test_random_orbit_sets(self, orbits, bound):
-        assert enumerate_generators(orbits, bound) == oracle_generators(orbits, bound)
+        expected = oracle_generators(orbits, bound)
+        assert enumerate_generators(orbits, bound) == expected
+        # the cap counts pushed nodes too, yet trips only past the full count
+        assert enumerate_generators(orbits, bound, max_generators=len(expected)) == expected
+        with pytest.raises(TooManyGenerators):
+            enumerate_generators(orbits, bound, max_generators=len(expected) - 1)
 
 
 class TestReebCurrentChecks:

@@ -237,11 +237,14 @@ class TestPivotSweep:
 
 
 class TestCrossChecksFire:
-    """Each internal cross-check of classify raises (or flags) on bad data."""
+    """Each internal cross-check of classify raises on bad data."""
 
     def test_lens_routes(self, monkeypatch):
-        # the continuant pair of (3, -2, -2) is (11, 3); each half is broken once
-        for pair in ((7, 3), (11, 4)):
+        # the reversed pass over (3, -2, -2) ends in K(s_2..s_n) = 3 and
+        # K(s_1..s_n) = det Q = 11; (3, 7) breaks only the determinant
+        # identity (the k half) and (4, 11) only the l half
+        assert list(toric._minors((3, -2, -2)[::-1])) == [-2, 3, 11]
+        for pair in ((3, 7), (4, 11)):
             monkeypatch.setattr(toric, "_minors", lambda s: iter(pair))
             with pytest.raises(InconsistentInvariant):
                 classify((3, -2, -2))
@@ -307,9 +310,18 @@ class TestCrossChecksFire:
         with pytest.raises(InternalInvariantError, match="sweep count"):
             classify((3, -2, -2))
 
-    def test_determinant_identity(self, monkeypatch):
-        monkeypatch.setattr(toric, "_det", lambda s: 0)
-        assert not classify((3, -2, -2)).det_check
+    @pytest.mark.parametrize("s", [(3, -2, -2), (3, 0, 0), (2, 1, 3), (0, -3, 2, -5)])
+    def test_one_continuant_pass(self, monkeypatch, s):
+        # det Q and the lens pair come from the same single pass
+        real, calls = toric._minors, []
+
+        def counted(chain):
+            calls.append(chain)
+            return real(chain)
+
+        monkeypatch.setattr(toric, "_minors", counted)
+        classify(s)
+        assert len(calls) == 1
 
 
 class TestRaySequenceChecksFire:
