@@ -310,6 +310,23 @@ class TestCrossChecksFire:
         with pytest.raises(InternalInvariantError, match="sweep count"):
             classify((3, -2, -2))
 
+    def test_determinant_identity(self, monkeypatch):
+        # det Q = (-1)^(n-1) cross(w_0, w_last) is the k half of the lens
+        # check: it holds on good data, and shifting det Q alone raises
+        for s in ((3, -2, -2), (2, 1, 3), (0, -3, 2, -5)):
+            report = classify(s)
+            assert report.det_check and report.det == det_intersection(s)
+        real = toric._minors
+
+        def shift_det(chain):
+            *rest, det = real(chain)
+            return iter(rest + [det + 1])
+
+        monkeypatch.setattr(toric, "_minors", shift_det)
+        for s in ((3, -2, -2), (2, 1, 3), (0, -3, 2, -5)):
+            with pytest.raises(InconsistentInvariant, match="disagrees with continuant pair"):
+                classify(s)
+
     @pytest.mark.parametrize("s", [(3, -2, -2), (3, 0, 0), (2, 1, 3), (0, -3, 2, -5)])
     def test_one_continuant_pass(self, monkeypatch, s):
         # det Q and the lens pair come from the same single pass
