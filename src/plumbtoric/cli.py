@@ -100,17 +100,13 @@ def _cmd_construct(args) -> str:
     return docio.dumps(docio.polygon_to_doc(poly))
 
 
-def _survey_chunk(chains) -> List[Optional[tuple]]:
-    """The row of each chain, none holding a -1, or None where classify refuses it."""
-    rows = []
-    for chain in chains:
-        try:
-            report = toric.classify(chain)
-        except PreconditionError:
-            rows.append(None)  # e.g. reduced below length 2; no classifiable boundary
-            continue
-        rows.append(docio.survey_row(chain, report))  # OutputTooLarge is not skipped
-    return rows
+def _survey_row(chain) -> Optional[tuple]:
+    """The row of a chain holding no -1, or None where classify refuses it."""
+    try:
+        report = toric.classify(chain)
+    except PreconditionError:
+        return None  # e.g. reduced below length 2; no classifiable boundary
+    return docio.survey_row(chain, report)  # OutputTooLarge is not skipped
 
 
 def _blow_down(chain) -> tuple:
@@ -126,18 +122,18 @@ def survey_rows(chains, jobs: int = 1) -> List[tuple]:
 
     Each distinct reduced chain is classified once, by ``jobs`` worker
     processes (in this one for ``jobs`` 1), and its row is re-keyed to every
-    chain that blows down to it.  The tables here are freed on return.
+    chain that blows down to it.  The pool maps one chain at a time and
+    sends the chains to its workers in about four chunks per worker.  The
+    tables here are freed on return.
     """
     reduced = [_blow_down(chain) if -1 in chain else chain for chain in chains]
     distinct = list(dict.fromkeys(reduced))  # in first-seen order
     if jobs > 1 and len(distinct) > 1:
         size = max(1, len(distinct) // (4 * jobs))
-        chunks = [distinct[i : i + size] for i in range(0, len(distinct), size)]
         with ProcessPoolExecutor(max_workers=jobs) as pool:
-            found = itertools.chain.from_iterable(pool.map(_survey_chunk, chunks))
-            table = dict(zip(distinct, found))
+            table = dict(zip(distinct, pool.map(_survey_row, distinct, chunksize=size)))
     else:
-        table = dict(zip(distinct, _survey_chunk(distinct)))
+        table = dict(zip(distinct, map(_survey_row, distinct)))
     rows = []
     for chain, key in zip(chains, reduced):
         row = table[key]

@@ -10,11 +10,11 @@ Documents are written by ``dumps`` (``json.dumps(indent=2, sort_keys=True)``)
 except the reeb-orbits document, whose generator list can run to 10^5
 entries and is too slow for the indenting encoder, which is pure Python.
 ``reeb_orbits_text`` writes all of it in its fixed shape, with the same
-bytes as ``dumps`` of the document: each family from its
-``families_to_doc`` record, and each split orbit and each orbit's
-generator-entry text, up to the multiplicity, from one template each (once
-per call).  Each (orbit, multiplicity) entry text is built once per
-document, when a generator first holds it, and each generator
+bytes as ``dumps`` of the document: each family straight from its
+``FamilyCount``, and each split orbit and each orbit's generator-entry
+text, up to the multiplicity, from one template each (once per call).
+Each (orbit, multiplicity) entry text is built once per document, by one
+cache, when a generator first holds it, and each generator
 (``current_to_doc``) joins those of its entries.  The other two bulk
 writers work the same way: each survey CSV row is one f-string, and each
 element of the SVG picture one template with its coordinates in ``%.3f``
@@ -41,7 +41,8 @@ from .toric import BoundaryReport, MomentPolygon, PolygonEdge
 SURVEY_HEADER = "# plumbtoric-survey v1"
 SURVEY_COLUMNS = ("s", "verdict", "k", "l", "vs_pi", "vs_2pi", "det", "det_check")
 _READ_ERRORS = (KeyError, TypeError, IndexError, ValueError, OverflowError)
-_EXPONENT = re.compile(r"[eE]([-+]?\d+(?:_\d+)*)\s*\Z")
+_EXPONENT = re.compile(r"[eE]([-+]?\d+)\s*\Z")
+_MISPLACED = re.compile(r"\S\s+\S|(?<!\d)_|_(?!\d)")  # inner whitespace, a stray underscore
 
 
 def _printable(make):
@@ -71,6 +72,11 @@ def format_fraction(x) -> str:
 def parse_fraction(text) -> Fraction:
     """A document or flag rational; refused unless it can be printed back.
 
+    The grammar is ``Fraction``'s on Python 3.11, on every supported Python:
+    whitespace only around the text, and underscores only between two
+    digits, which are stripped before ``Fraction`` reads the text (3.10
+    reads no underscores, and 3.12 reads spaces around the "/").
+
     ``Fraction`` builds 10**|exp| for a decimal exponent before anything is
     checked, so the exponent is read off the text first.  One that would
     leave more digits than Python prints is refused at once, and a zero
@@ -78,11 +84,14 @@ def parse_fraction(text) -> Fraction:
     """
     text = str(text)
     try:
-        match = _EXPONENT.search(text)
+        if _MISPLACED.search(text):
+            raise ValueError("whitespace inside the number or an underscore not between digits")
+        digits = text.replace("_", "")
+        match = _EXPONENT.search(digits)
         if match is None:
-            value = Fraction(text)
+            value = Fraction(digits)
         else:
-            value = Fraction(text[: match.start()] + "e0")  # the mantissa p/q
+            value = Fraction(digits[: match.start()] + "e0")  # the mantissa p/q
             exp, limit = int(match.group(1)), sys.get_int_max_str_digits()
             if value:
                 # |value| >= 10**exp / q and its denominator >= 10**-exp / |p|;
@@ -232,24 +241,11 @@ def families_to_doc(families: Sequence[reeb.FamilyCount]) -> list:
     ]
 
 
-class _EntryTexts(dict):
-    """(id(orbit), multiplicity) -> (rank, the generator entry's text), each
-    entry text built on its first lookup and kept for the document."""
-
-    def __init__(self, heads):
-        super().__init__()
-        self.heads = heads  # id(orbit) -> (rank, its entry text up to the multiplicity)
-
-    def __missing__(self, key):
-        rank, head = self.heads[key[0]]
-        self[key] = value = (rank, head + str(key[1]))
-        return value
-
-
-def _entry_texts(orbits) -> dict:
-    """The entry texts of one document, by (id(orbit), multiplicity): each
-    orbit's rank and text up to the multiplicity are built here, and each
-    (orbit, multiplicity) text once, when a generator first holds it.
+def _entry_texts(orbits):
+    """The entry texts of one document: ``texts(id(orbit), multiplicity)``
+    returns (rank, the generator entry's text).  Each orbit's rank and text
+    up to the multiplicity are built here, and each (orbit, multiplicity)
+    text once, by the cache, when a generator first holds it.
 
     Ranks follow one stable sort by (base action, eps exponent, kind, CZ):
     ``enumerate_generators`` lists a current's entries by (base action, eps
@@ -265,23 +261,30 @@ def _entry_texts(orbits) -> dict:
         if id(o) not in heads:  # a repeated object keeps its first rank
             fields = (format_fraction(o.base_action), o.cz, o.eps_exponent, o.kind.value)
             heads[id(o)] = (rank, _ENTRY_TEXT % fields)
-    return _EntryTexts(heads)
+
+    @functools.cache
+    def texts(key, mult):
+        rank, head = heads[key]
+        return rank, head + str(mult)
+
+    return texts
 
 
-def current_to_doc(current: reeb.ReebCurrent, texts: dict) -> str:
+def current_to_doc(current: reeb.ReebCurrent, texts) -> str:
     """One generator's text as it sits in the reeb-orbits document, with
-    ``texts`` from ``_entry_texts`` of the orbit list the generator was
-    drawn from: its entries' texts joined in rank order, sorted only when
-    there are two or more (a current's orbits are distinct, so their ranks
-    are)."""
+    ``texts`` the cached function ``_entry_texts`` returns for the orbit
+    list the generator was drawn from: its entries' texts joined in rank
+    order, sorted only when there are two or more (a current's orbits are
+    distinct, so their ranks are).  A one-entry generator skips the sort
+    and the join."""
     entries = current.entries
     if not entries:
         return "[]"
     if len(entries) == 1:
         orbit, mult = entries[0]
-        listed = texts[id(orbit), mult][1]
+        listed = texts(id(orbit), mult)[1]
     else:
-        ranked = sorted([texts[id(orbit), mult] for orbit, mult in entries])
+        ranked = sorted([texts(id(orbit), mult) for orbit, mult in entries])
         listed = "\n      },\n      ".join([text for _, text in ranked])
     return "[\n      %s\n      }\n    ]" % listed
 
@@ -315,8 +318,9 @@ def reeb_orbits_text(bound, families, orbits, generators) -> str:
     words, so no string needs JSON escaping."""
     texts = _entry_texts(orbits)
     families_text = [
-        _FAMILY_TEXT % (f["base_action"], f["max_multiplicity"], *f["slope"], f["vertex"])
-        for f in families_to_doc(families)
+        _FAMILY_TEXT
+        % (format_fraction(fc.family.base_action), fc.max_multiplicity, *fc.family.slope, fc.family.vertex)
+        for fc in families
     ]
     orbits_text = [
         _ORBIT_TEXT
@@ -352,9 +356,9 @@ def current_from_doc(entries: list) -> reeb.ReebCurrent:
                 cz=parse_int(e.get("cz", 1 if elliptic else 0)),
             )
             out.append((orbit, parse_int(e.get("multiplicity", 1))))
+        return reeb.ReebCurrent(tuple(out))
     except _READ_ERRORS as exc:
         raise MalformedDocument("bad Reeb-current document: %s" % exc) from None
-    return reeb.ReebCurrent(tuple(out))
 
 
 def index_from_doc(doc: dict) -> tuple:

@@ -106,7 +106,8 @@ def decompose(s: Sequence[int], i: int) -> Decomposition:
 
     For pivot i the pairs are (s_1,0), ..., (s_{i-1},0), (s_i, s_{i+1}),
     (0, s_{i+2}), ..., (0, s_n); the pivot i = n reuses the i = n-1 pattern.
-    Every pair has a nonnegative member and no pair equals (-1, -1).
+    Every pair has a nonnegative member, so none equals (-1, -1): away from
+    the pair at k = min(i, n-1) one member is 0, and that pair holds s_i >= 0.
     """
     s = as_chain(s)
     _check_chain(s, i)
@@ -115,8 +116,6 @@ def decompose(s: Sequence[int], i: int) -> Decomposition:
     for j in range(1, len(s)):
         a = s[j - 1] if j <= k else 0
         b = s[j] if j >= k else 0
-        if max(a, b) < 0:
-            raise InternalInvariantError("pair (%d, %d) has no nonnegative member" % (a, b))
         pairs.append((a, b))
     return Decomposition(pairs=tuple(pairs), pivot=i)
 
@@ -443,12 +442,8 @@ def moment_polygon(
     """
     s = as_chain(s)
     _check_chain(s, i)
-    if z is None:
-        z = zs = _heights(s, i)
-        scale = 1
-    else:
-        z = tuple(Fraction(v) for v in z)
-        scale, zs = lattice.scale_to_ints(z)
+    z = _heights(s, i) if z is None else tuple(Fraction(v) for v in z)
+    scale, zs = lattice.scale_to_ints(z)
     _validate_heights(s, i, z, zs)
     lengths = _positive_areas(s, zs, scale)
     n = len(s)

@@ -292,7 +292,7 @@ class TestSurveyCommand:
             def __exit__(self, *exc):
                 return False
 
-            def map(self, fn, chunks):
+            def map(self, fn, chunks, chunksize=1):
                 return map(fn, chunks)
 
         monkeypatch.setattr(cli, "ProcessPoolExecutor", FakePool)
@@ -535,6 +535,17 @@ class TestIndexCommand:
         assert code == 2 and out == ""
         assert json.loads(err)["error"]["type"] == "MalformedDocument"
 
+    @pytest.mark.parametrize(
+        "entries",
+        [
+            [{"kind": "elliptic", "multiplicity": 0}],
+            [{"kind": "elliptic"}, {"kind": "elliptic", "multiplicity": 2}],
+        ],
+    )
+    def test_malformed_current_is_a_malformed_document(self, entries):
+        with pytest.raises(MalformedDocument, match="^bad Reeb-current document: "):
+            docio.current_from_doc(entries)
+
 
 class TestOutput:
     @pytest.mark.parametrize(
@@ -675,6 +686,18 @@ class TestParseFraction:
         start = time.perf_counter()
         assert docio.parse_fraction(text) == 0
         assert time.perf_counter() - start < 0.5
+
+    @pytest.mark.parametrize(
+        "text, expected",
+        [("1_0", 10), ("1/2_0", Fraction(1, 20)), ("1e1_0", 10**10), (" 1/2 ", Fraction(1, 2))],
+    )
+    def test_underscores_between_digits_and_outer_whitespace(self, text, expected):
+        assert docio.parse_fraction(text) == expected
+
+    @pytest.mark.parametrize("text", ["1 / 2", "1__0", "_1", "1_", "1_.5"])
+    def test_inner_whitespace_and_stray_underscores_refused(self, text):
+        with pytest.raises(MalformedDocument, match="^bad rational %r: " % text):
+            docio.parse_fraction(text)
 
 
 class TestPolygonRoundTrip:

@@ -76,6 +76,15 @@ class TestDecompose:
         with pytest.raises(NoNonnegativeEntry):
             decompose((-2, 3), 3)
 
+    @given(
+        st.lists(st.integers(-4, 3).filter(lambda v: v != -1), min_size=2, max_size=8)
+        .map(tuple)
+        .filter(lambda s: any(v >= 0 for v in s))
+    )
+    def test_every_pair_has_a_nonnegative_member(self, s):
+        for i in pivots_of(s):
+            assert all(max(pair) >= 0 for pair in decompose(s, i).pairs), (s, i)
+
     def test_gate_checks_minus_one_before_length(self):
         for fn in (lambda s: decompose(s, 1), lens_invariant, classify):
             with pytest.raises(MinusOnePresent):
@@ -453,6 +462,13 @@ class TestMomentPolygon:
     def test_rejects_bad_heights(self):
         with pytest.raises(NonpositiveArea):
             moment_polygon((3, -2), 1, (-1, -1))
+
+    def test_default_heights_are_choose_heights(self):
+        values = [v for v in range(-4, 4) if v != -1]
+        for n in (2, 3, 4):
+            for s in itertools.islice(itertools.product(values, repeat=n), 0, None, n - 1):
+                for i in pivots_of(s):
+                    assert moment_polygon(s, i, choose_heights(s, i)) == moment_polygon(s, i), (s, i)
 
     @given(construction_chains, st.data())
     @settings(max_examples=40)
