@@ -12,11 +12,10 @@ start direction, plus where the last ray lies relative to that direction
 and its antipode, with no float: ``docio`` computes the display angle.
 
 The position of a ray and the wrap of a step are defined once, in
-``_step``: ``step_class`` reads one ray's position, ``winding_compare``
-counts one sequence, and ``spliced_counts`` counts, in one pass, every
-sequence that switches from one ray list to the other at a given index.
-That works because a ray's position depends only on the start ray and a
-step's wrap only on its two rays.
+``_step``, and walked once, in ``spliced_counts``, which counts in one pass
+every sequence that switches from one ray list to the other at a given
+index: a ray's position depends only on the start ray and a step's wrap
+only on its two rays.  ``winding_compare`` splices one sequence with itself.
 """
 
 from __future__ import annotations
@@ -190,9 +189,13 @@ def _step(w0x, w0y, u, pu: int, v):
     return pv, pv < pu or (pv == pu and c < 0)
 
 
-def _passed(wraps: int, last: int) -> int:
-    """Multiples of pi strictly below the angle 2 pi wraps + angle(last)."""
-    return 2 * wraps + (last == 3) - (last == 0)
+def winding_verdict(passed: int, last: int) -> WindingVerdict:
+    """The verdict of a sequence that strictly passes ``passed`` multiples of
+    pi and whose last ray has the ``_step`` position ``last``."""
+    landing = (Landing.START, None, Landing.ANTIPODE, None)[last]
+    vs_pi = Cmp.GT if passed >= 1 else Cmp.EQ if last == 2 else Cmp.LT
+    vs_two_pi = Cmp.GT if passed >= 2 else Cmp.EQ if passed == 1 and last == 0 else Cmp.LT
+    return WindingVerdict(vs_pi, vs_two_pi, passed // 2, (passed + 1) // 2, landing)
 
 
 def winding_compare(rays: Sequence[Vec2]) -> WindingVerdict:
@@ -205,25 +208,14 @@ def winding_compare(rays: Sequence[Vec2]) -> WindingVerdict:
     """
     if len(rays) < 2:
         raise TooShort("need at least two rays")
-    u = rays[0]
-    w0x, w0y = u[0], u[1]
-    if w0x == 0 and w0y == 0:
-        raise ZeroVector("rays must be nonzero")
-    wraps = pos = 0
-    for v in rays[1:]:
-        pos, wrap = _step(w0x, w0y, u, pos, v)
-        wraps += wrap
-        u = v
-    passed = _passed(wraps, pos)
-    landing = (Landing.START, None, Landing.ANTIPODE, None)[pos]
-    vs_pi = Cmp.GT if passed >= 1 else Cmp.EQ if pos == 2 else Cmp.LT
-    vs_two_pi = Cmp.GT if passed >= 2 else Cmp.EQ if passed == 1 and pos == 0 else Cmp.LT
-    return WindingVerdict(vs_pi, vs_two_pi, passed // 2, (passed + 1) // 2, landing)
+    (passed,), last = spliced_counts(rays, rays, [1])
+    return winding_verdict(passed, last)
 
 
-def spliced_counts(head: Sequence[Vec2], tail: Sequence[Vec2], ks: Sequence[int]) -> list:
-    """For each k in ks, the count c of ``winding_compare`` (its
-    ``crossings_of_start + crossings_of_antipode``) for head[:k] + tail[k:].
+def spliced_counts(head: Sequence[Vec2], tail: Sequence[Vec2], ks: Sequence[int]) -> tuple:
+    """The count c of ``winding_compare`` (``crossings_of_start +
+    crossings_of_antipode``) of head[:k] + tail[k:] for each k in ks, and
+    the ``_step`` position of tail[-1], the last ray of each of them.
 
     ``head`` and ``tail`` have one length n; head[0] is the start ray w0 and
     tail[0] is never read; ks are sorted, within 1..n-1.  Positions depend only
@@ -248,7 +240,9 @@ def spliced_counts(head: Sequence[Vec2], tail: Sequence[Vec2], ks: Sequence[int]
     for j in range(lo + 1, n):
         p, wrap = _step(w0x, w0y, tail[j - 1], p, tail[j])
         on_tail.append(on_tail[-1] + wrap)
+    # after W wraps, c = 2 W + [pos 3] - [pos 0] multiples of pi lie below
+    end = (p == 3) - (p == 0)
     return [
-        _passed(before[k] + wrap + on_tail[-1] - on_tail[k - lo], p)
+        2 * (before[k] + wrap + on_tail[-1] - on_tail[k - lo]) + end
         for k, (_, wrap) in zip(ks, junctions)
-    ]
+    ], p

@@ -14,7 +14,10 @@ every valid pivot at about the cost of one.  With k = min(i, n - 1), pivot
 i takes the candidate ray with b_j = 0 at positions j < k and the one with
 b_j = s_{j+1} from k on, so one pass builds both candidates at every
 position and ``lattice.spliced_counts`` turns them into every pivot's exact
-count.
+count c.  Each c must equal b+(Q) - 1, read by Jacobi's rule (Gantmacher,
+The Theory of Matrices I, ch. X; Wilkinson, The Algebraic Eigenvalue
+Problem, ch. 5) off the lens check's continuant pass: an identity observed
+on every chain tested (lengths up to 60), not proved here.
 
 Every moment polygon, constructed or blown up, is assembled by ``_polygon``:
 edge j joins vertices j and j + 1, and the picture is re-read before it is
@@ -263,16 +266,24 @@ def lens_invariant(s: Sequence[int]) -> Tuple[int, int]:
     return _lens_from_terminal_ray(s, _candidate_rays(s)[1][-1])[0]
 
 
-def _lens_from_terminal_ray(s, r) -> Tuple[Tuple[int, int], int]:
+def _lens_from_terminal_ray(s, r) -> Tuple[Tuple[int, int], int, int]:
+    """(lens pair, det Q, b+(Q)) from one pass over the reversed chain's
+    minors d_1..d_n, the last two K(s_2..s_n), K(s_1..s_n).  By Jacobi's
+    rule (d_0 = 1) each d_j of the sign of d_{j-1} is a positive eigenvalue;
+    an interior zero forces d_{j+1} = -d_{j-1}, so it counts once; a final
+    zero is the kernel."""
     k_raw, l_raw = s[0] * r[0] + r[1], r[0]  # cross(w_0, r), r_x
-    *_, l, k = _minors(s[::-1])  # K is symmetric: K(s_2..s_n), K(s_1..s_n)
+    l, k, b_plus = 0, 1, 0  # d_{j-1}, d_j and the count so far
+    for d in _minors(s[::-1]):
+        l, k = k, d
+        b_plus += l * k > 0 or l == 0
     sign = (-1) ** (len(s) - 1)
     if k_raw != sign * k or l_raw != sign * l:
         raise InconsistentInvariant(
             "ray pair (%d, %d) disagrees with continuant pair (%d, %d) for %s"
             % (k_raw, l_raw, sign * k, sign * l, s)
         )
-    return _lens_normalize(k_raw, l_raw), k  # and K(s_1..s_n) = det Q
+    return _lens_normalize(k_raw, l_raw), k, b_plus  # and K(s_1..s_n) = det Q
 
 
 def lens_equivalent(a: Tuple[int, int], b: Tuple[int, int]) -> bool:
@@ -316,13 +327,13 @@ class BoundaryReport:
 def classify(s: Sequence[int], reduce: bool = False) -> BoundaryReport:
     """Tight/overtwisted verdict for the concave boundary of a chain.
 
-    The swept-angle criterion is evaluated for the smallest valid pivot.
-    One pass over the chain (``lattice.spliced_counts``) also gives the
-    exact count of every other valid pivot; every pivot's verdict must
-    agree, and the smallest pivot's count must equal ``winding_compare``'s
-    (an :class:`InternalInvariantError` flags either disagreement loudly).
-    One continuant pass gives det Q and the lens pair; its raising check
-    includes the determinant identity, so ``det_check`` is always true.
+    The swept-angle criterion is reported for the smallest valid pivot.
+    One pass over the chain (``lattice.spliced_counts``) gives the exact
+    count c of every valid pivot.  One continuant pass gives det Q, the lens
+    pair and b+(Q); its raising check includes the determinant identity, so
+    ``det_check`` is always true.  Every pivot's c must equal b+(Q) - 1, a
+    route that shares nothing with the ray walk (an
+    :class:`InternalInvariantError` flags a difference loudly).
     With ``reduce`` set, -1 entries are blown down first; otherwise they
     raise, so the standing assumption s_j != -1 stays visible to the caller.
     """
@@ -335,28 +346,21 @@ def classify(s: Sequence[int], reduce: bool = False) -> BoundaryReport:
         pivots.pop()  # pivots n-1 and n give the same decomposition
     head, tail = _candidate_rays(s)
     ks = [min(i, n - 1) for i in pivots]
-    counts = lattice.spliced_counts(head, tail, ks)
-    i0, k0 = pivots[0], ks[0]
-    rays0 = tuple(head[:k0] + tail[k0:])
-    winding0 = lattice.winding_compare(rays0)
-    count0 = winding0.crossings_of_start + winding0.crossings_of_antipode
-    if count0 != counts[0]:
-        raise InternalInvariantError(
-            "pivot %d sweep count %d != winding count %d for %s" % (i0, counts[0], count0, s)
-        )
-    verdicts = [Verdict.OVERTWISTED if count >= 1 else Verdict.TIGHT for count in counts]
-    for i, verdict in zip(pivots[1:], verdicts[1:]):
-        if verdict is not verdicts[0]:
+    counts, last = lattice.spliced_counts(head, tail, ks)
+    lens, det, b_plus = _lens_from_terminal_ray(s, tail[-1])
+    for i, count in zip(pivots, counts):
+        if count != b_plus - 1:
             raise InternalInvariantError(
-                "pivot %d verdict %s disagrees with pivot %d for %s" % (i, verdict, i0, s)
+                "pivot %d sweep count %d != b+(Q) - 1 = %d for %s" % (i, count, b_plus - 1, s)
             )
-    lens, det = _lens_from_terminal_ray(s, tail[-1])
+    i0, k0 = pivots[0], ks[0]
+    winding0 = lattice.winding_verdict(counts[0], last)
     return BoundaryReport(
         chain=s,
         pivot=i0,
-        rays=RaySequence(w=rays0, pivot=i0),
+        rays=RaySequence(w=tuple(head[:k0] + tail[k0:]), pivot=i0),
         winding=winding0,
-        verdict=verdicts[0],
+        verdict=Verdict.OVERTWISTED if counts[0] >= 1 else Verdict.TIGHT,
         lens=lens,
         det=det,
         det_check=True,  # the lens check raised where the identity fails

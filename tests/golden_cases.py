@@ -43,6 +43,11 @@ CASES = {
     "classify_zero_tail": ["classify", "--plumbing", "3,0,0"],
     # rays past 10^308: the display-only swept angle takes its rescale path
     "classify_huge_entries": ["classify", "--plumbing", ",".join(["3" * 160] * 2)],
+    # exact landings: a half turn onto -w0 (vs_pi EQ), a full turn back onto
+    # w0 (vs_2pi EQ), and onto -w0 again after passing w0 (GT/GT)
+    "classify_landing_antipode": ["classify", "--plumbing", "1,1"],
+    "classify_landing_start": ["classify", "--plumbing", "1,2,1"],
+    "classify_antipode_past_two_pi": ["classify", "--plumbing", "1,2,2,1"],
     "construct_heights": [
         "construct", "--plumbing", "-2,1,0,-2", "--heights", "-1,-3,-3,-1",
     ],

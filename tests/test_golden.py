@@ -4,9 +4,18 @@ The cases, their files under ``tests/golden/`` and a pytest-free harness
 (``--check``, ``--regenerate``) are in ``golden_cases.py``.
 """
 
+import re
+import shlex
+from pathlib import Path
+
 import pytest
 
 from golden_cases import CAPS, CASES, expected, run_case
+
+ROOT = Path(__file__).resolve().parent.parent
+WORKFLOW = ROOT / ".github" / "workflows" / "tests.yml"
+# a CLI run whose stdout the workflow compares with a golden file
+PIPED = re.compile(r"python (?:-S )?-m plumbtoric (.+) \| cmp - tests/golden/(\S+)\.out$")
 
 
 @pytest.mark.parametrize("name", sorted(CASES))
@@ -17,3 +26,20 @@ def test_output_is_pinned(name, monkeypatch):
     golden_out, golden_status = expected(name)
     assert status == golden_status
     assert out == golden_out
+
+
+def _resolved(argv):
+    """argv with each existing file, relative to the repository root or
+    absolute, replaced by its resolved path."""
+    return [str((ROOT / a).resolve()) if (ROOT / a).is_file() else a for a in argv]
+
+
+def test_workflow_runs_golden_cases():
+    # the workflow's ``| cmp - tests/golden/<name>.out`` steps run only on a
+    # push; this catches a renamed case or a changed argv in the test suite
+    text = re.sub(r"\\\n\s*", " ", WORKFLOW.read_text())
+    steps = [m.groups() for m in map(PIPED.search, text.splitlines()) if m]
+    assert len(steps) == text.count("| cmp - tests/golden/") > 0
+    for args, name in steps:
+        assert name in CASES, name
+        assert _resolved(shlex.split(args)) == _resolved(CASES[name]), name

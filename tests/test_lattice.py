@@ -401,6 +401,12 @@ class TestWindingOracle:
         assert winding_outcome(winding_compare, rays) == winding_outcome(oracle_winding, rays)
 
 
+def ray_position(w0, v):
+    """0 on w0, 1 where cross(w0, v) > 0, 2 on -w0, 3 where cross(w0, v) < 0."""
+    side = cross(w0, v)
+    return 1 if side > 0 else 3 if side < 0 else 0 if dot(w0, v) > 0 else 2
+
+
 class TestSplicedCounts:
     @settings(max_examples=300, deadline=None)
     @given(st.lists(st.tuples(any_vec, any_vec), min_size=2, max_size=7), st.data())
@@ -414,12 +420,16 @@ class TestSplicedCounts:
                 spliced_counts(head, tail, ks)
         else:
             expected = [w.crossings_of_start + w.crossings_of_antipode for w in outcomes]
-            assert spliced_counts(head, tail, ks) == expected
+            counts, last = spliced_counts(head, tail, ks)
+            assert counts == expected
+            # tail[-1] ends every spliced sequence
+            assert last == ray_position(head[0], tail[-1])
 
     def test_counts_per_switch_point(self):
         # switching at k = 1 takes the tail's extra full turn (675 degrees);
         # switching later takes the head's short path (315 degrees)
         head = [E, (2, 1), (1, 2), N]
         tail = [None, (-1, 1), (1, 1), (1, -1)]
-        assert spliced_counts(head, tail, [1, 2, 3]) == [3, 1, 1]
-        assert spliced_counts(head, tail, [2]) == [1]
+        # every sequence ends on (1, -1), below w0 = E: position 3
+        assert spliced_counts(head, tail, [1, 2, 3]) == ([3, 1, 1], 3)
+        assert spliced_counts(head, tail, [2]) == ([1], 3)

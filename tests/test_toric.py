@@ -1,4 +1,5 @@
 import itertools
+import re
 from fractions import Fraction
 
 import pytest
@@ -36,7 +37,7 @@ from plumbtoric import (
     moment_polygon,
     ray_sequence,
 )
-from plumbtoric import lattice, toric
+from plumbtoric import lattice, plumbing, toric
 from plumbtoric.plumbing import area_vector
 
 # chains acceptable to the construction: no -1, at least one entry >= 0
@@ -202,7 +203,7 @@ def sweep_counts(s):
     pivots = pivots_of(s)
     head, tail = toric._candidate_rays(s)
     ks = [min(i, len(s) - 1) for i in pivots]
-    return zip(pivots, lattice.spliced_counts(head, tail, ks))
+    return zip(pivots, lattice.spliced_counts(head, tail, ks)[0])
 
 
 def product_rays(s, i):
@@ -245,6 +246,58 @@ class TestPivotSweep:
         assert_sweep_matches_winding(s)
 
 
+def jacobi_signature(s):
+    """(b+, b-) of Q by Jacobi's rule over the forward leading minors
+    d_0 = 1, d_1, ..., d_n: a permanence of sign is a positive eigenvalue and
+    a change a negative one.  An interior zero takes the sign of the minor
+    before it (d_{j+1} = -d_{j-1} then, so the pair around it counts once
+    either way); a final zero is the kernel and counts for neither."""
+    signs = [1]
+    for d in plumbing._minors(s):
+        signs.append((d > 0) - (d < 0) or signs[-1])
+    steps = list(zip(signs, signs[1:]))
+    if d == 0:
+        steps.pop()
+    return sum(a == b for a, b in steps), sum(a != b for a, b in steps)
+
+
+class TestSignature:
+    """The sweep count of every pivot is b+(Q) - 1, read here off the
+    forward minors, a different nested sequence from the reversed one
+    classify uses."""
+
+    @given(
+        st.lists(st.integers(-8, 8).filter(lambda v: v != -1), min_size=2, max_size=60)
+        .map(tuple)
+        .filter(lambda s: any(v >= 0 for v in s))
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_sweep_count_is_b_plus_minus_one(self, s):
+        b_plus = jacobi_signature(s)[0]
+        for i, count in sweep_counts(s):
+            assert count == b_plus - 1, (s, i)
+
+    @given(
+        st.sampled_from([(-8, 8), (-8, -1)]).flatmap(
+            lambda r: st.lists(st.integers(*r), min_size=1, max_size=60)
+        )
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_negative_definite_iff_b_minus_is_n(self, s):
+        assert plumbing.is_negative_definite(s) is (jacobi_signature(s)[1] == len(s))
+
+    @pytest.mark.parametrize(
+        "s, signature",
+        [((1, 1), (1, 0)), ((0, 0), (1, 1)), ((1, 1, 1), (2, 1)), ((-2, -2), (0, 2))],
+    )
+    def test_zero_minors(self, s, signature):
+        # (1, 1) ends on a zero minor (a kernel); (0, 0) and (1, 1, 1) have
+        # an interior one, in both directions
+        assert jacobi_signature(s) == signature
+        last = toric._candidate_rays(s)[1][-1]
+        assert toric._lens_from_terminal_ray(s, last)[2] == signature[0]
+
+
 class TestCrossChecksFire:
     """Each internal cross-check of classify raises on bad data."""
 
@@ -284,19 +337,20 @@ class TestCrossChecksFire:
         real = lattice.spliced_counts
 
         def corrupt_second(head, tail, ks):
-            counts = real(head, tail, ks)
+            counts, last = real(head, tail, ks)
             assert counts[1] >= 1
-            return counts[:1] + [0] + counts[2:]
+            return counts[:1] + [0] + counts[2:], last
 
         monkeypatch.setattr(lattice, "spliced_counts", corrupt_second)
-        with pytest.raises(InternalInvariantError, match="pivot 2 verdict"):
+        message = "pivot 2 sweep count 0 != b+(Q) - 1 = 2 for (2, 1, 3)"
+        with pytest.raises(InternalInvariantError, match=re.escape(message)):
             classify((2, 1, 3))
 
-    @pytest.mark.parametrize("side", [0, 1], ids=["head", "tail"])
-    def test_corrupted_ray_sequence(self, monkeypatch, side):
+    @pytest.mark.parametrize("side, pivot", [(0, 2), (1, 1)], ids=["head", "tail"])
+    def test_corrupted_ray_sequence(self, monkeypatch, side, pivot):
         # (2, 1, 3): pivot 1 has the rays w0, tail[1], tail[2] and pivot 2
         # has w0, head[1], tail[2] = (2, -3).  (3, -5) lies just clockwise of
-        # the last ray, so either pivot fed it sweeps less than a half turn.
+        # the last ray, so the pivot fed it sweeps less than a half turn.
         real = toric._candidate_rays
 
         def corrupt(s):
@@ -305,19 +359,37 @@ class TestCrossChecksFire:
             return rays
 
         monkeypatch.setattr(toric, "_candidate_rays", corrupt)
-        with pytest.raises(InternalInvariantError, match="pivot 2 verdict"):
+        message = "pivot %d sweep count 0 != b+(Q) - 1 = 2 for (2, 1, 3)" % pivot
+        with pytest.raises(InternalInvariantError, match=re.escape(message)):
             classify((2, 1, 3))
 
     def test_sweep_matches_winding_compare(self, monkeypatch):
         real = lattice.spliced_counts
 
         def corrupt_first(head, tail, ks):
-            counts = real(head, tail, ks)
-            return [counts[0] + 2] + counts[1:]
+            counts, last = real(head, tail, ks)
+            return [counts[0] + 2] + counts[1:], last
 
         monkeypatch.setattr(lattice, "spliced_counts", corrupt_first)
-        with pytest.raises(InternalInvariantError, match="sweep count"):
+        message = "pivot 1 sweep count 2 != b+(Q) - 1 = 0 for (3, -2, -2)"
+        with pytest.raises(InternalInvariantError, match=re.escape(message)):
             classify((3, -2, -2))
+
+    def test_signature_sign(self, monkeypatch):
+        # the reversed pass over (2, 1, 3) is 3, 2, 1, so b+(Q) = 3; negating
+        # the first minor keeps the last two, and with them the lens check,
+        # but leaves b+(Q) = 1 against the sweep's count of 2
+        real = toric._minors
+
+        def negate_first(chain):
+            first, *rest = real(chain)
+            return iter([-first] + rest)
+
+        assert list(real((2, 1, 3)[::-1])) == [3, 2, 1]
+        monkeypatch.setattr(toric, "_minors", negate_first)
+        message = "pivot 1 sweep count 2 != b+(Q) - 1 = 0 for (2, 1, 3)"
+        with pytest.raises(InternalInvariantError, match=re.escape(message)):
+            classify((2, 1, 3))
 
     def test_determinant_identity(self, monkeypatch):
         # det Q = (-1)^(n-1) cross(w_0, w_last) is the k half of the lens
