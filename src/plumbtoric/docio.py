@@ -13,9 +13,9 @@ entries and is too slow for the indenting encoder, which is pure Python.
 bytes as ``dumps`` of the document: each family straight from its
 ``FamilyCount``, and each split orbit and each orbit's generator-entry
 text, up to the multiplicity, from one template each (once per call).
-Each (orbit, multiplicity) entry text is built once per document, by one
-cache, when a generator first holds it, and each generator
-(``current_to_doc``) joins those of its entries.  The other two bulk
+Each generator (``current_to_doc``) joins its entries' texts in the order
+the current lists them: ``reeb.enumerate_generators`` decides the orbit
+order, and nothing here sorts again.  The other two bulk
 writers work the same way: each survey CSV row is one f-string, and each
 element of the SVG picture one template with its coordinates in ``%.3f``
 fields.  Output with an integer too long to print is refused as
@@ -241,51 +241,24 @@ def families_to_doc(families: Sequence[reeb.FamilyCount]) -> list:
     ]
 
 
-def _entry_texts(orbits):
-    """The entry texts of one document: ``texts(id(orbit), multiplicity)``
-    returns (rank, the generator entry's text).  Each orbit's rank and text
-    up to the multiplicity are built here, and each (orbit, multiplicity)
-    text once, by the cache, when a generator first holds it.
-
-    Ranks follow one stable sort by (base action, eps exponent, kind, CZ):
-    ``enumerate_generators`` lists a current's entries by (base action, eps
-    exponent, CZ, kind) and then by first place in ``orbits``, so sorting a
-    current's entries by rank is sorting them by (base action, eps
-    exponent, kind) and keeping their order on ties.  Orbits are looked up
-    by identity: the search's currents hold these very objects, and hashing
-    one goes through two Fractions and its family.
-    """
-    ranked = sorted(orbits, key=lambda o: (o.base_action, o.eps_exponent, o.kind.value, o.cz))
-    heads = {}
-    for rank, o in enumerate(ranked):
-        if id(o) not in heads:  # a repeated object keeps its first rank
-            fields = (format_fraction(o.base_action), o.cz, o.eps_exponent, o.kind.value)
-            heads[id(o)] = (rank, _ENTRY_TEXT % fields)
-
-    @functools.cache
-    def texts(key, mult):
-        rank, head = heads[key]
-        return rank, head + str(mult)
-
-    return texts
+def _entry_heads(orbits) -> dict:
+    """Each orbit's generator-entry text up to the multiplicity, keyed by
+    ``id(orbit)``: the search's currents hold these very objects, and
+    hashing one goes through two Fractions and its family."""
+    return {
+        id(o): _ENTRY_TEXT % (format_fraction(o.base_action), o.cz, o.eps_exponent, o.kind.value)
+        for o in orbits
+    }
 
 
-def current_to_doc(current: reeb.ReebCurrent, texts) -> str:
+def current_to_doc(current: reeb.ReebCurrent, heads) -> str:
     """One generator's text as it sits in the reeb-orbits document, with
-    ``texts`` the cached function ``_entry_texts`` returns for the orbit
-    list the generator was drawn from: its entries' texts joined in rank
-    order, sorted only when there are two or more (a current's orbits are
-    distinct, so their ranks are).  A one-entry generator skips the sort
-    and the join."""
-    entries = current.entries
-    if not entries:
+    ``heads`` the ``_entry_heads`` of the orbit list the generator was drawn
+    from: its entries' texts joined in the current's order, which
+    ``enumerate_generators`` makes the document's."""
+    if not current.entries:
         return "[]"
-    if len(entries) == 1:
-        orbit, mult = entries[0]
-        listed = texts(id(orbit), mult)[1]
-    else:
-        ranked = sorted([texts(id(orbit), mult) for orbit, mult in entries])
-        listed = "\n      },\n      ".join([text for _, text in ranked])
+    listed = "\n      },\n      ".join([heads[id(o)] + str(m) for o, m in current.entries])
     return "[\n      %s\n      }\n    ]" % listed
 
 
@@ -316,7 +289,7 @@ def reeb_orbits_text(bound, families, orbits, generators) -> str:
     and slope.  The same bytes as ``dumps`` of the document, written in its
     fixed shape: rationals print as "p/q" and the orbit kinds are plain
     words, so no string needs JSON escaping."""
-    texts = _entry_texts(orbits)
+    heads = _entry_heads(orbits)
     families_text = [
         _FAMILY_TEXT
         % (format_fraction(fc.family.base_action), fc.max_multiplicity, *fc.family.slope, fc.family.vertex)
@@ -338,7 +311,7 @@ def reeb_orbits_text(bound, families, orbits, generators) -> str:
     return '{\n  "action_bound": "%s",\n  "families": %s,\n  "generators": %s,\n  "orbits": %s\n}\n' % (
         format_fraction(bound),
         _listing(families_text),
-        _listing([current_to_doc(g, texts) for g in generators]),
+        _listing([current_to_doc(g, heads) for g in generators]),
         _listing(orbits_text),
     )
 

@@ -4,7 +4,8 @@ A chain is the ordered tuple of self-intersection numbers (s_1, ..., s_n);
 all plumbing edges are taken positive.  Indices in error messages and in
 the Neumann-move interface are 1-based, matching the usual notation.
 
-The leading principal minors of Q come from one recurrence, ``_minors``;
+The leading principal minors of Q come from one recurrence, ``_minors``,
+and its inertia from one pass over them by Jacobi's rule, ``_inertia``;
 ``blow_down`` is one pass, with a stack of reduced vertices and a carry.
 """
 
@@ -56,9 +57,26 @@ def _minors(s: Chain):
         yield prev1
 
 
+def _inertia(s: Chain):
+    """(b+(Q), d_{n-1}, d_n) from one pass over the leading minors, d_0 = 1.
+
+    Jacobi's rule: each d_j of the sign of d_{j-1} is a positive
+    eigenvalue; an interior zero forces d_{j+1} = -d_{j-1}, so it counts
+    once; a final zero is the kernel.  Q is tridiagonal with nonzero
+    off-diagonal entries, so its kernel has dimension at most 1, and is
+    nonzero exactly when d_n = 0.
+    """
+    prev, last, b_plus = 0, 1, 0  # d_{j-1}, d_j and the count so far
+    for d in _minors(s):
+        prev, last = last, d
+        b_plus += prev * last > 0 or prev == 0
+    return b_plus, prev, last
+
+
 def is_negative_definite(s: Sequence[int]) -> bool:
-    """Sylvester: leading principal minors alternate sign starting negative."""
-    return all((-1) ** k * d < 0 for k, d in enumerate(_minors(as_chain(s))))
+    """No positive eigenvalue and no kernel: b+(Q) = 0 and det Q != 0."""
+    b_plus, _, det = _inertia(as_chain(s))
+    return b_plus == 0 and det != 0
 
 
 def blow_down(s: Sequence[int]) -> Chain:

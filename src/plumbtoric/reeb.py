@@ -352,8 +352,10 @@ def enumerate_generators(
     as the nested key did (equal counts give equal lengths), and the
     currents are built after the sort.  The sort key ties often, and ties
     keep the emission order, which is lexicographic in the multiplicity
-    vector over the orbits sorted by (base action, eps exponent, CZ, kind);
+    vector over the orbits sorted by (base action, eps exponent, kind, CZ);
     orbits that tie on that key keep the caller's order, never a hash order.
+    Each current lists its entries in that orbit order, which is the order
+    the reeb-orbits document prints them in.
 
     With ``max_generators`` set, the search raises
     :class:`TooManyGenerators` as soon as the generators it has emitted or
@@ -365,14 +367,14 @@ def enumerate_generators(
         raise ValueError("action bound must be positive")
     ordered = sorted(
         dict.fromkeys(orbits),
-        key=lambda o: (o.base_action, o.eps_exponent, o.cz, o.kind.value),
+        key=lambda o: (o.base_action, o.eps_exponent, o.kind.value, o.cz),
     )
     for o in ordered:
         if o.base_action <= 0:
             raise ValueError("orbit actions must be positive")
     _, (top, *scaled) = scale_to_ints([bound] + [Fraction(o.base_action) for o in ordered])
     triples = [(action, o.eps_exponent, o.kind.value) for action, o in zip(scaled, ordered)]
-    rank = {t: r for r, t in enumerate(sorted(set(triples)))}
+    rank = {t: r for r, t in enumerate(dict.fromkeys(triples))}  # in sorted order already
     # no multiplicity reaches top // (the smallest action) + 1
     span = top // scaled[0] + 1 if scaled else 1
     cap = sys.maxsize if max_generators is None else max_generators  # no list is longer

@@ -59,7 +59,7 @@ from .errors import (
     TooShort,
 )
 from .lattice import Cmp, MatSL2Z, WindingVerdict, cross
-from .plumbing import _minors, area_vector, as_chain, blow_down, is_negative_definite
+from .plumbing import _inertia, area_vector, as_chain, blow_down, is_negative_definite
 
 
 def gluing_matrix(s_j: int) -> MatSL2Z:
@@ -267,16 +267,10 @@ def lens_invariant(s: Sequence[int]) -> Tuple[int, int]:
 
 
 def _lens_from_terminal_ray(s, r) -> Tuple[Tuple[int, int], int, int]:
-    """(lens pair, det Q, b+(Q)) from one pass over the reversed chain's
-    minors d_1..d_n, the last two K(s_2..s_n), K(s_1..s_n).  By Jacobi's
-    rule (d_0 = 1) each d_j of the sign of d_{j-1} is a positive eigenvalue;
-    an interior zero forces d_{j+1} = -d_{j-1}, so it counts once; a final
-    zero is the kernel."""
+    """(lens pair, det Q, b+(Q)) from one ``_inertia`` pass over the
+    reversed chain, whose last two minors are K(s_2..s_n), K(s_1..s_n)."""
     k_raw, l_raw = s[0] * r[0] + r[1], r[0]  # cross(w_0, r), r_x
-    l, k, b_plus = 0, 1, 0  # d_{j-1}, d_j and the count so far
-    for d in _minors(s[::-1]):
-        l, k = k, d
-        b_plus += l * k > 0 or l == 0
+    b_plus, l, k = _inertia(s[::-1])
     sign = (-1) ** (len(s) - 1)
     if k_raw != sign * k or l_raw != sign * l:
         raise InconsistentInvariant(

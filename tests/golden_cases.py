@@ -5,8 +5,9 @@ The files under ``tests/golden/`` hold, per case, the exact stdout
 ``error.type`` of the stderr record (null on success); for a failing case
 the manifest also holds the record's ``error.message``.  Refactors of the
 library must reproduce them byte for byte.  With the library on
-``PYTHONPATH``, to compare every case with its files, or to rewrite the
-files from the library:
+``PYTHONPATH``, to compare every case with its files (printing, for each
+case that differs, its status difference and its first differing stdout
+line), or to rewrite the files from the library:
 
     python tests/golden_cases.py --check
     python tests/golden_cases.py --regenerate
@@ -19,6 +20,7 @@ import json
 import os
 import sys
 from contextlib import redirect_stderr, redirect_stdout
+from itertools import zip_longest
 from pathlib import Path
 
 from plumbtoric.cli import main
@@ -132,11 +134,31 @@ def regenerate():
     (GOLDEN / "manifest.json").write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n")
 
 
+def first_difference(got, want):
+    """Where a case's (stdout, status) ``got`` departs from the pinned
+    ``want``: the status difference and the first differing stdout line, by
+    its 1-based number, with both versions (None past the end of one); None
+    when they agree."""
+    (out, status), (want_out, want_status) = got, want
+    found = []
+    for key in sorted(status.keys() | want_status.keys()):  # exit, error, message
+        if status.get(key) != want_status.get(key):
+            found.append("%s %r, expected %r" % (key, status.get(key), want_status.get(key)))
+    lines = zip_longest(out.splitlines(keepends=True), want_out.splitlines(keepends=True))
+    for number, (line, want_line) in enumerate(lines, 1):
+        if line != want_line:
+            found.append("stdout line %d is %r, expected %r" % (number, line, want_line))
+            break
+    return "; ".join(found) or None
+
+
 def check() -> list:
-    """The names of the cases whose output differs from their files."""
+    """(name, first difference) of each case whose output differs from its
+    files."""
     for var in CAPS:
         os.environ.pop(var, None)
-    return [name for name, argv in sorted(CASES.items()) if run_case(argv) != expected(name)]
+    found = [(name, first_difference(run_case(argv), expected(name))) for name, argv in sorted(CASES.items())]
+    return [(name, where) for name, where in found if where]
 
 
 if __name__ == "__main__":
@@ -144,8 +166,8 @@ if __name__ == "__main__":
         regenerate()
     elif sys.argv[1:] == ["--check"]:
         differ = check()
-        for name in differ:
-            print("differs: %s" % name)
+        for name, where in differ:
+            print("differs: %s: %s" % (name, where))
         print("%d of %d golden cases match" % (len(CASES) - len(differ), len(CASES)))
         sys.exit(1 if differ else 0)
     else:

@@ -10,7 +10,7 @@ from pathlib import Path
 
 import pytest
 
-from golden_cases import CAPS, CASES, expected, run_case
+from golden_cases import CAPS, CASES, expected, first_difference, run_case
 
 ROOT = Path(__file__).resolve().parent.parent
 WORKFLOW = ROOT / ".github" / "workflows" / "tests.yml"
@@ -26,6 +26,19 @@ def test_output_is_pinned(name, monkeypatch):
     golden_out, golden_status = expected(name)
     assert status == golden_status
     assert out == golden_out
+
+
+def test_first_difference_names_line_and_status():
+    ok = {"exit": 0, "error": None}
+    assert first_difference(("a\nb\n", ok), ("a\nb\n", ok)) is None
+    assert first_difference(("a\nc\n", ok), ("a\nb\n", ok)) == "stdout line 2 is 'c\\n', expected 'b\\n'"
+    assert first_difference(("a\n", ok), ("a\nb\n", ok)) == "stdout line 2 is None, expected 'b\\n'"
+    assert first_difference(("a", ok), ("a\n", ok)) == "stdout line 1 is 'a', expected 'a\\n'"
+    failed = {"exit": 2, "error": "TooShort", "message": "m"}
+    assert first_difference(("", failed), ("a\n", ok)) == (
+        "error 'TooShort', expected None; exit 2, expected 0; message 'm', expected None; "
+        "stdout line 1 is None, expected 'a\\n'"
+    )
 
 
 def _resolved(argv):

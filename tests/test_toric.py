@@ -3,7 +3,7 @@ import re
 from fractions import Fraction
 
 import pytest
-from hypothesis import event, given, settings, strategies as st
+from hypothesis import event, example, given, settings, strategies as st
 
 from plumbtoric import (
     Cmp,
@@ -283,6 +283,9 @@ class TestSignature:
         )
     )
     @settings(max_examples=200, deadline=None)
+    # b+ = 0 with a kernel, so only the det != 0 clause refuses them
+    @example((-1, -1))
+    @example((-2, -1, -2))
     def test_negative_definite_iff_b_minus_is_n(self, s):
         assert plumbing.is_negative_definite(s) is (jacobi_signature(s)[1] == len(s))
 
@@ -305,9 +308,9 @@ class TestCrossChecksFire:
         # the reversed pass over (3, -2, -2) ends in K(s_2..s_n) = 3 and
         # K(s_1..s_n) = det Q = 11; (3, 7) breaks only the determinant
         # identity (the k half) and (4, 11) only the l half
-        assert list(toric._minors((3, -2, -2)[::-1])) == [-2, 3, 11]
+        assert list(plumbing._minors((3, -2, -2)[::-1])) == [-2, 3, 11]
         for pair in ((3, 7), (4, 11)):
-            monkeypatch.setattr(toric, "_minors", lambda s: iter(pair))
+            monkeypatch.setattr(plumbing, "_minors", lambda s: iter(pair))
             with pytest.raises(InconsistentInvariant):
                 classify((3, -2, -2))
             with pytest.raises(InconsistentInvariant):
@@ -379,14 +382,14 @@ class TestCrossChecksFire:
         # the reversed pass over (2, 1, 3) is 3, 2, 1, so b+(Q) = 3; negating
         # the first minor keeps the last two, and with them the lens check,
         # but leaves b+(Q) = 1 against the sweep's count of 2
-        real = toric._minors
+        real = plumbing._minors
 
         def negate_first(chain):
             first, *rest = real(chain)
             return iter([-first] + rest)
 
         assert list(real((2, 1, 3)[::-1])) == [3, 2, 1]
-        monkeypatch.setattr(toric, "_minors", negate_first)
+        monkeypatch.setattr(plumbing, "_minors", negate_first)
         message = "pivot 1 sweep count 2 != b+(Q) - 1 = 0 for (2, 1, 3)"
         with pytest.raises(InternalInvariantError, match=re.escape(message)):
             classify((2, 1, 3))
@@ -397,13 +400,13 @@ class TestCrossChecksFire:
         for s in ((3, -2, -2), (2, 1, 3), (0, -3, 2, -5)):
             report = classify(s)
             assert report.det_check and report.det == det_intersection(s)
-        real = toric._minors
+        real = plumbing._minors
 
         def shift_det(chain):
             *rest, det = real(chain)
             return iter(rest + [det + 1])
 
-        monkeypatch.setattr(toric, "_minors", shift_det)
+        monkeypatch.setattr(plumbing, "_minors", shift_det)
         for s in ((3, -2, -2), (2, 1, 3), (0, -3, 2, -5)):
             with pytest.raises(InconsistentInvariant, match="disagrees with continuant pair"):
                 classify(s)
@@ -411,13 +414,13 @@ class TestCrossChecksFire:
     @pytest.mark.parametrize("s", [(3, -2, -2), (3, 0, 0), (2, 1, 3), (0, -3, 2, -5)])
     def test_one_continuant_pass(self, monkeypatch, s):
         # det Q and the lens pair come from the same single pass
-        real, calls = toric._minors, []
+        real, calls = plumbing._minors, []
 
         def counted(chain):
             calls.append(chain)
             return real(chain)
 
-        monkeypatch.setattr(toric, "_minors", counted)
+        monkeypatch.setattr(plumbing, "_minors", counted)
         classify(s)
         assert len(calls) == 1
 
