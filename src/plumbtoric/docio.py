@@ -185,12 +185,12 @@ def polygon_to_doc(poly: MomentPolygon) -> dict:
         "vertices": [[format_fraction(x), format_fraction(y)] for x, y in poly.vertices],
         "edges": [
             {
-                "start": e.start,
-                "end": e.end,
+                "start": j,  # edge j joins vertices j and j + 1, as read back
+                "end": j + 1,
                 "self_intersection": e.self_intersection,
                 "area": format_fraction(e.area),
             }
-            for e in poly.edges
+            for j, e in enumerate(poly.edges)
         ],
         "rays": [_vec(poly.rays[0]), _vec(poly.rays[1])],
     }
@@ -463,8 +463,7 @@ def render_svg(poly: MomentPolygon) -> str:
     parts = [_SVG_HEAD, _SVG_ORIGIN % origin]
     for (x, y), cls in zip(ray_tips, ("start-ray", "end-ray")):
         parts.append(_SVG_RAY % (cls, *origin, *to_px(x, y)))
-    for e in poly.edges:
-        (ax, ay), (bx, by) = px[e.start], px[e.end]
+    for e, (ax, ay), (bx, by) in zip(poly.edges, px, px[1:]):  # edge j: vertices j, j + 1
         label = ((ax + bx) / 2 + 4, (ay + by) / 2 - 4, e.self_intersection, format_fraction(e.area))
         parts.append(_SVG_EDGE % (ax, ay, bx, by, *label))
     arc = [ray_tips[0]] + pts + [ray_tips[1]]

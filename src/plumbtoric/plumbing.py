@@ -140,18 +140,12 @@ def neumann_move(s: Sequence[int], move: NeumannMove, site: int) -> Chain:
 
 
 def area_vector(s: Chain, z: Sequence) -> list:
-    """a = -Q z for heights z; checks only that the lengths agree."""
-    n = len(s)
-    if len(z) != n:
-        raise ValueError("heights length %d != chain length %d" % (len(z), n))
-    out = []
-    for j in range(n):
-        a = -s[j] * z[j]
-        if j > 0:
-            a -= z[j - 1]
-        if j + 1 < n:
-            a -= z[j + 1]
-        out.append(a)
+    """a = -Q z over z padded with a 0 at each end; checks only the lengths."""
+    if len(z) != len(s):
+        raise ValueError("heights length %d != chain length %d" % (len(z), len(s)))
+    p, out = (0, *z, 0), []
+    for j, sj in enumerate(s):
+        out.append(-sj * p[j + 1] - p[j] - p[j + 2])
     return out
 
 

@@ -126,10 +126,9 @@ def decompose(s: Sequence[int], i: int) -> Decomposition:
 def choose_heights(s: Sequence[int], i: int) -> Tuple[int, ...]:
     """Deterministic corner heights z < 0 satisfying the gluing inequalities.
 
-    The outermost heights are -1 and the sweep moves inward, taking at each
-    position one less than the binding bound: z_j = min(bound, 0) - 1 with
-    bound = -s_{j-1} z_{j-1} from the left (resp. -s_{j+1} z_{j+1} from the
-    right); at the pivot both sides constrain.
+    z_j is one less than the least of 0 and -s_m z_m over the neighbours m
+    already set; the heights left of the pivot are set from the left end,
+    those right of it from the right end, and the pivot last.
     """
     s = as_chain(s)
     _check_chain(s, i)
@@ -137,48 +136,36 @@ def choose_heights(s: Sequence[int], i: int) -> Tuple[int, ...]:
 
 
 def _heights(s, i: int) -> Tuple[int, ...]:
-    """``choose_heights`` on a chain and pivot that passed the gate."""
-    n = len(s)
-    z: list = [None] * n
-    if i > 1:
-        z[0] = -1
-        for j in range(2, i):
-            bound = -s[j - 2] * z[j - 2]
-            z[j - 1] = min(bound, 0) - 1
-    if i < n:
-        z[n - 1] = -1
-        for j in range(n - 1, i, -1):
-            bound = -s[j] * z[j]
-            z[j - 1] = min(bound, 0) - 1
-    bounds = [0]
-    if i > 1:
-        bounds.append(-s[i - 2] * z[i - 2])
-    if i < n:
-        bounds.append(-s[i] * z[i])
-    z[i - 1] = min(bounds) - 1
+    """``choose_heights`` past the gate.  Step k sets z[j] (0-based), j = k left
+    of the pivot, then n + i - 2 - k from the right end down; bound[m] is
+    -s[m] z[m] once z[m] is set, else 0, and bound[-1] = bound[n] = 0 pad the ends."""
+    n, h = len(s), i - 1
+    z, bound = [0] * n, [0] * (n + 1)
+    for k in range(n):
+        j = k if k < h else n + h - 1 - k
+        least, b = bound[j - 1], bound[j + 1]
+        if b < least:
+            least = b
+        z[j] = zj = (least if least < 0 else 0) - 1
+        bound[j] = -s[j] * zj
     return tuple(z)
 
 
 def _validate_heights(s, i: int, z, zs) -> None:
-    """Refuse heights z that break the gluing construction for pivot i.  The
-    tests are homogeneous in z, so they run on zs = D z for any D > 0; a
-    refusal prints the value of z."""
+    """Refuse heights z that break the gluing construction for pivot i: z < 0,
+    and z_j < -s_m z_m for each interior j and neighbour m not nearer the
+    pivot.  The tests are homogeneous in z, so they run on zs = D z for any
+    D > 0; a refusal prints the value of z."""
     n = len(s)
     if len(z) != n:
         raise NonpositiveArea("heights length %d != chain length %d" % (len(z), n))
     for j, zj in enumerate(zs, start=1):
         if not zj < 0:
             raise NonpositiveArea("height z_%d = %s is not negative" % (j, z[j - 1]))
-    for j in range(2, min(i, n - 1) + 1):
-        if not zs[j - 1] < -s[j - 2] * zs[j - 2]:
-            raise NonpositiveArea(
-                "z_%d violates z_%d < -s_%d z_%d" % (j, j, j - 1, j - 1)
-            )
-    for j in range(max(i, 2), n):
-        if not zs[j - 1] < -s[j] * zs[j]:
-            raise NonpositiveArea(
-                "z_%d violates z_%d < -s_%d z_%d" % (j, j, j + 1, j + 1)
-            )
+    for p in range(1, n):  # z_p and z_{p+1} as (j, m), left to right
+        j, m = (p + 1, p) if p < i else (p, p + 1)
+        if 1 < j < n and not zs[j - 1] < -s[m - 1] * zs[m - 1]:
+            raise NonpositiveArea("z_%d violates z_%d < -s_%d z_%d" % (j, j, m, m))
 
 
 def _positive_areas(s, zs, scale: int = 1) -> list:
@@ -192,7 +179,7 @@ def _positive_areas(s, zs, scale: int = 1) -> list:
 
 
 def areas(s: Sequence[int], z: Sequence) -> tuple:
-    """Symplectic areas a_j = -s_j z_j - z_{j+1} - z_{j-1} (ends omit a term)."""
+    """Symplectic areas a = -Q z, refused unless every area is positive."""
     return tuple(_positive_areas(as_chain(s), z))
 
 
@@ -207,13 +194,13 @@ class RaySequence:
 def _candidate_rays(s) -> Tuple[list, list]:
     """Both candidate rays at every chain position, for all pivots at once.
 
-    With M_j = A_2 ... A_j, head[j] = M_j (0, 1) is the ray w_j when b_j = 0
-    and tail[j] = M_j (-s_{j+1}, 1) the ray when b_j = s_{j+1}, for
-    j = 1..n-1; head[0] = w_0 = (1, -s_1).  The pivot with k = min(i, n-1)
-    has the rays head[:k] + tail[k:].  tail[j] is the first column of
-    M_{j+1}, so the product is kept as four ints.
+    With M_j = A_2 ... A_j and M_1 = I, tail[j] = M_{j+1} (1, 0) =
+    M_j (-s_{j+1}, 1) is the ray w_j when b_j = s_{j+1}, head[j] = M_j (0, 1)
+    the one when b_j = 0, and head[0] = w_0 = (1, -s_1).  The pivot with
+    k = min(i, n-1) has the rays head[:k] + tail[k:].  The product is kept
+    as four ints.
     """
-    head, tail = [(1, -s[0])], [None]
+    head, tail = [(1, -s[0])], [(1, 0)]
     a, b, c, d = 1, 0, 0, 1
     for t in s[1:]:
         head.append((b, d))
@@ -444,14 +431,13 @@ def moment_polygon(
     scale, zs = lattice.scale_to_ints(z)
     _validate_heights(s, i, z, zs)
     lengths = _positive_areas(s, zs, scale)
-    n = len(s)
     head, tail = _candidate_rays(s)
-    # the ray-end vertices z_1 w_0 and z_n w_last; M_1 is the identity
-    pts = [(zs[0] * head[0][0], zs[0] * head[0][1]), (zs[0], zs[1])]
-    for j in range(2, n):
+    # the ray-end vertices z_1 w_0 and z_n w_last
+    pts = [(zs[0] * head[0][0], zs[0] * head[0][1])]
+    for j in range(1, len(s)):
         (ax, ay), (bx, by) = tail[j - 1], head[j]
         pts.append((zs[j - 1] * ax + zs[j] * bx, zs[j - 1] * ay + zs[j] * by))
-    pts.append((zs[n - 1] * tail[n - 1][0], zs[n - 1] * tail[n - 1][1]))
+    pts.append((zs[-1] * tail[-1][0], zs[-1] * tail[-1][1]))
     rays = (head[0], tail[-1])
     _reread(pts, lengths, s, rays)
     vertices = tuple((Fraction(x, scale), Fraction(y, scale)) for x, y in pts)

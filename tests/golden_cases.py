@@ -7,7 +7,8 @@ the manifest also holds the record's ``error.message``.  Refactors of the
 library must reproduce them byte for byte.  With the library on
 ``PYTHONPATH``, to compare every case with its files (printing, for each
 case that differs, its status difference and its first differing stdout
-line), or to rewrite the files from the library:
+line, and each ``.out`` file or manifest entry that no case names), or to
+rewrite the files from the library:
 
     python tests/golden_cases.py --check
     python tests/golden_cases.py --regenerate
@@ -152,6 +153,14 @@ def first_difference(got, want):
     return "; ".join(found) or None
 
 
+def orphans() -> list:
+    """The ``.out`` files and manifest entries that no case in CASES names,
+    such as those a renamed case leaves behind."""
+    manifest = json.loads((GOLDEN / "manifest.json").read_text())
+    files = sorted(p.name for p in GOLDEN.glob("*.out") if p.stem not in CASES)
+    return files + ["manifest entry %s" % name for name in sorted(manifest) if name not in CASES]
+
+
 def check() -> list:
     """(name, first difference) of each case whose output differs from its
     files."""
@@ -165,11 +174,13 @@ if __name__ == "__main__":
     if sys.argv[1:] == ["--regenerate"]:
         regenerate()
     elif sys.argv[1:] == ["--check"]:
-        differ = check()
+        differ, stale = check(), orphans()
         for name, where in differ:
             print("differs: %s: %s" % (name, where))
-        print("%d of %d golden cases match" % (len(CASES) - len(differ), len(CASES)))
-        sys.exit(1 if differ else 0)
+        for name in stale:
+            print("orphan: %s names no case" % name)
+        print("%d of %d golden cases match, %d orphans" % (len(CASES) - len(differ), len(CASES), len(stale)))
+        sys.exit(1 if differ or stale else 0)
     else:
         print("usage: golden_cases.py --check | --regenerate", file=sys.stderr)
         sys.exit(2)

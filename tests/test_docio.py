@@ -213,3 +213,18 @@ class TestBulkWriters:
     @given(st.lists(st.tuples(*[st.text()] * len(docio.SURVEY_COLUMNS)), max_size=5))
     def test_csv_same_bytes_on_any_strings(self, rows):
         assert docio.survey_to_csv(rows) == oracle_survey_to_csv(rows)
+
+
+def test_writers_join_edge_j_to_vertices_j_and_j_plus_1():
+    # blow_up_corner and polygon_from_doc take edge j to join vertices j and
+    # j + 1 whatever indices it stores; so do the SVG and document writers
+    poly = pt.moment_polygon((-2, 1, 0, -2), 2)
+    relabeled = pt.MomentPolygon(
+        poly.vertices,
+        tuple(pt.PolygonEdge(7, j, e.self_intersection, e.area) for j, e in enumerate(poly.edges)),
+        poly.rays,
+    )
+    assert docio.render_svg(relabeled) == docio.render_svg(poly)
+    doc = docio.polygon_to_doc(relabeled)
+    assert doc == docio.polygon_to_doc(poly)
+    assert docio.polygon_from_doc(doc) == poly

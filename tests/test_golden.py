@@ -4,13 +4,15 @@ The cases, their files under ``tests/golden/`` and a pytest-free harness
 (``--check``, ``--regenerate``) are in ``golden_cases.py``.
 """
 
+import json
 import re
 import shlex
 from pathlib import Path
 
 import pytest
 
-from golden_cases import CAPS, CASES, expected, first_difference, run_case
+import golden_cases
+from golden_cases import CAPS, CASES, expected, first_difference, orphans, run_case
 
 ROOT = Path(__file__).resolve().parent.parent
 WORKFLOW = ROOT / ".github" / "workflows" / "tests.yml"
@@ -26,6 +28,21 @@ def test_output_is_pinned(name, monkeypatch):
     golden_out, golden_status = expected(name)
     assert status == golden_status
     assert out == golden_out
+
+
+def test_no_orphan_golden_files():
+    assert orphans() == []
+
+
+def test_orphans_names_stale_files_and_entries(tmp_path, monkeypatch):
+    name = sorted(CASES)[0]
+    (tmp_path / (name + ".out")).write_text("")
+    (tmp_path / "renamed_case.out").write_text("")
+    (tmp_path / "itinerary.json").write_text("{}")  # an input, not a golden
+    manifest = {name: {}, "old_case": {}}
+    (tmp_path / "manifest.json").write_text(json.dumps(manifest))
+    monkeypatch.setattr(golden_cases, "GOLDEN", tmp_path)
+    assert orphans() == ["renamed_case.out", "manifest entry old_case"]
 
 
 def test_first_difference_names_line_and_status():

@@ -758,6 +758,72 @@ class TestReReadFaults:
             blow_up_corner(self.POLY, 1, Fraction(2, 3))
 
 
+# The two-sweep heights from before one rule set every height, and -Q z as
+# a product with the intersection matrix: the oracles for TestHeightsOracle
+# and TestAreaVectorOracle, and the heights and areas of oracle_moment_polygon.
+
+
+def oracle_heights(s, i):
+    n = len(s)
+    z = [None] * n
+    if i > 1:
+        z[0] = -1
+        for j in range(2, i):
+            bound = -s[j - 2] * z[j - 2]
+            z[j - 1] = min(bound, 0) - 1
+    if i < n:
+        z[n - 1] = -1
+        for j in range(n - 1, i, -1):
+            bound = -s[j] * z[j]
+            z[j - 1] = min(bound, 0) - 1
+    bounds = [0]
+    if i > 1:
+        bounds.append(-s[i - 2] * z[i - 2])
+    if i < n:
+        bounds.append(-s[i] * z[i])
+    z[i - 1] = min(bounds) - 1
+    return tuple(z)
+
+
+def oracle_area_vector(s, z):
+    return [-sum(q * v for q, v in zip(row, z)) for row in plumbing.intersection_matrix(s)]
+
+
+# chains of the construction up to length 60
+long_construction_chains = (
+    st.lists(st.integers(-4, 4).filter(lambda v: v != -1), min_size=2, max_size=60)
+    .map(tuple)
+    .filter(lambda s: any(v >= 0 for v in s))
+)
+
+
+class TestHeightsOracle:
+    def test_exhaustive_short_chains(self):
+        values = [v for v in range(-4, 5) if v != -1]
+        count = 0
+        for n in (2, 3, 4, 5):
+            for s in itertools.product(values, repeat=n):
+                for i in pivots_of(s):
+                    assert choose_heights(s, i) == oracle_heights(s, i), (s, i)
+                    count += 1
+        assert count == 113680
+
+    @given(long_construction_chains, st.data())
+    def test_long_chains(self, s, data):
+        i = data.draw(st.sampled_from(pivots_of(s)))
+        assert choose_heights(s, i) == oracle_heights(s, i)
+
+
+class TestAreaVectorOracle:
+    @given(st.lists(st.integers(-6, 6), min_size=1, max_size=12), st.booleans(), st.data())
+    def test_minus_q_z(self, s, rational, data):
+        values = st.fractions(-9, 9, max_denominator=6) if rational else st.integers(-9, 9)
+        z = data.draw(st.lists(values, min_size=len(s), max_size=len(s)))
+        got, want = area_vector(tuple(s), z), oracle_area_vector(s, z)
+        assert got == want
+        assert {type(a) for a in got} == {Fraction if rational else int}
+
+
 # The Fraction implementations of moment_polygon and blow_up_corner from
 # before the polygon paths ran on scaled ints, kept as the oracle for
 # TestPolygonOracle.
@@ -807,7 +873,7 @@ def oracle_validate_heights(s, i, z):
 
 
 def oracle_areas(s, z):
-    out = area_vector(s, z)
+    out = oracle_area_vector(s, z)
     for j, a in enumerate(out, start=1):
         if not a > 0:
             raise NonpositiveArea("area a_%d = %s is not positive" % (j, a))
@@ -818,7 +884,7 @@ def oracle_moment_polygon(s, i, z=None):
     s = tuple(s)
     toric._check_chain(s, i)
     if z is None:
-        z = toric._heights(s, i)
+        z = oracle_heights(s, i)
     z = tuple(Fraction(v) for v in z)
     oracle_validate_heights(s, i, z)
     a = oracle_areas(s, z)
