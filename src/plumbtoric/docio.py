@@ -34,9 +34,9 @@ from typing import Sequence
 
 from . import reeb
 from .errors import MalformedDocument, OutputTooLarge
-from .lattice import WindingVerdict, cross, dot
+from .lattice import WindingVerdict
 from .reeb import ReebItinerary
-from .toric import BoundaryReport, MomentPolygon, PolygonEdge
+from .toric import BoundaryReport, MomentPolygon, PolygonEdge, _check_edge_count
 
 SURVEY_HEADER = "# plumbtoric-survey v1"
 SURVEY_COLUMNS = ("s", "verdict", "k", "l", "vs_pi", "vs_2pi", "det", "det_check")
@@ -134,8 +134,8 @@ def swept_degrees_approx(rays) -> float:
     or dot past the float range by the larger of the two."""
     total = 0.0
     atan2, two_pi = math.atan2, 2 * math.pi
-    for u, v in zip(rays, rays[1:]):
-        c, d = cross(u, v), dot(u, v)
+    for (ux, uy), (vx, vy) in zip(rays, rays[1:]):
+        c, d = ux * vy - uy * vx, ux * vx + uy * vy  # cross(u, v), dot(u, v)
         try:
             ang = atan2(c, d)
         except OverflowError:
@@ -145,32 +145,40 @@ def swept_degrees_approx(rays) -> float:
     return math.degrees(total)
 
 
+# The verdict writers read each enum text as ``member._value_``, the value
+# the member stores: ``member.value`` is a Python-level property, about ten
+# times slower, and these run once per classified chain.
+
+
 def winding_to_doc(w: WindingVerdict, rays) -> dict:
+    landing = w.final_landing
     return {
-        "vs_pi": w.vs_pi.value,
-        "vs_2pi": w.vs_two_pi.value,
+        "vs_pi": w.vs_pi._value_,
+        "vs_2pi": w.vs_two_pi._value_,
         "crossings_of_start": w.crossings_of_start,
         "crossings_of_antipode": w.crossings_of_antipode,
-        "final_landing": w.final_landing.value if w.final_landing else None,
+        "final_landing": None if landing is None else landing._value_,
         "swept_degrees_approx": swept_degrees_approx(rays),
     }
 
 
 def torsion_to_doc(t: reeb.TorsionReport) -> dict:
+    at_simp = t.at_simp
     return {
-        "contact_invariant": t.contact_invariant.value,
+        "contact_invariant": t.contact_invariant._value_,
         "at": t.at,
-        "at_simp": t.at_simp.value if t.at_simp else None,
+        "at_simp": None if at_simp is None else at_simp._value_,
     }
 
 
 def report_to_doc(report: BoundaryReport) -> dict:
+    rays = report.rays.w  # int pairs, as classify builds them
     return {
         "chain": list(report.chain),
         "pivot": report.pivot,
-        "rays": [_vec(w) for w in report.rays.w],
-        "winding": winding_to_doc(report.winding, report.rays.w),
-        "verdict": report.verdict.value,
+        "rays": [[x, y] for x, y in rays],
+        "winding": winding_to_doc(report.winding, rays),
+        "verdict": report.verdict._value_,
         "lens": {"k": report.lens[0], "l": report.lens[1]},
         "det": report.det,
         "det_check": report.det_check,
@@ -181,6 +189,7 @@ def report_to_doc(report: BoundaryReport) -> dict:
 
 @_printable
 def polygon_to_doc(poly: MomentPolygon) -> dict:
+    _check_edge_count(poly)
     return {
         "vertices": [[format_fraction(x), format_fraction(y)] for x, y in poly.vertices],
         "edges": [
@@ -372,11 +381,11 @@ def survey_row(chain, report: BoundaryReport) -> tuple:
     chain that reduces to it its own row."""
     return (
         ",".join(map(str, chain)),
-        report.verdict.value,
+        report.verdict._value_,
         str(report.lens[0]),
         str(report.lens[1]),
-        report.winding.vs_pi.value,
-        report.winding.vs_two_pi.value,
+        report.winding.vs_pi._value_,
+        report.winding.vs_two_pi._value_,
         str((-1) ** (len(chain) - len(report.chain)) * report.det),
         "true" if report.det_check else "false",
     )
@@ -446,6 +455,7 @@ def render_svg(poly: MomentPolygon) -> str:
     radial rays (display only).  Each vertex is converted to pixels once, and
     each element is written by one template.
     """
+    _check_edge_count(poly)
     pts = [(float(x), float(y)) for x, y in poly.vertices]
     ray_tips = [(x * 1.45, y * 1.45) for x, y in (pts[0], pts[-1])]
     xs = [p[0] for p in pts + ray_tips] + [0.0]

@@ -20,6 +20,7 @@ only on its two rays.  ``winding_compare`` splices one sequence with itself.
 
 from __future__ import annotations
 
+import functools
 from enum import Enum
 from dataclasses import dataclass
 from fractions import Fraction
@@ -189,9 +190,14 @@ def _step(w0x, w0y, u, pu: int, v):
     return pv, pv < pu or (pv == pu and c < 0)
 
 
+@functools.lru_cache(maxsize=128)
 def winding_verdict(passed: int, last: int) -> WindingVerdict:
     """The verdict of a sequence that strictly passes ``passed`` multiples of
-    pi and whose last ray has the ``_step`` position ``last``."""
+    pi and whose last ray has the ``_step`` position ``last``.
+
+    Verdicts are immutable, so each argument pair gets one shared instance,
+    kept in a cache of at most 128 pairs (every chain of length up to 32
+    fits): callers compare verdicts by value, never by identity."""
     landing = (Landing.START, None, Landing.ANTIPODE, None)[last]
     vs_pi = Cmp.GT if passed >= 1 else Cmp.EQ if last == 2 else Cmp.LT
     vs_two_pi = Cmp.GT if passed >= 2 else Cmp.EQ if passed == 1 and last == 0 else Cmp.LT

@@ -521,11 +521,18 @@ class TorsionReport:
     at_simp: Optional[TorsionBound]
 
 
+_BELOW_PI = TorsionReport(ContactInvariant.NONZERO, None, TorsionBound.INFINITE)
+_ABOVE_PI = TorsionReport(ContactInvariant.ZERO, 0, None)
+_AT_PI = TorsionReport(ContactInvariant.UNDETERMINED, None, TorsionBound.POSITIVE)
+
+
 def torsion_verdict(w: WindingVerdict) -> TorsionReport:
     """Angle below pi: c nonzero and simple torsion infinite; above pi:
-    c = 0 and torsion 0; exactly pi: simple torsion strictly positive."""
-    if w.vs_pi is Cmp.LT:
-        return TorsionReport(ContactInvariant.NONZERO, None, TorsionBound.INFINITE)
-    if w.vs_pi is Cmp.GT:
-        return TorsionReport(ContactInvariant.ZERO, 0, None)
-    return TorsionReport(ContactInvariant.UNDETERMINED, None, TorsionBound.POSITIVE)
+    c = 0 and torsion 0; exactly pi: simple torsion strictly positive.
+
+    The report is one of three shared immutable module constants, chosen
+    by ``w.vs_pi``."""
+    vs_pi = w.vs_pi
+    if vs_pi is Cmp.LT:
+        return _BELOW_PI
+    return _ABOVE_PI if vs_pi is Cmp.GT else _AT_PI

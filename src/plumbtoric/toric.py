@@ -304,6 +304,24 @@ class BoundaryReport:
     det_check: bool  # true on every report: classify raises where it fails
     cone_is_whole_plane: bool
 
+    @classmethod
+    def _trusted(cls, chain, pivot, rays, winding, verdict, lens, det, cone_is_whole_plane):
+        """A report whose fields ``classify`` has checked, with ``det_check``
+        true, stored one by one past the frozen ``__init__`` (which makes
+        one ``object.__setattr__`` call per field)."""
+        report = object.__new__(cls)
+        fields = report.__dict__
+        fields["chain"] = chain
+        fields["pivot"] = pivot
+        fields["rays"] = rays
+        fields["winding"] = winding
+        fields["verdict"] = verdict
+        fields["lens"] = lens
+        fields["det"] = det
+        fields["det_check"] = True  # the lens check raised where the identity fails
+        fields["cone_is_whole_plane"] = cone_is_whole_plane
+        return report
+
 
 def classify(s: Sequence[int], reduce: bool = False) -> BoundaryReport:
     """Tight/overtwisted verdict for the concave boundary of a chain.
@@ -315,6 +333,11 @@ def classify(s: Sequence[int], reduce: bool = False) -> BoundaryReport:
     ``det_check`` is always true.  Every pivot's c must equal b+(Q) - 1, a
     route that shares nothing with the ray walk (an
     :class:`InternalInvariantError` flags a difference loudly).
+    The report's verdicts are shared immutable instances
+    (``lattice.winding_verdict``), and the report itself is built from its
+    checked fields without the frozen ``__init__``
+    (``BoundaryReport._trusted``); it compares, hashes, copies and pickles
+    as one built by the public constructor.
     With ``reduce`` set, -1 entries are blown down first; otherwise they
     raise, so the standing assumption s_j != -1 stays visible to the caller.
     """
@@ -335,18 +358,11 @@ def classify(s: Sequence[int], reduce: bool = False) -> BoundaryReport:
                 "pivot %d sweep count %d != b+(Q) - 1 = %d for %s" % (i, count, b_plus - 1, s)
             )
     i0, k0 = pivots[0], ks[0]
+    rays0 = RaySequence(w=tuple(head[:k0] + tail[k0:]), pivot=i0)
     winding0 = lattice.winding_verdict(counts[0], last)
-    return BoundaryReport(
-        chain=s,
-        pivot=i0,
-        rays=RaySequence(w=tuple(head[:k0] + tail[k0:]), pivot=i0),
-        winding=winding0,
-        verdict=Verdict.OVERTWISTED if counts[0] >= 1 else Verdict.TIGHT,
-        lens=lens,
-        det=det,
-        det_check=True,  # the lens check raised where the identity fails
-        cone_is_whole_plane=winding0.vs_two_pi in (Cmp.EQ, Cmp.GT),
-    )
+    verdict = Verdict.OVERTWISTED if counts[0] >= 1 else Verdict.TIGHT
+    whole_plane = winding0.vs_two_pi is not Cmp.LT
+    return BoundaryReport._trusted(s, i0, rays0, winding0, verdict, lens, det, whole_plane)
 
 
 @dataclass(frozen=True)
@@ -368,6 +384,15 @@ class MomentPolygon:
     vertices: Tuple[Tuple[Fraction, Fraction], ...]
     edges: Tuple[PolygonEdge, ...]
     rays: Tuple[tuple, tuple]
+
+
+def _check_edge_count(poly: MomentPolygon) -> None:
+    """The gate of every reader of a polygon's edges by position: edge j
+    joins vertices j and j + 1, so there is one edge fewer than vertices."""
+    if len(poly.edges) != len(poly.vertices) - 1:
+        raise InternalInvariantError(
+            "%d edges for %d vertices" % (len(poly.edges), len(poly.vertices))
+        )
 
 
 def _reread(pts, lengths, s, rays) -> None:
@@ -455,9 +480,8 @@ def blow_up_corner(poly: MomentPolygon, vertex: int, size) -> MomentPolygon:
     corner check and the re-read run on the input scaled to ints once.
     """
     size = Fraction(size)
+    _check_edge_count(poly)
     verts, edges = poly.vertices, poly.edges
-    if len(edges) != len(verts) - 1:
-        raise InternalInvariantError("%d edges for %d vertices" % (len(edges), len(verts)))
     if not 1 <= vertex <= len(verts) - 2:
         raise NotDelzantCorner(
             "vertex %d is not an interior corner (valid: 1..%d); the ray-end "

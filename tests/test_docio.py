@@ -228,3 +228,15 @@ def test_writers_join_edge_j_to_vertices_j_and_j_plus_1():
     doc = docio.polygon_to_doc(relabeled)
     assert doc == docio.polygon_to_doc(poly)
     assert docio.polygon_from_doc(doc) == poly
+
+
+@pytest.mark.parametrize("extra", [-1, 1], ids=["one_too_few", "one_too_many"])
+@pytest.mark.parametrize("writer", [docio.render_svg, docio.polygon_to_doc])
+def test_writers_refuse_an_edge_count_off_by_one(writer, extra):
+    # edge j joins vertices j and j + 1, so the writers hold a polygon to
+    # one edge fewer than vertices, as blow_up_corner and polygon_from_doc do
+    poly = pt.moment_polygon((-2, 1, 0, -2), 2)
+    edges = poly.edges[:extra] if extra < 0 else poly.edges + poly.edges[-1:]
+    bad = pt.MomentPolygon(poly.vertices, edges, poly.rays)
+    with pytest.raises(pt.InternalInvariantError, match="^%d edges for 5 vertices$" % (4 + extra)):
+        writer(bad)

@@ -1,4 +1,5 @@
 import math
+from dataclasses import FrozenInstanceError
 from fractions import Fraction
 
 import pytest
@@ -15,6 +16,7 @@ from plumbtoric import (
     TooShort,
     WindingVerdict,
     ZeroVector,
+    classify,
     continued_fraction,
     cross,
     dot,
@@ -26,7 +28,7 @@ from plumbtoric import (
     winding_compare,
 )
 from plumbtoric.docio import swept_degrees_approx
-from plumbtoric.lattice import spliced_counts
+from plumbtoric.lattice import spliced_counts, winding_verdict
 
 nonzero_vec = st.tuples(
     st.integers(-9, 9), st.integers(-9, 9)
@@ -433,3 +435,33 @@ class TestSplicedCounts:
         # every sequence ends on (1, -1), below w0 = E: position 3
         assert spliced_counts(head, tail, [1, 2, 3]) == ([3, 1, 1], 3)
         assert spliced_counts(head, tail, [2]) == ([1], 3)
+
+
+class TestWindingVerdictShared:
+    """``winding_verdict`` returns one shared instance per argument pair,
+    equal in every way to the verdict the public constructor builds."""
+
+    @pytest.mark.parametrize("passed", range(6))
+    @pytest.mark.parametrize("last", range(4))
+    def test_equals_public_constructor(self, passed, last):
+        landing = {0: Landing.START, 2: Landing.ANTIPODE}.get(last)
+        vs_pi = Cmp.GT if passed else Cmp.EQ if last == 2 else Cmp.LT
+        vs_two_pi = Cmp.GT if passed > 1 else Cmp.EQ if (passed, last) == (1, 0) else Cmp.LT
+        built = WindingVerdict(vs_pi, vs_two_pi, passed // 2, (passed + 1) // 2, landing)
+        shared = winding_verdict(passed, last)
+        assert shared == built
+        assert hash(shared) == hash(built)
+        assert repr(shared) == repr(built)
+        assert winding_verdict(passed, last) is shared
+        with pytest.raises(FrozenInstanceError):
+            shared.vs_pi = Cmp.LT
+
+    def test_cache_stays_bounded(self):
+        # (3,) * k is positive definite, so its count is c = b+(Q) - 1 = k - 1:
+        # one new argument pair per k, past the cache's size
+        maxsize = winding_verdict.cache_info().maxsize
+        assert maxsize is not None
+        for k in range(2, maxsize + 10):
+            w = classify((3,) * k).winding
+            assert w.crossings_of_start + w.crossings_of_antipode == k - 1
+            assert winding_verdict.cache_info().currsize <= maxsize

@@ -4,6 +4,7 @@ import random
 import subprocess
 import sys
 import time
+from dataclasses import FrozenInstanceError
 from fractions import Fraction
 from math import gcd, inf
 from pathlib import Path
@@ -25,6 +26,7 @@ from plumbtoric import (
     ReebItinerary,
     TooManyGenerators,
     TorsionBound,
+    TorsionReport,
     ZeroVector,
     classify,
     cross,
@@ -951,6 +953,22 @@ class TestTorsionVerdict:
         report = torsion_verdict(winding_compare([(1, -1), (-1, 1)]))
         assert report.at_simp is TorsionBound.POSITIVE
         assert report.contact_invariant is ContactInvariant.UNDETERMINED
+
+    @pytest.mark.parametrize(
+        "rays, expected",
+        [
+            ([(1, 0), (0, 1)], TorsionReport(ContactInvariant.NONZERO, None, TorsionBound.INFINITE)),
+            ([(1, 0), (-1, 1), (0, -1)], TorsionReport(ContactInvariant.ZERO, 0, None)),
+            ([(1, -1), (-1, 1)], TorsionReport(ContactInvariant.UNDETERMINED, None, TorsionBound.POSITIVE)),
+        ],
+        ids=["below_pi", "above_pi", "at_pi"],
+    )
+    def test_shared_constants(self, rays, expected):
+        report = torsion_verdict(winding_compare(rays))
+        assert report == expected and hash(report) == hash(expected)
+        assert torsion_verdict(winding_compare(rays)) is report
+        with pytest.raises(FrozenInstanceError):
+            report.at = 1
 
 
 class TestPlaneFixedVector:

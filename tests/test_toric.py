@@ -1,4 +1,8 @@
+import copy
+import dataclasses
 import itertools
+import pickle
+import random
 import re
 from fractions import Fraction
 
@@ -6,6 +10,7 @@ import pytest
 from hypothesis import event, example, given, settings, strategies as st
 
 from plumbtoric import (
+    BoundaryReport,
     Cmp,
     InconsistentInvariant,
     InternalInvariantError,
@@ -196,6 +201,60 @@ class TestClassify:
         a, b = classify(s), classify(rev)
         assert a.verdict is b.verdict
         assert lens_equivalent(a.lens, b.lens)
+
+
+def sweep_sample(size=400, seed=6):
+    """A seeded sample of the criterion-06 chains: entries in [-4, 3] without
+    -1, some entry >= 0, lengths 2..6."""
+    rng, values, out = random.Random(seed), (-4, -3, -2, 0, 1, 2, 3), []
+    while len(out) < size:
+        s = tuple(rng.choice(values) for _ in range(rng.randint(2, 6)))
+        if any(v >= 0 for v in s):
+            out.append(s)
+    return out
+
+
+def public_report(s):
+    """The report of s through the public constructor, each field from a
+    public function: the rays of the smallest valid pivot and their winding."""
+    pivot = pivots_of(s)[0]
+    rays = ray_sequence(s, pivot)
+    winding = lattice.winding_compare(rays.w)
+    return BoundaryReport(
+        chain=s,
+        pivot=pivot,
+        rays=rays,
+        winding=winding,
+        verdict=Verdict.OVERTWISTED if winding.vs_pi is Cmp.GT else Verdict.TIGHT,
+        lens=lens_invariant(s),
+        det=det_intersection(s),
+        det_check=True,
+        cone_is_whole_plane=winding.vs_two_pi is not Cmp.LT,
+    )
+
+
+class TestTrustedReport:
+    """classify builds its report past the frozen __init__; the result is
+    the report the public constructor builds from the same fields."""
+
+    def test_equals_public_constructor(self):
+        for s in sweep_sample():
+            report = classify(s)
+            built = BoundaryReport(**{f.name: getattr(report, f.name) for f in dataclasses.fields(report)})
+            assert report == built == public_report(s)
+            assert hash(report) == hash(built) and repr(report) == repr(built)
+            assert pickle.loads(pickle.dumps(report)) == report
+            assert copy.deepcopy(report) == report
+            assert dataclasses.replace(report) == report
+            assert dataclasses.replace(report, det=report.det + 1) != report
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                report.det = 0
+
+    def test_sample_covers_every_verdict(self):
+        reports = [classify(s) for s in sweep_sample()]
+        assert {r.verdict for r in reports} == set(Verdict)
+        assert {r.winding.vs_pi for r in reports} == set(Cmp)
+        assert any(r.cone_is_whole_plane for r in reports)
 
 
 def sweep_counts(s):
