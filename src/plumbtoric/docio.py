@@ -4,7 +4,8 @@ Exact rationals serialize as "p/q" strings ("p" when the denominator is 1)
 so no binary-float drift ever enters a document; floats appear only in
 display-only fields suffixed ``_approx``, computed here and held by no
 exact type.  All output is deterministic: identical inputs produce
-bit-identical documents.
+bit-identical documents.  ``report_to_doc`` builds a classify document
+whole, its winding and torsion parts included.
 
 Documents are written by ``dumps`` (``json.dumps(indent=2, sort_keys=True)``)
 except the reeb-orbits document, whose generator list can run to 10^5
@@ -34,7 +35,6 @@ from typing import Sequence
 
 from . import reeb
 from .errors import MalformedDocument, OutputTooLarge
-from .lattice import WindingVerdict
 from .reeb import ReebItinerary
 from .toric import BoundaryReport, MomentPolygon, PolygonEdge, _check_edge_count
 
@@ -145,45 +145,35 @@ def swept_degrees_approx(rays) -> float:
     return math.degrees(total)
 
 
-# The verdict writers read each enum text as ``member._value_``, the value
-# the member stores: ``member.value`` is a Python-level property, about ten
-# times slower, and these run once per classified chain.
-
-
-def winding_to_doc(w: WindingVerdict, rays) -> dict:
-    landing = w.final_landing
-    return {
-        "vs_pi": w.vs_pi._value_,
-        "vs_2pi": w.vs_two_pi._value_,
-        "crossings_of_start": w.crossings_of_start,
-        "crossings_of_antipode": w.crossings_of_antipode,
-        "final_landing": None if landing is None else landing._value_,
-        "swept_degrees_approx": swept_degrees_approx(rays),
-    }
-
-
-def torsion_to_doc(t: reeb.TorsionReport) -> dict:
-    at_simp = t.at_simp
-    return {
-        "contact_invariant": t.contact_invariant._value_,
-        "at": t.at,
-        "at_simp": None if at_simp is None else at_simp._value_,
-    }
-
-
 def report_to_doc(report: BoundaryReport) -> dict:
+    """The classify document.  Each enum text is read as ``member._value_``,
+    the value the member stores: ``member.value`` is a Python-level property,
+    about ten times slower, and this runs once per classified chain."""
     rays = report.rays.w  # int pairs, as classify builds them
+    w = report.winding
+    torsion = reeb.torsion_verdict(w)
     return {
         "chain": list(report.chain),
         "pivot": report.pivot,
         "rays": [[x, y] for x, y in rays],
-        "winding": winding_to_doc(report.winding, rays),
+        "winding": {
+            "vs_pi": w.vs_pi._value_,
+            "vs_2pi": w.vs_two_pi._value_,
+            "crossings_of_start": w.crossings_of_start,
+            "crossings_of_antipode": w.crossings_of_antipode,
+            "final_landing": None if w.final_landing is None else w.final_landing._value_,
+            "swept_degrees_approx": swept_degrees_approx(rays),
+        },
         "verdict": report.verdict._value_,
         "lens": {"k": report.lens[0], "l": report.lens[1]},
         "det": report.det,
         "det_check": report.det_check,
         "cone_is_whole_plane": report.cone_is_whole_plane,
-        "torsion": torsion_to_doc(reeb.torsion_verdict(report.winding)),
+        "torsion": {
+            "contact_invariant": torsion.contact_invariant._value_,
+            "at": torsion.at,
+            "at_simp": None if torsion.at_simp is None else torsion.at_simp._value_,
+        },
     }
 
 
@@ -217,7 +207,7 @@ def polygon_from_doc(doc: dict) -> MomentPolygon:
             )
             for e in doc["edges"]
         )
-        rays = (_pair(doc["rays"][0], parse_int), _pair(doc["rays"][1], parse_int))
+        rays = _pair(doc["rays"], lambda ray: _pair(ray, parse_int))
         if len(edges) != len(vertices) - 1:
             raise ValueError("%d edges for %d vertices" % (len(edges), len(vertices)))
         for j, e in enumerate(edges):  # edge j joins vertices j and j + 1
@@ -238,6 +228,7 @@ def itinerary_from_doc(doc: dict) -> ReebItinerary:
     return ReebItinerary(vertices=vertices, start_ray=start_ray, end_ray=end_ray)
 
 
+@_printable
 def families_to_doc(families: Sequence[reeb.FamilyCount]) -> list:
     return [
         {

@@ -16,6 +16,7 @@ The position of a ray and the wrap of a step are defined once, in
 every sequence that switches from one ray list to the other at a given
 index: a ray's position depends only on the start ray and a step's wrap
 only on its two rays.  ``winding_compare`` splices one sequence with itself.
+``continued_fraction`` reads its continuants off ``plumbing._minors``.
 """
 
 from __future__ import annotations
@@ -28,6 +29,7 @@ from math import gcd, lcm
 from typing import List, NamedTuple, Optional, Sequence, Tuple
 
 from .errors import ParallelSameDirection, TooShort, ZeroVector
+from .plumbing import _minors
 
 Vec2 = tuple  # (x, y) with integer (or Fraction) entries
 
@@ -61,10 +63,6 @@ def scale_to_ints(values) -> Tuple[int, List[int]]:
 def primitive_of_rational(v) -> Vec2:
     """Primitive integer vector in the direction of a rational vector."""
     return primitive(scale_to_ints((Fraction(v[0]), Fraction(v[1])))[1])
-
-
-def is_primitive(v) -> bool:
-    return gcd(abs(v[0]), abs(v[1])) == 1
 
 
 class MatSL2Z(NamedTuple):
@@ -106,19 +104,17 @@ def sl2z_apply(m: MatSL2Z, v) -> Vec2:
 def continued_fraction(entries: Sequence[int]) -> Optional[Fraction]:
     """Value of the minus continued fraction s1 - 1/(s2 - 1/(... - 1/sn)).
 
-    Evaluated right to left over exact rationals.  Returns ``None`` when an
-    intermediate tail evaluates to zero, making the next division undefined;
-    that is a legitimate value of the expression, not a failure.  ``classify``
-    does not use it: its lens check compares int continuants on every chain.
+    That is K(s_1..s_n) / K(s_2..s_n), the last two ``plumbing._minors`` of
+    the reversed entries.  Returns ``None`` when a tail K(s_j..s_n), j > 1, is
+    zero, making a division undefined; that is a legitimate value of the
+    expression, not a failure.  ``classify`` compares the ints themselves.
     """
     if not entries:
         raise TooShort("continued fraction of an empty sequence")
-    num, den = entries[-1], 1
-    for s in reversed(entries[:-1]):
-        if num == 0:
-            return None
-        num, den = s * num - den, num
-    return Fraction(num, den)
+    minors = [1, *_minors(entries[::-1])]
+    if 0 in minors[1:-1]:
+        return None
+    return Fraction(minors[-1], minors[-2])
 
 
 class StepClass(Enum):

@@ -296,6 +296,8 @@ class ReebCurrent:
     def _trusted(cls, entries) -> "ReebCurrent":
         """A current whose entries are known to be distinct orbits with
         positive multiplicities, built without re-checking them."""
+        # kept apart from BoundaryReport._trusted: one shared builder that
+        # filled __dict__ measured slower end to end on the generator search
         current = object.__new__(cls)
         object.__setattr__(current, "entries", entries)
         return current

@@ -17,7 +17,11 @@ position and ``lattice.spliced_counts`` turns them into every pivot's exact
 count c.  Each c must equal b+(Q) - 1, read by Jacobi's rule (Gantmacher,
 The Theory of Matrices I, ch. X; Wilkinson, The Algebraic Eigenvalue
 Problem, ch. 5) off the lens check's continuant pass: an identity observed
-on every chain tested (lengths up to 60), not proved here.
+on every chain tested (lengths up to 60), not proved here.  The step it uses
+is a lemma, tested on any chain: the candidate rays of ``_candidate_rays``
+have cross(w_0, head[j]) = (-1)^(j-1) K(s_1..s_(j-1)) and cross(w_0, tail[j])
+= (-1)^j K(s_1..s_(j+1)), j = 1..n-1, so the side of w_0 each lies on is the
+sign of a leading minor of Q (K of no entries is 1).
 
 Every moment polygon, constructed or blown up, is assembled by ``_polygon``:
 edge j joins vertices j and j + 1, and the picture is re-read before it is
@@ -220,7 +224,7 @@ def ray_sequence(s: Sequence[int], i: int) -> RaySequence:
             raise InternalInvariantError(
                 "cross(w_%d, w_%d) != 1 - a b for %s" % (j - 1, j, s)
             )
-        if not lattice.is_primitive(rays[j]):
+        if gcd(*rays[j]) != 1:
             raise InternalInvariantError("ray %s not primitive" % (rays[j],))
     return RaySequence(w=rays, pivot=i)
 
@@ -231,18 +235,8 @@ def boundary_rays(s: Sequence[int], i: int) -> Tuple[tuple, tuple]:
     return rays[0], rays[-1]
 
 
-def _lens_normalize(k: int, l: int) -> Tuple[int, int]:
-    if k < 0:
-        k, l = -k, -l
-    if k == 0:
-        return (0, 1)
-    if k == 1:
-        return (1, 0)
-    return (k, l % k)
-
-
 def lens_invariant(s: Sequence[int]) -> Tuple[int, int]:
-    """(k, l) with boundary L(k, l), normalized to k >= 0 and l in [0, k).
+    """(k, l) with boundary L(k, l): k >= 0 and l in [0, k), or (0, 1) for k = 0.
 
     Read off the terminal ray r as (cross(w_0, r), r_x), then checked, on
     every chain, against the continuant pair: it must equal
@@ -264,7 +258,13 @@ def _lens_from_terminal_ray(s, r) -> Tuple[Tuple[int, int], int, int]:
             "ray pair (%d, %d) disagrees with continuant pair (%d, %d) for %s"
             % (k_raw, l_raw, sign * k, sign * l, s)
         )
-    return _lens_normalize(k_raw, l_raw), k, b_plus  # and K(s_1..s_n) = det Q
+    if k_raw < 0:
+        k_raw, l_raw = -k_raw, -l_raw
+    if k_raw:
+        l_raw %= k_raw  # l in [0, k), so L(1, 0) for k = 1
+    else:
+        l_raw = 1  # L(0, 1); here l_raw = +-1, as K(s_1..s_n) and K(s_2..s_n) are coprime
+    return (k_raw, l_raw), k, b_plus  # and K(s_1..s_n) = det Q
 
 
 def lens_equivalent(a: Tuple[int, int], b: Tuple[int, int]) -> bool:

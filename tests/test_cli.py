@@ -708,6 +708,14 @@ class TestPolygonRoundTrip:
         with pytest.raises(MalformedDocument, match="pair"):
             polygon_from_doc(doc)
 
+    @pytest.mark.parametrize("keep, extra", [(2, [[7, 7]]), (1, [])])
+    def test_third_or_missing_ray_refused(self, keep, extra):
+        # a third ray was once dropped without a word
+        doc = json.loads(json.dumps(polygon_to_doc(moment_polygon((-2, 1, 0, -2), 2))))
+        doc["rays"] = doc["rays"][:keep] + extra
+        with pytest.raises(MalformedDocument, match="pair"):
+            polygon_from_doc(doc)
+
     @pytest.mark.parametrize("extra", [-1, 1])
     def test_edge_count_not_vertex_count_minus_one(self, extra):
         doc = json.loads(json.dumps(polygon_to_doc(moment_polygon((-2, 1, 0, -2), 2))))

@@ -4,6 +4,7 @@ The cases, their files under ``tests/golden/`` and a pytest-free harness
 (``--check``, ``--regenerate``) are in ``golden_cases.py``.
 """
 
+import importlib
 import json
 import re
 import shlex
@@ -12,12 +13,14 @@ from pathlib import Path
 import pytest
 
 import golden_cases
+from plumbtoric import cli
 from golden_cases import CAPS, CASES, expected, first_difference, orphans, run_case
 
 ROOT = Path(__file__).resolve().parent.parent
 WORKFLOW = ROOT / ".github" / "workflows" / "tests.yml"
-# a CLI run whose stdout the workflow compares with a golden file
-PIPED = re.compile(r"python (?:-S )?-m plumbtoric (.+) \| cmp - tests/golden/(\S+)\.out$")
+# a CLI run, through the module or the installed console script, whose
+# stdout the workflow compares with a golden file
+PIPED = re.compile(r"(?:python (?:-S )?-m |^\s*)plumbtoric (.+) \| cmp - tests/golden/(\S+)\.out$")
 
 
 @pytest.mark.parametrize("name", sorted(CASES))
@@ -73,3 +76,11 @@ def test_workflow_runs_golden_cases():
     for args, name in steps:
         assert name in CASES, name
         assert _resolved(shlex.split(args)) == _resolved(CASES[name]), name
+
+
+def test_console_script_is_cli_main():
+    # tomllib is new in 3.11, so the [project.scripts] entry is read by a regex
+    text = (ROOT / "pyproject.toml").read_text()
+    match = re.search(r'^\[project\.scripts\]\nplumbtoric = "([\w.]+):(\w+)"$', text, re.M)
+    assert match and match.groups() == ("plumbtoric.cli", "main")
+    assert getattr(importlib.import_module(match[1]), match[2]) is cli.main

@@ -21,6 +21,7 @@ from plumbtoric import (
     IndexInput,
     InvalidItinerary,
     OrbitKind,
+    OutputTooLarge,
     PerturbedOrbit,
     ReebCurrent,
     ReebItinerary,
@@ -48,6 +49,8 @@ from plumbtoric import (
 )
 from plumbtoric.reeb import FamilyCount, ItineraryViolation, OrbitFamily
 from plumbtoric.lattice import primitive, primitive_of_rational
+
+GOLDEN = Path(__file__).resolve().parent / "golden"
 
 
 def F(x):
@@ -826,6 +829,23 @@ class TestDocumentWriter:
         assert got == expected
         if below_all:
             assert '"families": [],' in got and '"generators": [\n    []\n  ],' in got
+
+    @pytest.mark.parametrize("bound", [F(7), F(21) / 2, F(37) / 3])
+    @pytest.mark.parametrize("name", ["itinerary", "itinerary_image", "itinerary_rational"])
+    def test_family_dicts_match_family_texts(self, name, bound):
+        # families_to_doc and _FAMILY_TEXT write one shape two ways
+        doc = json.loads((GOLDEN / (name + ".json")).read_text())
+        families = enumerate_orbits(docio.itinerary_from_doc(doc), bound)
+        assert families
+        text = docio.reeb_orbits_text(bound, families, [], [])
+        assert docio.families_to_doc(families) == json.loads(text)["families"]
+
+    def test_unprintable_family_refused_by_both_writers(self):
+        families = [FamilyCount(OrbitFamily((0, -1), 1, Fraction(10**5000, 3)), 1)]
+        with pytest.raises(OutputTooLarge):
+            docio.families_to_doc(families)
+        with pytest.raises(OutputTooLarge):
+            docio.reeb_orbits_text(F(1), families, [], [])
 
     @settings(max_examples=300, deadline=None)
     @given(tied_orbits, st.sampled_from([F(2), F(3), F(7) / 2, F(5)]), st.lists(st.integers(0, 6), max_size=2))

@@ -540,6 +540,16 @@ class TestLensInvariant:
             k, l = -k, -l
         assert lens_invariant(s) == ((0, 1) if k == 0 else (1, 0) if k == 1 else (k, l % k))
 
+    @given(st.lists(st.integers(-8, 8), min_size=2, max_size=40).map(tuple))
+    def test_every_candidate_ray_gives_a_signed_continuant(self, s):
+        # the ray-continuant lemma behind c = b+(Q) - 1: on any chain, the
+        # side of w_0 each candidate ray lies on is the sign of a minor of Q
+        head, tail = toric._candidate_rays(s)
+        w0, minors = head[0], [1, *plumbing._minors(s)]  # minors[m] = K(s_1..s_m)
+        for j in range(1, len(s)):
+            assert cross(w0, head[j]) == (-1) ** (j - 1) * minors[j - 1]
+            assert cross(w0, tail[j]) == (-1) ** j * minors[j + 1]
+
 
 class TestLensEquivalent:
     def test_inverse_pair(self):
