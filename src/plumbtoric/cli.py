@@ -6,6 +6,10 @@ a machine-readable error record on stderr), 1 on internal assertion failure.
 Each subcommand returns its text and ``main`` is the one writer, to stdout or
 --output; an --output it cannot write exits 2 like a malformed input.
 
+construct without --pivot takes the smallest valid pivot.  It reads
+--heights after the --reduce blow-down and before the chain gate, so a bad
+--heights is refused as MalformedDocument before a chain the gate refuses.
+
 The survey driver enumerates chains with some entry >= 0 (chains containing
 -1 are blown down before classification unless --exclude-minus-one drops
 them); the total number of entries of the enumerated chains is capped by
@@ -86,15 +90,10 @@ def _cmd_construct(args) -> str:
     chain = _parse_int_list(args.plumbing, "plumbing")
     if args.reduce:
         chain = plumbing.blow_down(chain)
-    pivot = args.pivot
-    if pivot is None:
-        # the chain gate raises its -1 and length errors first; with no valid
-        # pivot, moment_polygon raises NoNonnegativeEntry
-        pivot = min(toric._valid_pivots(chain), default=None)
     heights = None
     if args.heights is not None:
         heights = tuple(docio.parse_fraction(h) for h in args.heights.split(","))
-    poly = toric.moment_polygon(chain, pivot, heights)
+    poly = toric.moment_polygon(chain, args.pivot, heights)  # the chain gate and pivot default
     if args.format == "svg":
         return docio.render_svg(poly)
     return docio.dumps(docio.polygon_to_doc(poly))
@@ -161,15 +160,12 @@ def _cmd_survey(args) -> str:
             raise SurveyTooLarge(
                 "survey has more than %d chain entries (PLUMBTORIC_MAX_SURVEY)" % cap
             )
-    chains = []
-    for n in range(n_lo, n_hi + 1):
-        for chain in itertools.product(values, repeat=n):
-            if not any(v >= 0 for v in chain):
-                continue
-            if args.exclude_minus_one and -1 in chain:
-                continue
-            chains.append(chain)
-    chains.sort()  # rows come out in this order
+    chains = sorted(  # rows come out in this order
+        chain
+        for n in range(n_lo, n_hi + 1)
+        for chain in itertools.product(values, repeat=n)
+        if max(chain) >= 0 and not (args.exclude_minus_one and -1 in chain)
+    )
     # the pool forks all its workers at once, so at most one per CPU
     rows = survey_rows(chains, min(args.jobs, os.cpu_count() or 1))
     return docio.survey_to_json(rows) if args.format == "json" else docio.survey_to_csv(rows)

@@ -35,10 +35,14 @@ values the chop changes.
 Chain positions and pivot indices are 1-based throughout, matching the
 notation (s_1, ..., s_n).
 
-One gate checks every chain, in this order: a -1 entry raises MinusOnePresent,
-length below 2 raises TooShort, and the valid pivots are the i with s_i >= 0.
-With none, ``classify`` and ``lens_invariant`` raise NotConcaveCase; a
-construction given an invalid pivot raises NoNonnegativeEntry.
+One gate checks every chain, once, in this order: a -1 entry raises
+MinusOnePresent, length below 2 raises TooShort, and the valid pivots are the
+i with s_i >= 0.  Its two front doors return the chain as a tuple with the
+valid pivots (``_concave_pivots``: with none, ``classify`` and
+``lens_invariant`` raise NotConcaveCase) or with the pivot (``_check_chain``:
+a construction given no pivot takes the smallest valid one, and one given an
+invalid pivot, or none where there is no valid one, raises
+NoNonnegativeEntry).  The ``construct`` command reads --heights before it.
 """
 
 from __future__ import annotations
@@ -82,22 +86,27 @@ def _valid_pivots(s) -> list:
     return [i for i in range(1, len(s) + 1) if s[i - 1] >= 0]
 
 
-def _concave_pivots(s) -> list:
+def _concave_pivots(s) -> Tuple[tuple, list]:
+    s = as_chain(s)
     pivots = _valid_pivots(s)
     if not pivots:
         raise NotConcaveCase(
             "no entry of %s is >= 0; the boundary is not concave" % (s,),
             negative_definite=is_negative_definite(s),
         )
-    return pivots
+    return s, pivots
 
 
-def _check_chain(s, i: int):
+def _check_chain(s, i: Optional[int]) -> Tuple[tuple, int]:
+    s = as_chain(s)
     pivots = _valid_pivots(s)
+    if i is None:
+        i = min(pivots, default=None)
     if i not in pivots:
         raise NoNonnegativeEntry(
             "pivot %r is not one of the indices %s of %s with s_i >= 0" % (i, pivots, s)
         )
+    return s, i
 
 
 @dataclass(frozen=True)
@@ -108,7 +117,7 @@ class Decomposition:
     pivot: int
 
 
-def decompose(s: Sequence[int], i: int) -> Decomposition:
+def decompose(s: Sequence[int], i: Optional[int] = None) -> Decomposition:
     """Split (s_1, ..., s_n) into the n-1 pairs of the gluing construction.
 
     For pivot i the pairs are (s_1,0), ..., (s_{i-1},0), (s_i, s_{i+1}),
@@ -116,8 +125,7 @@ def decompose(s: Sequence[int], i: int) -> Decomposition:
     Every pair has a nonnegative member, so none equals (-1, -1): away from
     the pair at k = min(i, n-1) one member is 0, and that pair holds s_i >= 0.
     """
-    s = as_chain(s)
-    _check_chain(s, i)
+    s, i = _check_chain(s, i)
     k = min(i, len(s) - 1)
     pairs = []
     for j in range(1, len(s)):
@@ -127,16 +135,14 @@ def decompose(s: Sequence[int], i: int) -> Decomposition:
     return Decomposition(pairs=tuple(pairs), pivot=i)
 
 
-def choose_heights(s: Sequence[int], i: int) -> Tuple[int, ...]:
+def choose_heights(s: Sequence[int], i: Optional[int] = None) -> Tuple[int, ...]:
     """Deterministic corner heights z < 0 satisfying the gluing inequalities.
 
     z_j is one less than the least of 0 and -s_m z_m over the neighbours m
     already set; the heights left of the pivot are set from the left end,
     those right of it from the right end, and the pivot last.
     """
-    s = as_chain(s)
-    _check_chain(s, i)
-    return _heights(s, i)
+    return _heights(*_check_chain(s, i))
 
 
 def _heights(s, i: int) -> Tuple[int, ...]:
@@ -213,11 +219,10 @@ def _candidate_rays(s) -> Tuple[list, list]:
     return head, tail
 
 
-def ray_sequence(s: Sequence[int], i: int) -> RaySequence:
-    s = as_chain(s)
+def ray_sequence(s: Sequence[int], i: Optional[int] = None) -> RaySequence:
     dec = decompose(s, i)
     head, tail = _candidate_rays(s)
-    k = min(i, len(s) - 1)
+    k = min(dec.pivot, len(s) - 1)
     rays = tuple(head[:k] + tail[k:])
     for j, (a, b) in enumerate(dec.pairs, start=1):
         if cross(rays[j - 1], rays[j]) != 1 - a * b:
@@ -226,10 +231,10 @@ def ray_sequence(s: Sequence[int], i: int) -> RaySequence:
             )
         if gcd(*rays[j]) != 1:
             raise InternalInvariantError("ray %s not primitive" % (rays[j],))
-    return RaySequence(w=rays, pivot=i)
+    return RaySequence(w=rays, pivot=dec.pivot)
 
 
-def boundary_rays(s: Sequence[int], i: int) -> Tuple[tuple, tuple]:
+def boundary_rays(s: Sequence[int], i: Optional[int] = None) -> Tuple[tuple, tuple]:
     """First and last ray; these do not depend on the pivot choice."""
     rays = ray_sequence(s, i).w
     return rays[0], rays[-1]
@@ -242,8 +247,7 @@ def lens_invariant(s: Sequence[int]) -> Tuple[int, int]:
     every chain, against the continuant pair: it must equal
     (-1)^(n-1) (K(s_1..s_n), K(s_2..s_n)), all in ints.
     """
-    s = as_chain(s)
-    _concave_pivots(s)
+    s, _ = _concave_pivots(s)
     return _lens_from_terminal_ray(s, _candidate_rays(s)[1][-1])[0]
 
 
@@ -341,10 +345,7 @@ def classify(s: Sequence[int], reduce: bool = False) -> BoundaryReport:
     With ``reduce`` set, -1 entries are blown down first; otherwise they
     raise, so the standing assumption s_j != -1 stays visible to the caller.
     """
-    s = as_chain(s)
-    if reduce and -1 in s:
-        s = blow_down(s)
-    pivots = _concave_pivots(s)
+    s, pivots = _concave_pivots(blow_down(s) if reduce else s)
     n = len(s)
     if pivots[-1] == n and n - 1 in pivots:
         pivots.pop()  # pivots n-1 and n give the same decomposition
@@ -432,7 +433,7 @@ def _polygon(vertices, s, areas, rays) -> MomentPolygon:
 
 
 def moment_polygon(
-    s: Sequence[int], i: int, z: Optional[Sequence] = None
+    s: Sequence[int], i: Optional[int] = None, z: Optional[Sequence] = None
 ) -> MomentPolygon:
     """Assemble the glued moment image for pivot i with heights z.
 
@@ -450,8 +451,7 @@ def moment_polygon(
     of those rays and of zs.  Fractions are built for the returned
     coordinates and areas only.
     """
-    s = as_chain(s)
-    _check_chain(s, i)
+    s, i = _check_chain(s, i)
     z = _heights(s, i) if z is None else tuple(Fraction(v) for v in z)
     scale, zs = lattice.scale_to_ints(z)
     _validate_heights(s, i, z, zs)

@@ -13,7 +13,7 @@ from unittest import mock
 import pytest
 from hypothesis import HealthCheck, assume, example, given, settings, strategies as st
 
-from plumbtoric import MalformedDocument, TooManyGenerators, cli, docio, errors, moment_polygon, reeb
+from plumbtoric import MalformedDocument, TooManyGenerators, cli, docio, errors, moment_polygon, reeb, toric
 from plumbtoric import PreconditionError, blow_down, classify, det_intersection
 from plumbtoric.cli import main
 from plumbtoric.docio import polygon_from_doc, polygon_to_doc, render_svg
@@ -146,6 +146,23 @@ class TestConstructCommand:
         code, out, err = run(capsys, "construct", "--plumbing", "2,3", "--heights", "")
         assert code == 2 and out == ""
         assert json.loads(err)["error"]["type"] == "MalformedDocument"
+
+    def test_default_pivot_runs_the_chain_gate_once(self, capsys, monkeypatch):
+        real, calls = toric._valid_pivots, []
+        monkeypatch.setattr(toric, "_valid_pivots", lambda s: calls.append(s) or real(s))
+        code, _, _ = run(capsys, "construct", "--plumbing", "-2,1,0,-2")
+        assert code == 0
+        assert calls == [(-2, 1, 0, -2)]
+
+    def test_heights_are_read_before_the_chain_gate(self, capsys):
+        # a bad chain and a bad --heights: the heights are refused first,
+        # with or without --pivot
+        for extra in ((), ("--pivot", "1")):
+            code, out, err = run(
+                capsys, "construct", "--plumbing", "2,-1,2", "--heights", "x", *extra
+            )
+            assert code == 2 and out == ""
+            assert json.loads(err)["error"]["type"] == "MalformedDocument"
 
     def test_default_pivot_follows_chain_gate(self, capsys):
         # the -1 error comes before the pivot search, with or without --pivot

@@ -238,6 +238,12 @@ class TestNeumannMoves:
         with pytest.raises(MovePreconditionFailed):
             neumann_move((1, 2, 1, 3, 1), NeumannMove.R3, 3)  # entry not 0
 
+    @pytest.mark.parametrize("s, site", [((1, 0, 3, 1), 2), ((1, 3, 0, 1), 3)])
+    def test_r3_next_to_an_end(self, s, site):
+        # the 0 entry's neighbor on one side is an end vertex
+        with pytest.raises(MovePreconditionFailed):
+            neumann_move(s, NeumannMove.R3, site)
+
     @pytest.mark.parametrize("site", [0, 4])
     def test_site_out_of_range(self, site):
         with pytest.raises(MovePreconditionFailed, match="^site %d out of range 1..3$" % site):
@@ -268,6 +274,9 @@ class TestNegativeGSCheck:
         assert isinstance(result, GSViolation)
         assert result.side == "area" and result.index == 1 and result.value == -1
 
+    def test_zero_area_is_a_violation(self):
+        assert negative_gs_check((-2, 0), (-1, -2)) == GSViolation(1, "area", 0)
+
     def test_zero_chain(self):
         assert negative_gs_check((0, 0), (-1, -1)) == (1, 1)
 
@@ -284,3 +293,7 @@ class TestNegativeGSCheck:
         result = negative_gs_check((0, 0), (-1, 1))
         assert isinstance(result, GSViolation)
         assert result.side == "height" and result.index == 2
+
+    def test_zero_height_is_a_violation(self):
+        # reported before the zero area a_2 the heights give
+        assert negative_gs_check((0, 0), (0, -1)) == GSViolation(1, "height", 0)

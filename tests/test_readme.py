@@ -38,3 +38,8 @@ def test_quick_start_states_what_it_returns():
         ((0, -1), Fraction(2), 2),
         ((1, -2), Fraction(4), 1),
     ]
+
+
+def test_quick_start_polygon_takes_the_smallest_pivot():
+    ns = quick_start()
+    assert ns["poly"] == ns["pt"].moment_polygon((-2, 1, 0, -2), 2, (-1, -3, -3, -1))

@@ -625,6 +625,29 @@ class TestMomentPolygon:
         assert poly.rays == boundary_rays(s, i)
 
 
+class TestDefaultPivot:
+    CONSTRUCTIONS = (moment_polygon, decompose, choose_heights, ray_sequence, boundary_rays)
+
+    def test_is_the_smallest_valid_pivot(self):
+        values = [v for v in range(-4, 4) if v != -1]
+        for n in range(2, 6):
+            for s in itertools.product(values, repeat=n):
+                pivots = pivots_of(s)
+                for fn in self.CONSTRUCTIONS:
+                    if pivots:
+                        assert fn(s) == fn(s, pivots[0]), (fn.__name__, s)
+                        continue
+                    with pytest.raises(NoNonnegativeEntry) as err:
+                        fn(s)
+                    assert str(err.value) == (
+                        "pivot None is not one of the indices [] of %s with s_i >= 0" % (s,)
+                    ), (fn.__name__, s)
+
+    def test_list_chain(self):
+        # ray_sequence reads the chain it was given; only decompose normalizes it
+        assert ray_sequence([-2, -3, 0, 4]) == ray_sequence((-2, -3, 0, 4), 3)
+
+
 class TestBlowUpCorner:
     def test_trapezoid_style_chop(self):
         poly = moment_polygon((0, 3), 1)
