@@ -71,6 +71,7 @@ from .toric import (
     boundary_rays,
     choose_heights,
     classify,
+    classify_chains,
     decompose,
     lens_equivalent,
     lens_invariant,

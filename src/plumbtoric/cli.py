@@ -7,17 +7,18 @@ Each subcommand returns its text and ``main`` is the one writer, to stdout or
 --output; an --output it cannot write exits 2 like a malformed input.
 
 construct without --pivot takes the smallest valid pivot.  It reads
---heights after the --reduce blow-down and before the chain gate, so a bad
---heights is refused as MalformedDocument before a chain the gate refuses.
+--heights before the --reduce blow-down and the chain gate, so a bad
+--heights is refused as MalformedDocument before a chain either refuses.
 
 The survey driver enumerates chains with some entry >= 0 (chains containing
 -1 are blown down before classification unless --exclude-minus-one drops
 them); the total number of entries of the enumerated chains is capped by
 PLUMBTORIC_MAX_SURVEY (default 10^6).  Each distinct reduced chain is
-classified once and its row re-keyed to every chain that blows down to it;
---jobs (at most the CPU count) splits the distinct reduced chains among
-worker processes.  Rows are sorted by the chain tuple, so output does not
-depend on the worker count.  reeb-orbits refuses once it passes
+classified once, by one walk over them in sorted order that shares their
+common prefixes, and its row re-keyed to every chain that blows down to it;
+--jobs (at most the CPU count) splits the sorted chains into contiguous
+slices, about four per worker process.  Rows are sorted by the chain tuple,
+so output does not depend on the worker count.  reeb-orbits refuses once it passes
 PLUMBTORIC_MAX_GENERATORS generators (default 10^5), during the orbit
 enumeration when the families' orbits alone pass it.
 """
@@ -88,24 +89,25 @@ def _cmd_classify(args) -> str:
 
 def _cmd_construct(args) -> str:
     chain = _parse_int_list(args.plumbing, "plumbing")
-    if args.reduce:
-        chain = plumbing.blow_down(chain)
     heights = None
     if args.heights is not None:
         heights = tuple(docio.parse_fraction(h) for h in args.heights.split(","))
+    if args.reduce:
+        chain = plumbing.blow_down(chain)
     poly = toric.moment_polygon(chain, args.pivot, heights)  # the chain gate and pivot default
     if args.format == "svg":
         return docio.render_svg(poly)
     return docio.dumps(docio.polygon_to_doc(poly))
 
 
-def _survey_row(chain) -> Optional[tuple]:
-    """The row of a chain holding no -1, or None where classify refuses it."""
-    try:
-        report = toric.classify(chain)
-    except PreconditionError:
-        return None  # e.g. reduced below length 2; no classifiable boundary
-    return docio.survey_row(chain, report)  # OutputTooLarge is not skipped
+def _survey_slice(chains) -> list:
+    """The rows of ``chains``, in their order, with None where classify
+    refuses a chain (e.g. one reduced below length 2)."""
+    reports = toric.classify_chains(chains)
+    return [  # OutputTooLarge is not skipped
+        None if report is None else docio.survey_row(chain, report)
+        for chain, report in zip(chains, reports)
+    ]
 
 
 def _blow_down(chain) -> tuple:
@@ -119,20 +121,23 @@ def survey_rows(chains, jobs: int = 1) -> List[tuple]:
     """The survey rows of ``chains``, in their order, skipping the chains
     ``classify(chain, reduce=True)`` refuses.
 
-    Each distinct reduced chain is classified once, by ``jobs`` worker
-    processes (in this one for ``jobs`` 1), and its row is re-keyed to every
-    chain that blows down to it.  The pool maps one chain at a time and
-    sends the chains to its workers in about four chunks per worker.  The
-    tables here are freed on return.
+    The distinct reduced chains are sorted and classified once each by one
+    walk of ``toric.classify_chains``, which shares their common prefixes;
+    each row is re-keyed to every chain that blows down to it.  With
+    ``jobs`` above 1, a pool of that many worker processes walks about four
+    contiguous slices per worker, one task per slice.  The tables here are
+    freed on return.
     """
     reduced = [_blow_down(chain) if -1 in chain else chain for chain in chains]
-    distinct = list(dict.fromkeys(reduced))  # in first-seen order
+    distinct = sorted(dict.fromkeys(reduced))  # first-seen order: long runs already sorted
     if jobs > 1 and len(distinct) > 1:
-        size = max(1, len(distinct) // (4 * jobs))
+        size = -(-len(distinct) // (4 * jobs))
+        slices = [distinct[i : i + size] for i in range(0, len(distinct), size)]
         with ProcessPoolExecutor(max_workers=jobs) as pool:
-            table = dict(zip(distinct, pool.map(_survey_row, distinct, chunksize=size)))
+            made = pool.map(_survey_slice, slices)  # one list of rows per slice
+            table = dict(zip(distinct, itertools.chain.from_iterable(made)))
     else:
-        table = dict(zip(distinct, map(_survey_row, distinct)))
+        table = dict(zip(distinct, _survey_slice(distinct)))
     rows = []
     for chain, key in zip(chains, reduced):
         row = table[key]

@@ -12,10 +12,9 @@ start direction, plus where the last ray lies relative to that direction
 and its antipode, with no float: ``docio`` computes the display angle.
 
 The position of a ray and the wrap of a step are defined once, in
-``_step``, and walked once, in ``spliced_counts``, which counts in one pass
-every sequence that switches from one ray list to the other at a given
-index: a ray's position depends only on the start ray and a step's wrap
-only on its two rays.  ``winding_compare`` splices one sequence with itself.
+``_step``: a ray's position depends only on the start ray and a step's wrap
+only on its two rays.  ``winding_compare`` walks one ray sequence with it,
+and ``toric``'s walk walks every pivot's sequence of a chain at once.
 ``continued_fraction`` reads its continuants off ``plumbing._minors``.
 """
 
@@ -210,41 +209,11 @@ def winding_compare(rays: Sequence[Vec2]) -> WindingVerdict:
     """
     if len(rays) < 2:
         raise TooShort("need at least two rays")
-    (passed,), last = spliced_counts(rays, rays, [1])
-    return winding_verdict(passed, last)
-
-
-def spliced_counts(head: Sequence[Vec2], tail: Sequence[Vec2], ks: Sequence[int]) -> tuple:
-    """The count c of ``winding_compare`` (``crossings_of_start +
-    crossings_of_antipode``) of head[:k] + tail[k:] for each k in ks, and
-    the ``_step`` position of tail[-1], the last ray of each of them.
-
-    ``head`` and ``tail`` have one length n; head[0] is the start ray w0 and
-    tail[0] is never read; ks are sorted, within 1..n-1.  Positions depend only
-    on w0 and wraps only on a step's two rays, so the wraps along head up to
-    k - 1, the junction step head[k-1] -> tail[k] and the wraps along tail
-    from k (all of tail's wraps less those before k) give each count, in
-    O(n + len(ks)) steps for all of them.
-    """
-    w0x, w0y = head[0][0], head[0][1]
+    w0x, w0y = rays[0][0], rays[0][1]
     if w0x == 0 and w0y == 0:
         raise ZeroVector("rays must be nonzero")
-    n, lo, hi = len(head), ks[0], ks[-1]
-    # before[k]: wraps along head[0..k-1]; head_pos[j]: position of head[j]
-    before, head_pos, p = [0, 0], [0], 0
-    for j in range(1, hi):
-        p, wrap = _step(w0x, w0y, head[j - 1], p, head[j])
-        before.append(before[-1] + wrap)
-        head_pos.append(p)
-    junctions = [_step(w0x, w0y, head[k - 1], head_pos[k - 1], tail[k]) for k in ks]
-    # on_tail[k - lo]: wraps along tail[lo..k]
-    p, on_tail = junctions[0][0], [0]
-    for j in range(lo + 1, n):
-        p, wrap = _step(w0x, w0y, tail[j - 1], p, tail[j])
-        on_tail.append(on_tail[-1] + wrap)
-    # after W wraps, c = 2 W + [pos 3] - [pos 0] multiples of pi lie below
-    end = (p == 3) - (p == 0)
-    return [
-        2 * (before[k] + wrap + on_tail[-1] - on_tail[k - lo]) + end
-        for k, (_, wrap) in zip(ks, junctions)
-    ], p
+    wraps, p = 0, 0
+    for u, v in zip(rays, rays[1:]):
+        p, wrap = _step(w0x, w0y, u, p, v)
+        wraps += wrap
+    return winding_verdict(2 * wraps + (p == 3) - (p == 0), p)

@@ -12,16 +12,28 @@ Its k half is the identity det Q = (-1)^(n-1) cross(w_0, r), so every report
 The verdict does not depend on the pivot, and ``classify`` checks that for
 every valid pivot at about the cost of one.  With k = min(i, n - 1), pivot
 i takes the candidate ray with b_j = 0 at positions j < k and the one with
-b_j = s_{j+1} from k on, so one pass builds both candidates at every
-position and ``lattice.spliced_counts`` turns them into every pivot's exact
-count c.  Each c must equal b+(Q) - 1, read by Jacobi's rule (Gantmacher,
-The Theory of Matrices I, ch. X; Wilkinson, The Algebraic Eigenvalue
-Problem, ch. 5) off the lens check's continuant pass: an identity observed
-on every chain tested (lengths up to 60), not proved here.  The step it uses
-is a lemma, tested on any chain: the candidate rays of ``_candidate_rays``
-have cross(w_0, head[j]) = (-1)^(j-1) K(s_1..s_(j-1)) and cross(w_0, tail[j])
-= (-1)^j K(s_1..s_(j+1)), j = 1..n-1, so the side of w_0 each lies on is the
-sign of a leading minor of Q (K of no entries is 1).
+b_j = s_{j+1} from k on.  Both candidates at position j, the ``_step``
+position of each and the wraps along them are functions of s_1..s_(j+1)
+alone, and so is every pivot's offset: its exact count c less twice the
+wraps along the tail after it.  So one walk (``classify_chains``) keeps one
+state per prefix and starts each chain from the prefix it shares with the
+chain before it, one step per entry past it (Sedgewick and Flajolet, An
+Introduction to the Analysis of Algorithms, ch. 6); ``classify`` is that
+walk over one chain.  Each c must equal b+(Q) - 1, read by Jacobi's rule
+(Gantmacher, The Theory of Matrices I, ch. X; Wilkinson, The Algebraic
+Eigenvalue Problem, ch. 5) off the lens check's continuant pass: an
+identity observed on every chain tested (lengths up to 60), not proved
+here.  It rests on two lemmas, each tested on any chain.  The ray-continuant
+lemma: the candidate rays of ``_candidate_rays`` have cross(w_0, head[j]) =
+(-1)^(j-1) K(s_1..s_(j-1)) and cross(w_0, tail[j]) = (-1)^j K(s_1..s_(j+1)),
+j = 1..n-1, so the side of w_0 each lies on is the sign of a leading minor
+of Q (K of no entries is 1).  The step lemma: the rays are columns of
+products of determinant 1, so cross(head[j-1], head[j]) = 1 and
+cross(tail[j-1], tail[j]) = 1, while the junction has cross(head[k-1],
+tail[k]) = 1 - s_k s_(k+1), and with no -1 its rays are antiparallel
+where that is 0.  So a head or tail step wraps exactly where its position
+drops, and no step of a chain without -1 meets two rays that point the
+same way.
 
 Every moment polygon, constructed or blown up, is assembled by ``_polygon``:
 edge j joins vertices j and j + 1, and the picture is re-read before it is
@@ -37,12 +49,13 @@ notation (s_1, ..., s_n).
 
 One gate checks every chain, once, in this order: a -1 entry raises
 MinusOnePresent, length below 2 raises TooShort, and the valid pivots are the
-i with s_i >= 0.  Its two front doors return the chain as a tuple with the
-valid pivots (``_concave_pivots``: with none, ``classify`` and
-``lens_invariant`` raise NotConcaveCase) or with the pivot (``_check_chain``:
-a construction given no pivot takes the smallest valid one, and one given an
-invalid pivot, or none where there is no valid one, raises
-NoNonnegativeEntry).  The ``construct`` command reads --heights before it.
+i with s_i >= 0.  Its two front doors return the chain as a tuple, alone
+(``_concave_chain``: with no valid pivot, ``classify`` and
+``lens_invariant`` raise NotConcaveCase) or with the pivot
+(``_check_chain``: a construction given no pivot takes the smallest valid
+one, and one given an invalid pivot, or none where there is no valid one,
+raises NoNonnegativeEntry).  The ``construct`` command reads --heights before it,
+and before the --reduce blow-down.
 """
 
 from __future__ import annotations
@@ -51,7 +64,7 @@ from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from math import gcd
-from typing import Optional, Sequence, Tuple
+from typing import Iterator, Optional, Sequence, Tuple
 
 from . import lattice
 from .errors import (
@@ -63,10 +76,11 @@ from .errors import (
     NotConcaveCase,
     NotCoprime,
     NotDelzantCorner,
+    PreconditionError,
     SizeTooLarge,
     TooShort,
 )
-from .lattice import Cmp, MatSL2Z, WindingVerdict, cross
+from .lattice import Cmp, MatSL2Z, WindingVerdict, _step, cross
 from .plumbing import _inertia, area_vector, as_chain, blow_down, is_negative_definite
 
 
@@ -86,15 +100,14 @@ def _valid_pivots(s) -> list:
     return [i for i in range(1, len(s) + 1) if s[i - 1] >= 0]
 
 
-def _concave_pivots(s) -> Tuple[tuple, list]:
+def _concave_chain(s) -> tuple:
     s = as_chain(s)
-    pivots = _valid_pivots(s)
-    if not pivots:
+    if not _valid_pivots(s):
         raise NotConcaveCase(
             "no entry of %s is >= 0; the boundary is not concave" % (s,),
             negative_definite=is_negative_definite(s),
         )
-    return s, pivots
+    return s
 
 
 def _check_chain(s, i: Optional[int]) -> Tuple[tuple, int]:
@@ -247,7 +260,7 @@ def lens_invariant(s: Sequence[int]) -> Tuple[int, int]:
     every chain, against the continuant pair: it must equal
     (-1)^(n-1) (K(s_1..s_n), K(s_2..s_n)), all in ints.
     """
-    s, _ = _concave_pivots(s)
+    s = _concave_chain(s)
     return _lens_from_terminal_ray(s, _candidate_rays(s)[1][-1])[0]
 
 
@@ -309,10 +322,14 @@ class BoundaryReport:
     cone_is_whole_plane: bool
 
     @classmethod
-    def _trusted(cls, chain, pivot, rays, winding, verdict, lens, det, cone_is_whole_plane):
+    def _trusted(cls, chain, pivot, w, winding, verdict, lens, det, cone_is_whole_plane):
         """A report whose fields ``classify`` has checked, with ``det_check``
-        true, stored one by one past the frozen ``__init__`` (which makes
-        one ``object.__setattr__`` call per field)."""
+        true and the rays ``RaySequence(w, pivot)``, each stored field by
+        field past the frozen ``__init__`` (which makes one
+        ``object.__setattr__`` call per field)."""
+        rays = object.__new__(RaySequence)
+        rays.__dict__["w"] = w
+        rays.__dict__["pivot"] = pivot
         report = object.__new__(cls)
         fields = report.__dict__
         fields["chain"] = chain
@@ -331,12 +348,13 @@ def classify(s: Sequence[int], reduce: bool = False) -> BoundaryReport:
     """Tight/overtwisted verdict for the concave boundary of a chain.
 
     The swept-angle criterion is reported for the smallest valid pivot.
-    One pass over the chain (``lattice.spliced_counts``) gives the exact
-    count c of every valid pivot.  One continuant pass gives det Q, the lens
-    pair and b+(Q); its raising check includes the determinant identity, so
-    ``det_check`` is always true.  Every pivot's c must equal b+(Q) - 1, a
-    route that shares nothing with the ray walk (an
-    :class:`InternalInvariantError` flags a difference loudly).
+    ``classify`` is the walk of ``classify_chains`` over the one chain: one
+    step per entry gives the exact count c of every valid pivot.  One
+    continuant pass gives det Q, the lens pair and b+(Q); its raising check
+    includes the determinant identity, so ``det_check`` is always true.
+    Every pivot's c must equal b+(Q) - 1, a route that shares nothing with
+    the ray walk (an :class:`InternalInvariantError` flags a difference
+    loudly).
     The report's verdicts are shared immutable instances
     (``lattice.winding_verdict``), and the report itself is built from its
     checked fields without the frozen ``__init__``
@@ -345,25 +363,89 @@ def classify(s: Sequence[int], reduce: bool = False) -> BoundaryReport:
     With ``reduce`` set, -1 entries are blown down first; otherwise they
     raise, so the standing assumption s_j != -1 stays visible to the caller.
     """
-    s, pivots = _concave_pivots(blow_down(s) if reduce else s)
-    n = len(s)
-    if pivots[-1] == n and n - 1 in pivots:
-        pivots.pop()  # pivots n-1 and n give the same decomposition
-    head, tail = _candidate_rays(s)
-    ks = [min(i, n - 1) for i in pivots]
-    counts, last = lattice.spliced_counts(head, tail, ks)
-    lens, det, b_plus = _lens_from_terminal_ray(s, tail[-1])
-    for i, count in zip(pivots, counts):
-        if count != b_plus - 1:
-            raise InternalInvariantError(
-                "pivot %d sweep count %d != b+(Q) - 1 = %d for %s" % (i, count, b_plus - 1, s)
-            )
-    i0, k0 = pivots[0], ks[0]
-    rays0 = RaySequence(w=tuple(head[:k0] + tail[k0:]), pivot=i0)
-    winding0 = lattice.winding_verdict(counts[0], last)
-    verdict = Verdict.OVERTWISTED if counts[0] >= 1 else Verdict.TIGHT
-    whole_plane = winding0.vs_two_pi is not Cmp.LT
-    return BoundaryReport._trusted(s, i0, rays0, winding0, verdict, lens, det, whole_plane)
+    s = _concave_chain(blow_down(s) if reduce else s)
+    return _fold(s, [], ())
+
+
+def classify_chains(chains) -> Iterator[Optional[BoundaryReport]]:
+    """``classify`` of each chain in turn, or None where it refuses the
+    chain, from one walk that starts each chain from the longest prefix it
+    shares with the chain before it: sorted chains share the most, and a
+    repeat costs no step at all."""
+    stack, prev = [], ()
+    for s in chains:
+        try:
+            s = _concave_chain(s)
+        except PreconditionError:
+            yield None
+            continue
+        yield _fold(s, stack, prev)
+        prev = s
+
+
+def _fold(s, stack: list, prev) -> BoundaryReport:
+    """The report of a gated chain s, from ``stack``, the walk's states along
+    the chain ``prev`` it walked last ([] and () for a fresh walk).
+
+    stack[j - 1] is the state after s_1..s_j, a function of that prefix
+    alone: the product M_j = A_2 ... A_j as four ints; head[j - 1] with its
+    ``_step`` position and the wraps along head[0..j-1]; tail[j - 1] with its
+    position and the wraps along tail[1..j-1] (None, None and 0 at j = 1);
+    the offset of the junction k = j - 1, before[k] + wrap(head[k-1] ->
+    tail[k]) - (tail wraps up to k); and (i, offset) of the first valid
+    pivot i < j and of the first later one whose offset differs (None where
+    there is none).  Pivot k's count is 2 (offset + all tail wraps) + end,
+    so the pivots agree exactly when their offsets do.  Positions are
+    measured from w_0 = (1, -s_1).  A tail step has cross 1 (the step
+    lemma), so its wrap is a drop in position.  The states past the common
+    prefix of s and prev are dropped and s's own are pushed, one step per
+    entry.
+    """
+    n, m = len(s), 0
+    for x, y in zip(s, prev):
+        if x != y:
+            break
+        m += 1
+    del stack[m:]
+    w0x, w0y = 1, -s[0]
+    if not stack:
+        stack.append((1, 0, 0, 1, (w0x, w0y), 0, 0, None, None, 0, None, None, None))
+    a, b, c, d, head, hp, hw, tail, tp, tw, off, first, other = stack[-1]
+    for j in range(len(stack) + 1, n + 1):
+        t, nxt = s[j - 1], (b, d)  # nxt = head[j - 1] = M_{j-1} (0, 1)
+        a, b, c, d = b - a * t, -a, d - c * t, -c  # M_j = M_{j-1} A_j
+        tp0, tail = tp, (a, c)  # tail[j - 1] = M_j (1, 0)
+        tp, wrap = _step(w0x, w0y, head, hp, tail)  # the junction k = j - 1
+        if tp0 is not None:
+            tw += tp < tp0
+        off = hw + wrap - tw
+        hp, wrap = _step(w0x, w0y, head, hp, nxt)
+        head, hw = nxt, hw + wrap
+        if s[j - 2] >= 0:  # pivot j - 1
+            first = first or (j - 1, off)
+            if other is None and off != first[1]:
+                other = (j - 1, off)
+        stack.append((a, b, c, d, head, hp, hw, tail, tp, tw, off, first, other))
+    if s[-1] >= 0 > s[-2]:  # pivot n, where it is not pivot n - 1's twin
+        first = first or (n, off)
+        if other is None and off != first[1]:
+            other = (n, off)
+    lens, det, b_plus = _lens_from_terminal_ray(s, tail)
+    end = (tp == 3) - (tp == 0)
+    count = 2 * (first[1] + tw) + end
+    if count != b_plus - 1 or other:  # the first pivot whose count is not b+(Q) - 1
+        i, offset = first if count != b_plus - 1 else other
+        raise InternalInvariantError(
+            "pivot %d sweep count %d != b+(Q) - 1 = %d for %s"
+            % (i, 2 * (offset + tw) + end, b_plus - 1, s)
+        )
+    i0 = first[0]
+    k0 = min(i0, n - 1)
+    rays = tuple([d[4] for d in stack[:k0]] + [d[7] for d in stack[k0:]])
+    winding = lattice.winding_verdict(count, tp)
+    verdict = Verdict.OVERTWISTED if count >= 1 else Verdict.TIGHT
+    whole_plane = winding.vs_two_pi is not Cmp.LT
+    return BoundaryReport._trusted(s, i0, rays, winding, verdict, lens, det, whole_plane)
 
 
 @dataclass(frozen=True)

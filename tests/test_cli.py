@@ -164,6 +164,13 @@ class TestConstructCommand:
             assert code == 2 and out == ""
             assert json.loads(err)["error"]["type"] == "MalformedDocument"
 
+    def test_heights_are_read_before_the_blow_down(self, capsys):
+        # -1 blows down to nothing (EmptyPlumbing), but the bad --heights
+        # is refused first
+        code, out, err = run(capsys, "construct", "--plumbing", "-1", "--reduce", "--heights", "x")
+        assert code == 2 and out == ""
+        assert json.loads(err)["error"]["type"] == "MalformedDocument"
+
     def test_default_pivot_follows_chain_gate(self, capsys):
         # the -1 error comes before the pivot search, with or without --pivot
         for extra in ((), ("--pivot", "1")):
@@ -256,15 +263,47 @@ class TestSurveyCommand:
         chains = survey_chains((2, 4), (-3, 1))
         assert cli.survey_rows(chains, jobs=2) == oracle_survey_rows(chains)
 
+    @given(
+        st.lists(st.lists(st.integers(-4, 4), max_size=30), min_size=1, max_size=3).flatmap(
+            lambda stems: st.lists(
+                st.tuples(st.sampled_from(stems), st.lists(st.integers(-4, 4), max_size=10)),
+                max_size=12,
+            )
+        )
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_walk_keeps_no_state_of_other_prefixes(self, pairs):
+        # chains that share long stems, with -1, repeats and in any order:
+        # the walk resumes each from its common prefix with the chain before
+        chains = [tuple(stem + tail) for stem, tail in pairs]
+        expected = oracle_survey_rows(chains)
+        assert cli.survey_rows(chains) == expected
+        with mock.patch.object(cli, "ProcessPoolExecutor", concurrent.futures.ThreadPoolExecutor):
+            assert cli.survey_rows(chains, jobs=2) == expected
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_fault_in_the_walk_step_raises(self, monkeypatch, jobs):
+        real = toric._step
+
+        def one_wrap_more(w0x, w0y, u, pu, v):
+            p, wrap = real(w0x, w0y, u, pu, v)
+            return p, wrap + 1
+
+        monkeypatch.setattr(toric, "_step", one_wrap_more)
+        # workers in this process, so they see the fault
+        monkeypatch.setattr(cli, "ProcessPoolExecutor", concurrent.futures.ThreadPoolExecutor)
+        with pytest.raises(errors.InternalInvariantError, match=r"^pivot \d+ sweep count"):
+            cli.survey_rows(survey_chains((2, 4), (-3, 1)), jobs=jobs)
+
     @pytest.mark.parametrize("jobs", ["1", "2"])
     def test_each_distinct_reduced_chain_classified_once(self, capsys, monkeypatch, jobs):
-        calls = []
+        calls, real = [], toric.classify_chains
 
-        def counted(chain, reduce=False):
-            calls.append(chain)
-            return classify(chain, reduce)
+        def counted(chains):
+            calls.extend(chains)
+            return real(chains)
 
-        monkeypatch.setattr(cli.toric, "classify", counted)
+        monkeypatch.setattr(cli.toric, "classify_chains", counted)
         # workers in this process, so their calls are counted here
         monkeypatch.setattr(cli, "ProcessPoolExecutor", concurrent.futures.ThreadPoolExecutor)
         monkeypatch.setattr(cli.os, "cpu_count", lambda: 2)

@@ -28,7 +28,7 @@ from plumbtoric import (
     winding_compare,
 )
 from plumbtoric.docio import swept_degrees_approx
-from plumbtoric.lattice import spliced_counts, winding_verdict
+from plumbtoric.lattice import winding_verdict
 
 nonzero_vec = st.tuples(
     st.integers(-9, 9), st.integers(-9, 9)
@@ -402,39 +402,16 @@ class TestWindingOracle:
         assert winding_outcome(winding_compare, rays)[0] is error
         assert winding_outcome(winding_compare, rays) == winding_outcome(oracle_winding, rays)
 
-
-def ray_position(w0, v):
-    """0 on w0, 1 where cross(w0, v) > 0, 2 on -w0, 3 where cross(w0, v) < 0."""
-    side = cross(w0, v)
-    return 1 if side > 0 else 3 if side < 0 else 0 if dot(w0, v) > 0 else 2
-
-
-class TestSplicedCounts:
-    @settings(max_examples=300, deadline=None)
-    @given(st.lists(st.tuples(any_vec, any_vec), min_size=2, max_size=7), st.data())
-    def test_matches_winding_compare(self, pairs, data):
-        head, tail = [p[0] for p in pairs], [p[1] for p in pairs]
-        ks = sorted(data.draw(st.sets(st.integers(1, len(pairs) - 1), min_size=1)))
-        outcomes = [winding_outcome(winding_compare, head[:k] + tail[k:]) for k in ks]
-        if any(isinstance(w, tuple) for w in outcomes):
-            # the pass reads exactly the steps of the spliced sequences
-            with pytest.raises((ZeroVector, ParallelSameDirection)):
-                spliced_counts(head, tail, ks)
-        else:
-            expected = [w.crossings_of_start + w.crossings_of_antipode for w in outcomes]
-            counts, last = spliced_counts(head, tail, ks)
-            assert counts == expected
-            # tail[-1] ends every spliced sequence
-            assert last == ray_position(head[0], tail[-1])
-
     def test_counts_per_switch_point(self):
-        # switching at k = 1 takes the tail's extra full turn (675 degrees);
-        # switching later takes the head's short path (315 degrees)
+        # switching from head to tail at k = 1 takes the tail's extra full
+        # turn (675 degrees); switching later takes the head's short path
+        # (315 degrees); every sequence ends on (1, -1), below w0 = E
         head = [E, (2, 1), (1, 2), N]
         tail = [None, (-1, 1), (1, 1), (1, -1)]
-        # every sequence ends on (1, -1), below w0 = E: position 3
-        assert spliced_counts(head, tail, [1, 2, 3]) == ([3, 1, 1], 3)
-        assert spliced_counts(head, tail, [2]) == ([1], 3)
+        for k, count in ((1, 3), (2, 1), (3, 1)):
+            w = winding_compare(head[:k] + tail[k:])
+            assert w.crossings_of_start + w.crossings_of_antipode == count
+            assert w.final_landing is None and w.vs_two_pi is (Cmp.GT if count > 2 else Cmp.LT)
 
 
 class TestWindingVerdictShared:

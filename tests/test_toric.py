@@ -258,11 +258,15 @@ class TestTrustedReport:
 
 
 def sweep_counts(s):
-    """Every valid pivot's count from the one pass ``classify`` makes."""
-    pivots = pivots_of(s)
-    head, tail = toric._candidate_rays(s)
-    ks = [min(i, len(s) - 1) for i in pivots]
-    return zip(pivots, lattice.spliced_counts(head, tail, ks)[0])
+    """Every valid pivot's count from the walk ``classify`` makes: pivot i,
+    with k = min(i, n - 1), counts 2 (offset + tail wraps) + end, where the
+    offset is the one of the state after s_1..s_(k+1) and the tail wraps and
+    the last position are those of the state after all of s."""
+    stack = []
+    toric._fold(s, stack, ())
+    tail_pos, tail_wraps = stack[-1][8:10]
+    end = (tail_pos == 3) - (tail_pos == 0)
+    return [(i, 2 * (stack[min(i, len(s) - 1)][10] + tail_wraps) + end) for i in pivots_of(s)]
 
 
 def product_rays(s, i):
@@ -303,6 +307,32 @@ class TestPivotSweep:
     @settings(max_examples=200)
     def test_long_chains(self, s):
         assert_sweep_matches_winding(s)
+
+
+class TestStepLemma:
+    """The step lemma of the walk: with M_j = A_2 ... A_j of determinant 1,
+    head and tail steps have cross 1 and the junction at k has cross
+    1 - s_k s_(k+1), so no step of a chain without -1 sees two rays that
+    point the same way."""
+
+    @given(st.lists(st.integers(-8, 8).filter(lambda v: v != -1), min_size=2, max_size=40))
+    @settings(max_examples=200, deadline=None)
+    def test_step_crosses(self, s):
+        head, tail = toric._candidate_rays(s)
+        w0x, w0y = head[0]
+        steps = list(zip(head, head[1:])) + list(zip(tail[1:], tail[2:]))
+        for u, v in steps:
+            assert cross(u, v) == 1, (s, u, v)
+        for k in range(1, len(s)):
+            u, v = head[k - 1], tail[k]
+            assert cross(u, v) == 1 - s[k - 1] * s[k], (s, k)
+            if cross(u, v) == 0:
+                assert lattice.dot(u, v) < 0, (s, k)  # antiparallel
+            steps.append((u, v))
+        for u, v in steps:
+            lattice._step(w0x, w0y, u, 0, v)  # raises ParallelSameDirection on a same-way pair
+        if max(s) >= 0:
+            classify(s)
 
 
 def jacobi_signature(s):
@@ -380,7 +410,9 @@ class TestCrossChecksFire:
         # (r_x + 1, r_y - 3) keeps cross(w_0, r) = 3 r_x + r_y but moves
         # l = r_x, so the terminal ray (-1, 0) becomes (0, -3), which
         # normalizes to (3, 0) in place of (3, 1).
-        real = toric._candidate_rays
+        # lens_invariant reads the ray off _candidate_rays; classify's walk
+        # hands it to the lens check.
+        real, real_check = toric._candidate_rays, toric._lens_from_terminal_ray
 
         def corrupt_last(s):
             head, tail = real(s)
@@ -389,21 +421,29 @@ class TestCrossChecksFire:
             return head, tail
 
         assert lens_invariant((3, 0, 0)) == (3, 1)
+        message = r"^ray pair \(-3, 0\) disagrees"
         monkeypatch.setattr(toric, "_candidate_rays", corrupt_last)
-        for fn in (lens_invariant, classify):
-            with pytest.raises(InconsistentInvariant, match=r"^ray pair \(-3, 0\) disagrees"):
-                fn((3, 0, 0))
+        with pytest.raises(InconsistentInvariant, match=message):
+            lens_invariant((3, 0, 0))
+        monkeypatch.undo()
+        monkeypatch.setattr(
+            toric, "_lens_from_terminal_ray", lambda s, r: real_check(s, (r[0] + 1, r[1] - 3))
+        )
+        with pytest.raises(InconsistentInvariant, match=message):
+            classify((3, 0, 0))
 
     def test_pivot_independence(self, monkeypatch):
-        # (2, 1, 3) is overtwisted; pivot 2's count is corrupted to tight
-        real = lattice.spliced_counts
+        # (2, 1, 3) is overtwisted; one wrap less at pivot 2's junction,
+        # head[1] -> tail[2], corrupts its count to tight
+        real = toric._step
+        head, tail = toric._candidate_rays((2, 1, 3))
+        assert dict(sweep_counts((2, 1, 3)))[2] == 2
 
-        def corrupt_second(head, tail, ks):
-            counts, last = real(head, tail, ks)
-            assert counts[1] >= 1
-            return counts[:1] + [0] + counts[2:], last
+        def corrupt_second(w0x, w0y, u, pu, v):
+            p, wrap = real(w0x, w0y, u, pu, v)
+            return p, wrap - ((u, v) == (head[1], tail[2]))
 
-        monkeypatch.setattr(lattice, "spliced_counts", corrupt_second)
+        monkeypatch.setattr(toric, "_step", corrupt_second)
         message = "pivot 2 sweep count 0 != b+(Q) - 1 = 2 for (2, 1, 3)"
         with pytest.raises(InternalInvariantError, match=re.escape(message)):
             classify((2, 1, 3))
@@ -413,29 +453,46 @@ class TestCrossChecksFire:
         # (2, 1, 3): pivot 1 has the rays w0, tail[1], tail[2] and pivot 2
         # has w0, head[1], tail[2] = (2, -3).  (3, -5) lies just clockwise of
         # the last ray, so the pivot fed it sweeps less than a half turn.
-        real = toric._candidate_rays
+        # The walk's steps see (3, -5) wherever they see that ray.
+        real = toric._step
+        ray = toric._candidate_rays((2, 1, 3))[side][1]
 
-        def corrupt(s):
-            rays = real(s)  # (head, tail)
-            rays[side][1] = (3, -5)
-            return rays
+        def corrupt(w0x, w0y, u, pu, v):
+            return real(w0x, w0y, (3, -5) if u == ray else u, pu, (3, -5) if v == ray else v)
 
-        monkeypatch.setattr(toric, "_candidate_rays", corrupt)
+        monkeypatch.setattr(toric, "_step", corrupt)
         message = "pivot %d sweep count 0 != b+(Q) - 1 = 2 for (2, 1, 3)" % pivot
         with pytest.raises(InternalInvariantError, match=re.escape(message)):
             classify((2, 1, 3))
 
     def test_sweep_matches_winding_compare(self, monkeypatch):
-        real = lattice.spliced_counts
+        # one wrap more at pivot 1's junction, w_0 -> tail[1]
+        real = toric._step
+        head, tail = toric._candidate_rays((3, -2, -2))
 
-        def corrupt_first(head, tail, ks):
-            counts, last = real(head, tail, ks)
-            return [counts[0] + 2] + counts[1:], last
+        def corrupt_first(w0x, w0y, u, pu, v):
+            p, wrap = real(w0x, w0y, u, pu, v)
+            return p, wrap + ((u, v) == (head[0], tail[1]))
 
-        monkeypatch.setattr(lattice, "spliced_counts", corrupt_first)
+        monkeypatch.setattr(toric, "_step", corrupt_first)
         message = "pivot 1 sweep count 2 != b+(Q) - 1 = 0 for (3, -2, -2)"
         with pytest.raises(InternalInvariantError, match=re.escape(message)):
             classify((3, -2, -2))
+
+    def test_last_pivot_checked(self, monkeypatch):
+        # (2, -2, 3) has the pivots 1 and 3; pivot 3 takes k = 2, so only its
+        # junction head[1] -> tail[2] gets one wrap more
+        real = toric._step
+        head, tail = toric._candidate_rays((2, -2, 3))
+
+        def corrupt_last(w0x, w0y, u, pu, v):
+            p, wrap = real(w0x, w0y, u, pu, v)
+            return p, wrap + ((u, v) == (head[1], tail[2]))
+
+        monkeypatch.setattr(toric, "_step", corrupt_last)
+        message = "pivot 3 sweep count 3 != b+(Q) - 1 = 1 for (2, -2, 3)"
+        with pytest.raises(InternalInvariantError, match=re.escape(message)):
+            classify((2, -2, 3))
 
     def test_signature_sign(self, monkeypatch):
         # the reversed pass over (2, 1, 3) is 3, 2, 1, so b+(Q) = 3; negating
