@@ -12,15 +12,16 @@ except the reeb-orbits document, whose generator list can run to 10^5
 entries and is too slow for the indenting encoder, which is pure Python.
 ``reeb_orbits_text`` writes all of it in its fixed shape, with the same
 bytes as ``dumps`` of the document: each family straight from its
-``FamilyCount``, and each split orbit and each orbit's generator-entry
-text, up to the multiplicity, from one template each (once per call).
-Each generator (``current_to_doc``) joins its entries' texts in the order
-the current lists them: ``reeb.enumerate_generators`` decides the orbit
-order, and nothing here sorts again.  The other two bulk
-writers work the same way: each survey CSV row is one f-string, and each
-element of the SVG picture one template with its coordinates in ``%.3f``
-fields.  Output with an integer too long to print is refused as
-:class:`OutputTooLarge` (``_printable``).
+``FamilyCount``, each split orbit from one template, and each generator
+entry once per (orbit, multiplicity) entry the search shares among its
+currents, from its orbit's text up to the multiplicity (one template per
+orbit, once per call).  Each generator (``current_to_doc``) joins its
+entries' texts in the order the current lists them:
+``reeb.enumerate_generators`` decides the orbit order, and nothing here
+sorts again.  The other two bulk writers work the same way: each survey
+CSV row is one f-string, and each element of the SVG picture one template
+with its coordinates in ``%.3f`` fields.  Output with an integer too long
+to print is refused as :class:`OutputTooLarge` (``_printable``).
 """
 
 from __future__ import annotations
@@ -241,25 +242,41 @@ def families_to_doc(families: Sequence[reeb.FamilyCount]) -> list:
     ]
 
 
-def _entry_heads(orbits) -> dict:
-    """Each orbit's generator-entry text up to the multiplicity, keyed by
-    ``id(orbit)``: the search's currents hold these very objects, and
-    hashing one goes through two Fractions and its family."""
-    return {
+def _entry_heads(orbits) -> tuple:
+    """The writer's entry texts for one document: each orbit's generator-entry
+    text up to the multiplicity, keyed by ``id(orbit)`` (the search's
+    currents hold these very objects, and hashing one goes through two
+    Fractions and its family), and an empty table that ``current_to_doc``
+    fills with each entry's whole text."""
+    heads = {
         id(o): _ENTRY_TEXT % (format_fraction(o.base_action), o.cz, o.eps_exponent, o.kind.value)
         for o in orbits
     }
+    return heads, {}
 
 
 def current_to_doc(current: reeb.ReebCurrent, heads) -> str:
     """One generator's text as it sits in the reeb-orbits document, with
     ``heads`` the ``_entry_heads`` of the orbit list the generator was drawn
     from: its entries' texts joined in the current's order, which
-    ``enumerate_generators`` makes the document's."""
+    ``enumerate_generators`` makes the document's.
+
+    Each (orbit, multiplicity) entry tuple's text is made once per ``heads``:
+    the search's currents share one tuple per entry.  The table keeps the
+    entry with its text under ``id(entry)``, so that no other object can
+    take that id while the text is kept, and a lookup checks that it found
+    this very entry."""
     if not current.entries:
         return "[]"
-    listed = "\n      },\n      ".join([heads[id(o)] + str(m) for o, m in current.entries])
-    return "[\n      %s\n      }\n    ]" % listed
+    heads, texts = heads
+    listed = []
+    for entry in current.entries:
+        held = texts.get(id(entry))
+        if held is None or held[0] is not entry:
+            orbit, mult = entry
+            held = texts[id(entry)] = (entry, heads[id(orbit)] + str(mult))
+        listed.append(held[1])
+    return "[\n      %s\n      }\n    ]" % "\n      },\n      ".join(listed)
 
 
 # one family, split orbit and generator entry (bar its multiplicity) as printed

@@ -19,8 +19,10 @@ Both searches scale exact rationals to ints once over a common denominator
 and then compare ints only: the orbit descent scales each corner and the
 action bound, keeping the Stern-Brocot traversal order (and so the slope an
 :class:`ActionBoundHit` names), and the generator search scales the orbit
-actions and the bound.  The generator search also packs each entry's sort
-key into one int and sorts its generators on flat tuples of ints.
+actions and the bound, and sorts the orbits on the scaled actions.  The
+generator search also packs each entry's sort key into one int, keeps each
+node's keys sorted as it extends the node, and sorts its generators on flat
+tuples of ints.
 Fractions are built only for what is returned: one base action per family.
 """
 
@@ -338,10 +340,10 @@ def enumerate_generators(
     the bound.
 
     All base actions and the bound are scaled once to integers over a
-    common denominator, so the search and the final sort compare ints.  The
-    search emits a current and then branches only into later orbits (in
-    base-action order) whose action still fits in the room left below the
-    bound; each node of the search is an emitted generator.
+    common denominator, so the orbit sort, the search and the final sort
+    compare ints.  The search emits a current and then branches only into
+    later orbits (in base-action order) whose action still fits in the room
+    left below the bound; each node of the search is an emitted generator.
 
     Order: generators are sorted by total action, then entry count, then
     sorted entry keys.  An entry's key is the tuple (base action, eps
@@ -349,13 +351,17 @@ def enumerate_generators(
     multiplicity``: ``rank`` is the dense rank of the orbit's (scaled
     action, eps exponent, kind) among the orbits', and ``span`` exceeds
     every multiplicity the search can emit, so the packing keeps the tuple
-    order and its ties.  Each generator's sort key is the flat int tuple
-    (base total, eps total, entry count, *sorted entry keys), which orders
-    as the nested key did (equal counts give equal lengths), and the
-    currents are built after the sort.  The sort key ties often, and ties
-    keep the emission order, which is lexicographic in the multiplicity
-    vector over the orbits sorted by (base action, eps exponent, kind, CZ);
-    orbits that tie on that key keep the caller's order, never a hash order.
+    order and its ties.  The search keeps each node's entry keys in
+    ascending order: a child's keys are its node's plus one, which sorts
+    last unless the child's orbit shares the key rank of the node's last
+    entry and enters at a smaller multiplicity, the one case in which it
+    re-sorts them.  Each generator's sort key is the flat int tuple (base
+    total, eps total, entry count) + its entry keys, which orders as the
+    nested key did (equal counts give equal lengths), and the currents are
+    built after the sort.  The sort key ties often, and ties keep the
+    emission order, which is lexicographic in the multiplicity vector over
+    the orbits sorted by (base action, eps exponent, kind, CZ); orbits that
+    tie on that key keep the caller's order, never a hash order.
     Each current lists its entries in that orbit order, which is the order
     the reeb-orbits document prints them in.
 
@@ -367,43 +373,51 @@ def enumerate_generators(
     bound = Fraction(bound)
     if bound <= 0:
         raise ValueError("action bound must be positive")
-    ordered = sorted(
-        dict.fromkeys(orbits),
-        key=lambda o: (o.base_action, o.eps_exponent, o.kind.value, o.cz),
-    )
-    for o in ordered:
+    distinct = list(dict.fromkeys(orbits))
+    for o in distinct:
         if o.base_action <= 0:
             raise ValueError("orbit actions must be positive")
-    _, (top, *scaled) = scale_to_ints([bound] + [Fraction(o.base_action) for o in ordered])
-    triples = [(action, o.eps_exponent, o.kind.value) for action, o in zip(scaled, ordered)]
-    rank = {t: r for r, t in enumerate(dict.fromkeys(triples))}  # in sorted order already
+    _, (top, *actions) = scale_to_ints([bound] + [Fraction(o.base_action) for o in distinct])
+    # by (scaled action, eps exponent, kind, CZ): the order of the base
+    # actions, compared as ints; orbits that tie keep the caller's order
+    keyed = sorted(
+        [((action, o.eps_exponent, o.kind.value, o.cz), o) for action, o in zip(actions, distinct)],
+        key=itemgetter(0),
+    )
+    scaled = [key[0] for key, _ in keyed]
     # no multiplicity reaches top // (the smallest action) + 1
     span = top // scaled[0] + 1 if scaled else 1
     cap = sys.maxsize if max_generators is None else max_generators  # no list is longer
-    # per orbit: its action, eps exponent, whether it is elliptic and, by
-    # multiplicity from 0 to the largest the search can give it (at most the
-    # cap: a current at multiplicity m comes with those at 1..m-1), its
-    # one-entry tuple and its entry key
+    # per orbit: its action, eps exponent, whether it is elliptic, whether
+    # it shares its key rank with the orbit before it and, by multiplicity
+    # from 0 to the largest the search can give it (at most the cap: a
+    # current at multiplicity m comes with those at 1..m-1), its one-entry
+    # tuple and its one-key tuple
+    rank = {}  # the dense rank of each (scaled action, eps exponent, kind)
     steps = []
-    for orbit, action, t in zip(ordered, scaled, triples):
+    for (action, orbit_eps, kind, _), orbit in keyed:
+        t = (action, orbit_eps, kind)
+        tied = t in rank  # the orbits come sorted, so t is the last one's
+        r = rank.setdefault(t, len(rank))
         elliptic = orbit.kind is OrbitKind.ELLIPTIC
         mults = range(min(top // action, cap) + 1 if elliptic else 2)
-        by_mult = [(((orbit, m),), rank[t] * span + m) for m in mults]
-        steps.append((action, orbit.eps_exponent, elliptic, by_mult))
+        by_mult = [(((orbit, m),), (r * span + m,)) for m in mults]
+        steps.append((action, orbit_eps, elliptic, tied, by_mult))
 
     found = []  # (sort key, entries), in emission order
-    # a node: entries, their keys, base and eps totals, last orbit index;
-    # children are pushed in reverse so that they pop in emission order
+    # a node: entries, their keys in ascending order, base and eps totals,
+    # last orbit index; children are pushed in reverse so that they pop in
+    # emission order
     stack = [((), (), 0, 0, -1)]
     if cap < 1:  # the empty generator alone passes it
         raise too_many_generators(max_generators, bound)
     while stack:
         entries, keys, base, eps, last = stack.pop()
         # a flat tuple of ints, which the garbage collector stops tracking
-        found.append(((base, eps, len(keys), *sorted(keys)), entries))
+        found.append(((base, eps, len(keys)) + keys, entries))
         room = top - base
         for k in range(last + 1, bisect_right(scaled, room, last + 1)):
-            action, orbit_eps, elliptic, by_mult = steps[k]
+            action, orbit_eps, elliptic, tied, by_mult = steps[k]
             most = room // action if elliptic else 1
             if most * action == room and eps + most * orbit_eps >= 0:
                 most -= 1  # a total at the bound counts as above it
@@ -411,8 +425,11 @@ def enumerate_generators(
                 raise too_many_generators(max_generators, bound)
             for mult in range(most, 0, -1):
                 entry, key = by_mult[mult]
+                child = keys + key
+                if tied and key < keys[-1:]:  # only a key of the last one's rank falls below it
+                    child = tuple(sorted(child))
                 stack.append(
-                    (entries + entry, keys + (key,), base + mult * action, eps + mult * orbit_eps, k)
+                    (entries + entry, child, base + mult * action, eps + mult * orbit_eps, k)
                 )
 
     found.sort(key=itemgetter(0))

@@ -694,6 +694,17 @@ class TestGeneratorOracle:
         [PerturbedOrbit(OrbitKind.ELLIPTIC, F(1), 1, 2), PerturbedOrbit(OrbitKind.POSITIVE_HYPERBOLIC, F(1), 1, 0)],
         F(3),
     )
+    # an orbit entering below the last key of its rank: {e0: 2, e1: 1} has
+    # keys (r + 2, r + 1) until the search re-sorts them, and only sorted
+    # do they order it before {e0: 1, e2: 1}, whose totals and count it shares
+    @example(
+        [
+            PerturbedOrbit(OrbitKind.ELLIPTIC, F(1), 1, 0),
+            PerturbedOrbit(OrbitKind.ELLIPTIC, F(1), 1, 1),
+            PerturbedOrbit(OrbitKind.ELLIPTIC, F(2), 2, 0),
+        ],
+        F("7/2"),
+    )
     def test_random_orbit_sets(self, orbits, bound):
         expected = oracle_generators(orbits, bound)
         got = enumerate_generators(orbits, bound)
@@ -860,6 +871,58 @@ class TestDocumentWriter:
         for g in enumerate_generators(orbits, bound):
             expected = json.dumps(oracle_current_doc(g), indent=2, sort_keys=True)
             assert docio.current_to_doc(g, heads) == expected.replace("\n", "\n    ")
+
+
+def oracle_current_text(current):
+    return json.dumps(oracle_current_doc(current), indent=2, sort_keys=True).replace("\n", "\n    ")
+
+
+# two parses of one current: equal orbits that are distinct objects
+PARSED_ENTRIES = [
+    {"kind": "elliptic", "base_action": "3/2", "multiplicity": 2},
+    {"kind": "positive_hyperbolic", "base_action": "5/2"},
+    {"kind": "elliptic", "base_action": "7/2", "cz": 2, "multiplicity": 4},
+]
+
+
+class TestWriterOnBuiltCurrents:
+    """The writer on currents the search did not build: entries equal to
+    others but distinct objects, and temporary currents freed between
+    ``current_to_doc`` calls that share one table, whose entries' ids Python
+    may hand on to the next current's entries."""
+
+    def test_parsed_and_constructed_currents(self):
+        parsed = [docio.current_from_doc(PARSED_ENTRIES) for _ in range(2)]
+        orbits = [o for current in parsed for o, _ in current.entries]
+        heads = docio._entry_heads(orbits)
+        for current in parsed:
+            assert docio.current_to_doc(current, heads) == oracle_current_text(current)
+        for _ in range(2):
+            for m in range(1, 6):
+                for o in orbits:
+                    # built anew for each call and freed as soon as it returns
+                    got = docio.current_to_doc(ReebCurrent(((o, m),)), heads)
+                    assert got == oracle_current_text(ReebCurrent(((o, m),)))
+                    if o != orbits[0]:  # the first orbit has the least action
+                        pair = ReebCurrent(((orbits[0], m), (o, 7 - m)))
+                        assert docio.current_to_doc(pair, heads) == oracle_current_text(pair)
+
+    @pytest.mark.parametrize("bound", [F(5), F(31) / 3])
+    def test_document_of_temporary_currents(self, bound):
+        orbits = split_orbits(DIP, bound)
+
+        def currents():
+            # each entry a new tuple, equal to the entries of earlier currents;
+            # the writer holds no current past its own call
+            for i, o in enumerate(orbits):
+                for m in range(1, 4):
+                    later = orbits[(i + m) % len(orbits)]
+                    entries = [(o, m)] if later is o else sorted([(o, m), (later, 1)], key=lambda e: orbit_order(e[0]))
+                    yield ReebCurrent(tuple(entries))
+
+        families = enumerate_orbits(DIP, bound)
+        got = docio.reeb_orbits_text(bound, families, orbits, currents())
+        assert got == oracle_reeb_orbits_text(bound, families, orbits, list(currents()))
 
 
 def current(*entries):
