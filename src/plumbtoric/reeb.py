@@ -23,7 +23,9 @@ actions and the bound, and sorts the orbits on the scaled actions.  The
 generator search also packs each entry's sort key into one int, keeps each
 node's keys sorted as it extends the node, and sorts its generators on flat
 tuples of ints.
-Fractions are built only for what is returned: one base action per family.
+Fractions are built only for what is returned: one base action per distinct
+scaled action, shared by every family at that action, and each family is
+built past its frozen ``__init__`` with the fields that ``__init__`` stores.
 """
 
 from __future__ import annotations
@@ -218,16 +220,33 @@ def enumerate_orbits(
         raise InvalidItinerary(violations)
     room = inf if max_generators is None else (max_generators - 1) // 2  # families that fit
     out: List[FamilyCount] = []
+    new, store = object.__new__, object.__setattr__
+    # per corner scale D, which fixes top = D * bound: per scaled action, its
+    # base action and max multiplicity, shared by every family at that action
+    shared = {}
     for j, r_in, r_out in cones:
         scale, top, found = _cone_primitives(r_in, r_out, it.vertices[j], bound, room)
         room -= len(found)
         if room < 0:
             break
         found.sort(key=itemgetter(0))  # by slope; a corner's slopes are distinct
+        by_action = shared.setdefault(scale, {})
         for slope, action in found:
-            # the multiplicity is ceil(top / action) - 1
-            base = Fraction(action, scale)
-            out.append(FamilyCount(OrbitFamily(slope, j, base), -(-top // action) - 1))
+            held = by_action.get(action)
+            if held is None:
+                # the multiplicity is ceil(top / action) - 1
+                held = by_action[action] = (Fraction(action, scale), -(-top // action) - 1)
+            base, mult = held
+            # each field stored as the frozen __init__ stores it, one
+            # object.__setattr__ per field, without its call
+            family = new(OrbitFamily)
+            store(family, "slope", slope)
+            store(family, "vertex", j)
+            store(family, "base_action", base)
+            count = new(FamilyCount)
+            store(count, "family", family)
+            store(count, "max_multiplicity", mult)
+            out.append(count)
     if room < 0:
         raise too_many_generators(max_generators, bound)
     return out

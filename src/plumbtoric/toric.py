@@ -42,7 +42,10 @@ points and int areas its builder computed over one common denominator D.
 ``moment_polygon`` computes on such ints from the heights on and only then
 makes Fractions, once, for the returned coordinates and areas;
 ``blow_up_corner`` scales its input once and builds Fractions only for the
-values the chop changes.
+values the chop changes, and edges only from the chopped corner on: the
+input's edges before it are returned as themselves where edge j joins
+vertices j and j + 1.  Polygons and edges are built past their frozen
+``__init__``.
 
 Chain positions and pivot indices are 1-based throughout, matching the
 notation (s_1, ..., s_n).
@@ -508,10 +511,29 @@ def _reread(pts, lengths, s, rays) -> None:
             )
 
 
-def _polygon(vertices, s, areas, rays) -> MomentPolygon:
-    """The polygon with edge j from vertex j to j + 1 labeled (s[j], areas[j])."""
-    edges = tuple(PolygonEdge(j, j + 1, sj, aj) for j, (sj, aj) in enumerate(zip(s, areas)))
-    return MomentPolygon(vertices, edges, rays)
+def _polygon(vertices, s, areas, rays, old=()) -> MomentPolygon:
+    """The polygon with edge j from vertex j to j + 1 labeled (s[j], areas[j]).
+
+    For j < len(old), whose labels the caller passes on, edge j is old[j]
+    itself where old[j] already joins vertices j and j + 1.  The polygon and
+    its new edges are built past their frozen ``__init__``, each field
+    stored as it stores it, by one ``object.__setattr__`` call per field."""
+    new, store = object.__new__, object.__setattr__
+    edges = []
+    for j, (sj, aj) in enumerate(zip(s, areas)):
+        e = old[j] if j < len(old) else None
+        if e is None or e.start != j or e.end != j + 1:
+            e = new(PolygonEdge)
+            store(e, "start", j)
+            store(e, "end", j + 1)
+            store(e, "self_intersection", sj)
+            store(e, "area", aj)
+        edges.append(e)
+    poly = new(MomentPolygon)
+    store(poly, "vertices", vertices)
+    store(poly, "edges", tuple(edges))
+    store(poly, "rays", rays)
+    return poly
 
 
 def moment_polygon(
@@ -558,8 +580,10 @@ def blow_up_corner(poly: MomentPolygon, vertex: int, size) -> MomentPolygon:
     The corner must be interior (between two sphere edges) and Delzant: the
     primitive edge directions must form a positively oriented Z^2 basis.
     Edge j of the result joins vertices j and j + 1, whatever the indices
-    of the input's edges, which must be one fewer than its vertices.  The
-    corner check and the re-read run on the input scaled to ints once.
+    of the input's edges, which must be one fewer than its vertices; an
+    input edge before the corner that joins vertices j and j + 1 is edge j
+    of the result itself.  The corner check and the re-read run on the
+    input scaled to ints once.
     """
     size = Fraction(size)
     _check_edge_count(poly)
@@ -600,4 +624,4 @@ def blow_up_corner(poly: MomentPolygon, vertex: int, size) -> MomentPolygon:
     new = tuple((Fraction(x, scale), Fraction(y, scale)) for x, y in (va, vb))
     a = [e.area for e in edges]
     a[vertex - 1 : vertex + 1] = [Fraction(l_in - cut, scale), size, Fraction(l_out - cut, scale)]
-    return _polygon(verts[:vertex] + new + verts[vertex + 1 :], s, a, poly.rays)
+    return _polygon(verts[:vertex] + new + verts[vertex + 1 :], s, a, poly.rays, edges[: vertex - 1])

@@ -1,5 +1,8 @@
+import copy
+import dataclasses
 import json
 import os
+import pickle
 import random
 import subprocess
 import sys
@@ -20,15 +23,20 @@ from plumbtoric import (
     ContactInvariant,
     IndexInput,
     InvalidItinerary,
+    MomentPolygon,
+    NotDelzantCorner,
     OrbitKind,
     OutputTooLarge,
     PerturbedOrbit,
+    PolygonEdge,
     ReebCurrent,
     ReebItinerary,
+    SizeTooLarge,
     TooManyGenerators,
     TorsionBound,
     TorsionReport,
     ZeroVector,
+    blow_up_corner,
     classify,
     cross,
     dot,
@@ -39,6 +47,7 @@ from plumbtoric import (
     fredholm_index,
     hyperbolic_orbit,
     j_plus,
+    moment_polygon,
     parity_check,
     perturb_split,
     positivity_sign,
@@ -386,6 +395,7 @@ def benchmark_curve(half):
 
 
 # corner cones of cross 2, 3, 2, 8, 2, 3, 2 and 3, 5, 3, 6, 3, 5, 3
+CURVE_A = benchmark_curve(((1, 2), (1, 1), (2, 1)))
 CURVE_B = benchmark_curve(((1, 4), (1, 2), (2, 1), (4, 1)))
 CURVE_C = benchmark_curve(((1, 3), (2, 3), (3, 2), (3, 1)))
 WIDE_CONE_CURVES = [
@@ -466,6 +476,37 @@ class TestDescentOracle:
                 assert outcome(enumerate_orbits, it, bound, max_generators=cap) == expected
                 firsts.add(expected.split(":")[0])
         assert firsts == {"ActionBoundHit", "TooManyGenerators"}
+
+    @pytest.mark.parametrize(
+        "curve, bound, count",
+        [(CURVE_A, F(401) / 2, 1993), (CURVE_B, F(801) / 2, 1939), (CURVE_C, F(801) / 2, 1643)],
+        ids=["A", "B", "C"],
+    )
+    def test_benchmark_curves(self, curve, bound, count):
+        """The geometry benchmark's three curves at their bounds.  Every
+        corner of an integer curve scales by the bound's denominator, so
+        the families share one base action object per distinct action."""
+        got = enumerate_orbits(curve, bound)
+        assert len(got) == count
+        assert got == oracle_enumerate_orbits(curve, bound)
+        bases = [fc.family.base_action for fc in got]
+        assert len({id(b) for b in bases}) == len(set(bases)) < count // 5
+
+    def test_equal_scaled_actions_at_two_scales(self):
+        """Corners of the rational itinerary scale by 4 and by 12 at bound
+        85/4, and one scaled int action occurs at both: two base actions."""
+        doc = json.loads((GOLDEN / "itinerary_rational.json").read_text())
+        it = docio.itinerary_from_doc(doc)
+        bound = F(85) / 4
+        got = enumerate_orbits(it, bound)
+        assert got == oracle_enumerate_orbits(it, bound)
+        scales, scaled = {}, {}
+        for fc in got:
+            j, base = fc.family.vertex, fc.family.base_action
+            scales[j] = plumbtoric.lattice.scale_to_ints((*it.vertices[j], bound))[0]
+            scaled.setdefault(base * scales[j], set()).add(base)
+        assert set(scales.values()) == {4, 12}
+        assert max(len(bases) for bases in scaled.values()) == 2
 
     def test_exact_hit_message_names_fraction_vertex(self):
         it = make_itinerary(
@@ -741,6 +782,77 @@ class TestReebCurrentChecks:
             assert g == checked and hash(g) == hash(checked)
 
 
+def assert_like_public(built, public):
+    """``built``, made past the frozen ``__init__``, is the object ``public``
+    made by the public constructor from the same fields: the same fields in
+    the same order, and it compares, hashes, prints, copies and pickles as
+    that object does, and stays frozen."""
+    assert type(built) is type(public)
+    assert list(vars(built).items()) == list(vars(public).items())
+    assert built == public and hash(built) == hash(public) and repr(built) == repr(public)
+    for twin in (copy.copy(built), copy.deepcopy(built), pickle.loads(pickle.dumps(built))):
+        assert twin == public and hash(twin) == hash(public) and repr(twin) == repr(public)
+    assert dataclasses.replace(built) == public
+    with pytest.raises(FrozenInstanceError):
+        setattr(built, dataclasses.fields(built)[0].name, None)
+
+
+def public_edge(e):
+    return PolygonEdge(e.start, e.end, e.self_intersection, e.area)
+
+
+def assert_polygon_like_public(poly):
+    for e in poly.edges:
+        assert_like_public(e, public_edge(e))
+    edges = tuple(public_edge(e) for e in poly.edges)
+    assert_like_public(poly, MomentPolygon(poly.vertices, edges, poly.rays))
+
+
+# chains the construction takes, of length 2..6
+short_construction_chains = (
+    st.lists(st.integers(-4, 3).filter(lambda v: v != -1), min_size=2, max_size=6)
+    .map(tuple)
+    .filter(lambda s: any(v >= 0 for v in s))
+)
+
+
+class TestResultsBuiltPastInit:
+    """enumerate_orbits, moment_polygon and blow_up_corner build their
+    results without the frozen __init__; each result is the object the
+    public constructor builds."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(itineraries_and_bounds())
+    def test_families(self, case):
+        it, bound = case
+        try:
+            families = enumerate_orbits(it, bound)
+        except ActionBoundHit:
+            assume(False)
+        event("families" if families else "no family")
+        for fc in families:
+            f = fc.family
+            public = OrbitFamily(f.slope, f.vertex, f.base_action)
+            assert_like_public(f, public)
+            assert_like_public(fc, FamilyCount(public, fc.max_multiplicity))
+
+    @settings(max_examples=100, deadline=None)
+    @given(short_construction_chains, st.data())
+    def test_polygons(self, s, data):
+        pivots = [i for i in range(1, len(s) + 1) if s[i - 1] >= 0]
+        poly = moment_polygon(s, data.draw(st.sampled_from(pivots)))
+        assert_polygon_like_public(poly)
+        corner = data.draw(st.integers(1, len(s) - 1))
+        size = data.draw(st.sampled_from([F(1) / 2, F(1) / 3, F(1)]))
+        try:
+            chopped = blow_up_corner(poly, corner, size)
+        except (NotDelzantCorner, SizeTooLarge) as exc:
+            event(type(exc).__name__)
+            return
+        event("blown up")
+        assert_polygon_like_public(chopped)
+
+
 def oracle_orbit_doc(orbit):
     return {
         "kind": orbit.kind.value,
@@ -923,6 +1035,73 @@ class TestWriterOnBuiltCurrents:
         families = enumerate_orbits(DIP, bound)
         got = docio.reeb_orbits_text(bound, families, orbits, currents())
         assert got == oracle_reeb_orbits_text(bound, families, orbits, list(currents()))
+
+
+def oracle_families_to_doc(families):
+    """``docio.families_to_doc`` as it was before it formatted each shared
+    base action once."""
+    return [
+        {
+            "vertex": fc.family.vertex,
+            "slope": docio._vec(fc.family.slope),
+            "base_action": docio.format_fraction(fc.family.base_action),
+            "max_multiplicity": fc.max_multiplicity,
+        }
+        for fc in families
+    ]
+
+
+def family(slope, vertex, base, mult=1):
+    return FamilyCount(OrbitFamily(slope, vertex, base), mult)
+
+
+class TestFamiliesToDoc:
+    """The family writer, which formats each base action object once per
+    call, against the comprehension it replaced: on the search's families,
+    on hand-built ones that share or do not share their action objects, and
+    on temporary ones freed as soon as the writer has read them, whose
+    actions' ids Python may hand on to the next family's action."""
+
+    @pytest.mark.parametrize("seed", [None, 3])
+    @pytest.mark.parametrize(
+        "curve, bound", [(DIP, F(31) / 3), (CURVE_A, F(101) / 2), (CURVE_C, F(161) / 2)]
+    )
+    def test_search_families(self, curve, bound, seed):
+        families = enumerate_orbits(wide_cone_image(curve, seed), bound)
+        assert len({fc.family.base_action for fc in families}) < len(families)
+        got = docio.families_to_doc(families)
+        assert got == oracle_families_to_doc(families)
+        assert [list(d) for d in got] == [list(d) for d in oracle_families_to_doc(families)]
+
+    def test_rational_search_families(self):
+        doc = json.loads((GOLDEN / "itinerary_rational.json").read_text())
+        families = enumerate_orbits(docio.itinerary_from_doc(doc), F(85) / 4)
+        assert any(fc.family.base_action.denominator > 1 for fc in families)
+        assert docio.families_to_doc(families) == oracle_families_to_doc(families)
+
+    def test_hand_built_families(self):
+        shared = F(7) / 3
+        families = [
+            family((0, -1), 1, shared, 2),
+            family((1, -2), 2, shared, 2),  # one object at two corners
+            family((-1, -2), 3, Fraction(14, 6)),  # equal, a distinct object
+            family((1, -3), 3, 5),  # an int action
+            family((2, -3), 1, Fraction(5)),  # an equal Fraction
+            family((1, -1), 2, shared, 2),
+        ]
+        got = docio.families_to_doc(families)
+        assert got == oracle_families_to_doc(families)
+        assert [d["base_action"] for d in got] == ["7/3", "7/3", "7/3", "5", "5", "7/3"]
+        assert docio.families_to_doc([]) == []
+
+    def test_temporary_families(self):
+        def temporary():
+            # each family and its action built anew and dropped once read
+            for k in range(1, 400):
+                yield family((k, -1), k % 3, Fraction(k % 7 + 1, k % 5 + 1), k % 4 + 1)
+
+        for _ in range(2):
+            assert docio.families_to_doc(temporary()) == oracle_families_to_doc(temporary())
 
 
 def current(*entries):

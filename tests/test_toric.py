@@ -759,6 +759,29 @@ class TestBlowUpCorner:
         assert chopped == blow_up_corner(poly, 2, Fraction(1, 2))
         assert [(e.start, e.end) for e in chopped.edges] == [(j, j + 1) for j in range(5)]
 
+    def test_numbered_edges_before_the_corner_reused(self):
+        # the input's edges j < corner - 1 join vertices j and j + 1 in the
+        # result too, and come back as the very objects; the rest are new
+        poly = moment_polygon((-2, 1, 0, -2, 3), 2)
+        for corner in range(1, 5):
+            chopped = blow_up_corner(poly, corner, Fraction(1, 2))
+            assert all(chopped.edges[j] is poly.edges[j] for j in range(corner - 1))
+            assert not any(e is f for e in chopped.edges[corner - 1 :] for f in poly.edges)
+            assert [(e.start, e.end) for e in chopped.edges] == [(j, j + 1) for j in range(6)]
+
+    @pytest.mark.parametrize("renumbered", [0, 1])
+    def test_one_renumbered_edge_before_the_corner(self, renumbered):
+        poly = moment_polygon((-2, 1, 0, -2, 3), 2)
+        edges = list(poly.edges)
+        e = edges[renumbered]
+        edges[renumbered] = PolygonEdge(e.end, e.start, e.self_intersection, e.area)
+        relabeled = MomentPolygon(poly.vertices, tuple(edges), poly.rays)
+        chopped = blow_up_corner(relabeled, 3, Fraction(1, 2))
+        assert chopped == blow_up_corner(poly, 3, Fraction(1, 2))
+        assert chopped.edges[renumbered] is not edges[renumbered]
+        assert chopped.edges[1 - renumbered] is edges[1 - renumbered]
+        assert [(e.start, e.end) for e in chopped.edges] == [(j, j + 1) for j in range(6)]
+
     @pytest.mark.parametrize("extra", [-1, 1])
     def test_edge_count_not_vertex_count_minus_one(self, extra):
         poly = moment_polygon((-2, 1, 0, -2), 2)
