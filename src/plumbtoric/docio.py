@@ -231,26 +231,15 @@ def itinerary_from_doc(doc: dict) -> ReebItinerary:
 
 @_printable
 def families_to_doc(families: Sequence[reeb.FamilyCount]) -> list:
-    """The families as documents.  Each base action object is formatted once
-    per call: ``enumerate_orbits`` shares one ``Fraction`` among the
-    families at one action.  The table keeps each action with its text
-    under ``id(action)``, so no other object can take that id during the
-    call."""
-    texts = {}
-    out = []
-    for fc in families:
-        family = fc.family
-        base = family.base_action
-        held = texts.get(id(base))
-        if held is None:
-            held = texts[id(base)] = (base, format_fraction(base))
-        out.append({
-            "vertex": family.vertex,
-            "slope": _vec(family.slope),
-            "base_action": held[1],
+    return [
+        {
+            "vertex": fc.family.vertex,
+            "slope": _vec(fc.family.slope),
+            "base_action": format_fraction(fc.family.base_action),
             "max_multiplicity": fc.max_multiplicity,
-        })
-    return out
+        }
+        for fc in families
+    ]
 
 
 def _entry_heads(orbits) -> tuple:

@@ -58,6 +58,9 @@ class NotConcaveCase(PreconditionError):
         super().__init__(message)
         self.negative_definite = negative_definite
 
+    def __reduce__(self):  # pickled with its own arguments, for process pools
+        return type(self), (self.args[0], self.negative_definite), self.__dict__
+
 
 class NotDelzantCorner(PreconditionError):
     pass
@@ -79,6 +82,9 @@ class InvalidItinerary(PreconditionError):
     def __init__(self, violations):
         super().__init__("itinerary fails validation: %s" % (violations,))
         self.violations = violations
+
+    def __reduce__(self):
+        return type(self), (self.violations,), self.__dict__
 
 
 class SurveyTooLarge(PreconditionError):

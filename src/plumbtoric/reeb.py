@@ -24,8 +24,8 @@ generator search also packs each entry's sort key into one int, keeps each
 node's keys sorted as it extends the node, and sorts its generators on flat
 tuples of ints.
 Fractions are built only for what is returned: one base action per distinct
-scaled action, shared by every family at that action, and each family is
-built past its frozen ``__init__`` with the fields that ``__init__`` stores.
+scaled action, shared by every family at that action.  Families and currents
+are built past their frozen ``__init__``, field by field (``toric``'s rule).
 """
 
 from __future__ import annotations
@@ -237,8 +237,6 @@ def enumerate_orbits(
                 # the multiplicity is ceil(top / action) - 1
                 held = by_action[action] = (Fraction(action, scale), -(-top // action) - 1)
             base, mult = held
-            # each field stored as the frozen __init__ stores it, one
-            # object.__setattr__ per field, without its call
             family = new(OrbitFamily)
             store(family, "slope", slope)
             store(family, "vertex", j)
@@ -312,16 +310,6 @@ class ReebCurrent:
             if orbit in seen:
                 raise ValueError("orbits in a current must be distinct")
             seen.add(orbit)
-
-    @classmethod
-    def _trusted(cls, entries) -> "ReebCurrent":
-        """A current whose entries are known to be distinct orbits with
-        positive multiplicities, built without re-checking them."""
-        # kept apart from BoundaryReport._trusted: one shared builder that
-        # filled __dict__ measured slower end to end on the generator search
-        current = object.__new__(cls)
-        object.__setattr__(current, "entries", entries)
-        return current
 
     def is_ech_generator(self) -> bool:
         return all(
@@ -452,7 +440,13 @@ def enumerate_generators(
                 )
 
     found.sort(key=itemgetter(0))
-    return [ReebCurrent._trusted(entries) for _, entries in found]
+    # past the frozen __init__, whose checks (distinct orbits, each m > 0) hold
+    out, new, store = [], object.__new__, object.__setattr__
+    for _, entries in found:
+        current = new(ReebCurrent)
+        store(current, "entries", entries)
+        out.append(current)
+    return out
 
 
 @dataclass(frozen=True)

@@ -44,8 +44,12 @@ makes Fractions, once, for the returned coordinates and areas;
 ``blow_up_corner`` scales its input once and builds Fractions only for the
 values the chop changes, and edges only from the chopped corner on: the
 input's edges before it are returned as themselves where edge j joins
-vertices j and j + 1.  Polygons and edges are built past their frozen
-``__init__``.
+vertices j and j + 1.
+
+Results are built past their frozen ``__init__`` by one rule: a report, made
+once per chain, gets one ``__dict__`` with its fields in field order; objects
+made in bulk (edges, polygons, ``reeb``'s families and currents) get one
+``object.__setattr__`` per field, as that ``__init__`` stores them.
 
 Chain positions and pivot indices are 1-based throughout, matching the
 notation (s_1, ..., s_n).
@@ -324,28 +328,6 @@ class BoundaryReport:
     det_check: bool  # true on every report: classify raises where it fails
     cone_is_whole_plane: bool
 
-    @classmethod
-    def _trusted(cls, chain, pivot, w, winding, verdict, lens, det, cone_is_whole_plane):
-        """A report whose fields ``classify`` has checked, with ``det_check``
-        true and the rays ``RaySequence(w, pivot)``, each stored field by
-        field past the frozen ``__init__`` (which makes one
-        ``object.__setattr__`` call per field)."""
-        rays = object.__new__(RaySequence)
-        rays.__dict__["w"] = w
-        rays.__dict__["pivot"] = pivot
-        report = object.__new__(cls)
-        fields = report.__dict__
-        fields["chain"] = chain
-        fields["pivot"] = pivot
-        fields["rays"] = rays
-        fields["winding"] = winding
-        fields["verdict"] = verdict
-        fields["lens"] = lens
-        fields["det"] = det
-        fields["det_check"] = True  # the lens check raised where the identity fails
-        fields["cone_is_whole_plane"] = cone_is_whole_plane
-        return report
-
 
 def classify(s: Sequence[int], reduce: bool = False) -> BoundaryReport:
     """Tight/overtwisted verdict for the concave boundary of a chain.
@@ -359,10 +341,10 @@ def classify(s: Sequence[int], reduce: bool = False) -> BoundaryReport:
     the ray walk (an :class:`InternalInvariantError` flags a difference
     loudly).
     The report's verdicts are shared immutable instances
-    (``lattice.winding_verdict``), and the report itself is built from its
-    checked fields without the frozen ``__init__``
-    (``BoundaryReport._trusted``); it compares, hashes, copies and pickles
-    as one built by the public constructor.
+    (``lattice.winding_verdict``), and ``_fold`` builds the report and its
+    rays from their checked fields without the frozen ``__init__``, one
+    ``__dict__`` each; the report compares, hashes, copies and pickles as
+    one built by the public constructor.
     With ``reduce`` set, -1 entries are blown down first; otherwise they
     raise, so the standing assumption s_j != -1 stays visible to the caller.
     """
@@ -444,11 +426,20 @@ def _fold(s, stack: list, prev) -> BoundaryReport:
         )
     i0 = first[0]
     k0 = min(i0, n - 1)
-    rays = tuple([d[4] for d in stack[:k0]] + [d[7] for d in stack[k0:]])
+    w = tuple([d[4] for d in stack[:k0]] + [d[7] for d in stack[k0:]])
     winding = lattice.winding_verdict(count, tp)
-    verdict = Verdict.OVERTWISTED if count >= 1 else Verdict.TIGHT
-    whole_plane = winding.vs_two_pi is not Cmp.LT
-    return BoundaryReport._trusted(s, i0, rays, winding, verdict, lens, det, whole_plane)
+    # the rays and the report past their frozen __init__, one __dict__ each,
+    # its fields in field order
+    rays = object.__new__(RaySequence)
+    object.__setattr__(rays, "__dict__", {"w": w, "pivot": i0})
+    report = object.__new__(BoundaryReport)
+    object.__setattr__(report, "__dict__", {
+        "chain": s, "pivot": i0, "rays": rays, "winding": winding,
+        "verdict": Verdict.OVERTWISTED if count >= 1 else Verdict.TIGHT,
+        "lens": lens, "det": det, "det_check": True,  # the lens check raised where it fails
+        "cone_is_whole_plane": winding.vs_two_pi is not Cmp.LT,
+    })
+    return report
 
 
 @dataclass(frozen=True)
@@ -516,8 +507,7 @@ def _polygon(vertices, s, areas, rays, old=()) -> MomentPolygon:
 
     For j < len(old), whose labels the caller passes on, edge j is old[j]
     itself where old[j] already joins vertices j and j + 1.  The polygon and
-    its new edges are built past their frozen ``__init__``, each field
-    stored as it stores it, by one ``object.__setattr__`` call per field."""
+    its new edges are built past their frozen ``__init__``, field by field."""
     new, store = object.__new__, object.__setattr__
     edges = []
     for j, (sj, aj) in enumerate(zip(s, areas)):

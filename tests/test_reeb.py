@@ -57,6 +57,7 @@ from plumbtoric import (
     winding_compare,
 )
 from plumbtoric.reeb import FamilyCount, ItineraryViolation, OrbitFamily
+from plumbtoric.toric import BoundaryReport, ray_sequence
 from plumbtoric.lattice import primitive, primitive_of_rational
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
@@ -817,9 +818,9 @@ short_construction_chains = (
 
 
 class TestResultsBuiltPastInit:
-    """enumerate_orbits, moment_polygon and blow_up_corner build their
-    results without the frozen __init__; each result is the object the
-    public constructor builds."""
+    """classify, enumerate_orbits, enumerate_generators, moment_polygon and
+    blow_up_corner build their results without the frozen __init__; each
+    result is the object the public constructor builds."""
 
     @settings(max_examples=100, deadline=None)
     @given(itineraries_and_bounds())
@@ -851,6 +852,35 @@ class TestResultsBuiltPastInit:
             return
         event("blown up")
         assert_polygon_like_public(chopped)
+
+    @settings(max_examples=200, deadline=None)
+    @given(short_construction_chains)
+    def test_reports(self, s):
+        report = classify(s)
+        rays = ray_sequence(s, report.pivot)
+        assert_like_public(report.rays, rays)
+        fields = {f.name: getattr(report, f.name) for f in dataclasses.fields(report)}
+        assert_like_public(report, BoundaryReport(**{**fields, "rays": rays}))
+
+    @settings(max_examples=100, deadline=None)
+    @given(itineraries_and_bounds(), st.integers(1, 3))
+    def test_currents(self, case, scale):
+        it, bound = case
+        bound *= scale  # larger bounds give more generators
+        try:
+            families = enumerate_orbits(it, bound)
+        except ActionBoundHit:
+            assume(False)
+        orbits = [o for fc in families for o in perturb_split(fc.family)]
+        while True:  # halve the bound until the generators are few enough to copy each
+            try:
+                generators = enumerate_generators(orbits, bound, max_generators=500)
+                break
+            except TooManyGenerators:
+                bound /= 2
+        event("%d generators" % min(len(generators), 100))
+        for g in generators:
+            assert_like_public(g, ReebCurrent(g.entries))
 
 
 def oracle_orbit_doc(orbit):
