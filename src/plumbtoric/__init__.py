@@ -71,12 +71,12 @@ from .toric import (
     boundary_rays,
     choose_heights,
     classify,
-    classify_chains,
     decompose,
     lens_equivalent,
     lens_invariant,
     moment_polygon,
     ray_sequence,
+    survey_walk,
 )
 from .reeb import (
     ContactInvariant,

@@ -33,7 +33,6 @@ import json
 import os
 import re
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from typing import List, Optional, Sequence
 
 from . import docio, plumbing, reeb, toric
@@ -100,51 +99,53 @@ def _cmd_construct(args) -> str:
     return docio.dumps(docio.polygon_to_doc(poly))
 
 
-def _survey_slice(chains) -> list:
-    """The rows of ``chains``, in their order, with None where classify
-    refuses a chain (e.g. one reduced below length 2)."""
-    reports = toric.classify_chains(chains)
-    return [  # OutputTooLarge is not skipped
-        None if report is None else docio.survey_row(chain, report)
-        for chain, report in zip(chains, reports)
-    ]
+def _rows(chains) -> list:
+    """The rows of ``chains`` that ``toric.survey_walk`` keeps, in order."""
+    return [docio.survey_row(*values) for values in toric.survey_walk(chains)]
 
 
-def _blow_down(chain) -> tuple:
-    try:
-        return plumbing.blow_down(chain)
-    except PreconditionError:
-        return ()  # nothing left, which classify refuses too
+def _subtree(task) -> list:
+    """The rows of the chains that extend ``prefix``, of lengths n_lo..n_hi
+    over ``values`` and with some entry >= 0, in tuple order: a preorder
+    walk of the prefix tree, each node's children in increasing entry
+    order, puts a prefix before its extensions."""
+    prefix, n_lo, n_hi, values = task
+
+    def chains():
+        stack, later = [prefix], values[::-1]
+        while stack:
+            s = stack.pop()
+            if len(s) >= n_lo and max(s) >= 0:
+                yield s
+            if len(s) < n_hi:
+                stack += [s + (v,) for v in later]
+
+    return _rows(chains())
+
+
+def _pooled(make, tasks: list, jobs: int) -> list:
+    """``make`` of each task, concatenated in task order; with ``jobs``
+    above 1 and more than one task, in a pool of that many worker
+    processes, one task at a time each."""
+    if jobs > 1 and len(tasks) > 1:
+        # only here, so that no other command loads multiprocessing
+        from concurrent.futures import ProcessPoolExecutor
+
+        with ProcessPoolExecutor(max_workers=jobs) as pool:
+            made = list(pool.map(make, tasks))
+    else:
+        made = map(make, tasks)
+    return list(itertools.chain.from_iterable(made))
 
 
 def survey_rows(chains, jobs: int = 1) -> List[tuple]:
     """The survey rows of ``chains``, in their order, skipping the chains
-    ``classify(chain, reduce=True)`` refuses.
-
-    The distinct reduced chains are sorted and classified once each by one
-    walk of ``toric.classify_chains``, which shares their common prefixes;
-    each row is re-keyed to every chain that blows down to it.  With
-    ``jobs`` above 1, a pool of that many worker processes walks about four
-    contiguous slices per worker, one task per slice.  The tables here are
-    freed on return.
-    """
-    reduced = [_blow_down(chain) if -1 in chain else chain for chain in chains]
-    distinct = sorted(dict.fromkeys(reduced))  # first-seen order: long runs already sorted
-    if jobs > 1 and len(distinct) > 1:
-        size = -(-len(distinct) // (4 * jobs))
-        slices = [distinct[i : i + size] for i in range(0, len(distinct), size)]
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            made = pool.map(_survey_slice, slices)  # one list of rows per slice
-            table = dict(zip(distinct, itertools.chain.from_iterable(made)))
-    else:
-        table = dict(zip(distinct, _survey_slice(distinct)))
-    rows = []
-    for chain, key in zip(chains, reduced):
-        row = table[key]
-        if row is not None:
-            blow_downs = len(chain) - len(key)
-            rows.append(docio.rekey_survey_row(row, chain, blow_downs) if blow_downs else row)
-    return rows
+    ``classify(chain, reduce=True)`` refuses, from one ``toric.survey_walk``
+    over them; with ``jobs`` above 1, about four contiguous slices per
+    worker."""
+    chains = list(chains)
+    size = max(1, -(-len(chains) // (4 * jobs)))
+    return _pooled(_rows, [chains[i : i + size] for i in range(0, len(chains), size)], jobs)
 
 
 def _cmd_survey(args) -> str:
@@ -155,24 +156,23 @@ def _cmd_survey(args) -> str:
     if args.jobs < 1:
         raise MalformedDocument("--jobs must be at least 1")
     cap = _env_cap("PLUMBTORIC_MAX_SURVEY", DEFAULT_SURVEY_CAP)
-    values = range(v_lo, v_hi + 1)
     # the cap bounds the entries of all chains, so it also bounds their
     # number (every chain has at least two entries)
     entries = 0
     for n in range(n_lo, n_hi + 1):
-        entries += n * len(values) ** n
+        entries += n * (v_hi - v_lo + 1) ** n
         if entries > cap:
             raise SurveyTooLarge(
                 "survey has more than %d chain entries (PLUMBTORIC_MAX_SURVEY)" % cap
             )
-    chains = sorted(  # rows come out in this order
-        chain
-        for n in range(n_lo, n_hi + 1)
-        for chain in itertools.product(values, repeat=n)
-        if max(chain) >= 0 and not (args.exclude_minus_one and -1 in chain)
-    )
-    # the pool forks all its workers at once, so at most one per CPU
-    rows = survey_rows(chains, min(args.jobs, os.cpu_count() or 1))
+    values = [v for v in range(v_lo, v_hi + 1) if not (args.exclude_minus_one and v == -1)]
+    # the pool forks all its workers at once, so at most one per CPU; each
+    # walks the subtrees of the shortest prefixes, at most n_lo long, that
+    # make about four per worker
+    jobs = min(args.jobs, os.cpu_count() or 1)
+    depth = next((d for d in range(n_lo) if len(values) ** d >= 4 * jobs), n_lo)
+    tasks = [(p, n_lo, n_hi, values) for p in itertools.product(values, repeat=depth)]
+    rows = _pooled(_subtree, tasks, jobs)
     return docio.survey_to_json(rows) if args.format == "json" else docio.survey_to_csv(rows)
 
 

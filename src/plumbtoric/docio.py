@@ -376,38 +376,23 @@ def index_from_doc(doc: dict) -> tuple:
 # survey
 
 @_printable
-def survey_row(chain, report: BoundaryReport) -> tuple:
-    """Row for the enumerated chain; ``report = classify(chain, reduce=True)``
-    describes the classified (possibly reduced) chain.  ``det`` is the
-    enumerated chain's determinant, read off the report: a blow-down drops one
-    entry and flips the sign, K(..., a, -1, b, ...) = -K(..., a+1, b+1, ...).
-    ``det_check`` reads "true" on every row: the determinant identity is the
-    k half of the one integer lens check, and ``classify`` raises where it fails.
-
-    The survey calls it once per distinct reduced chain, with ``chain`` the
-    reduced chain itself, and ``rekey_survey_row`` gives every enumerated
-    chain that reduces to it its own row."""
+def survey_row(chain, verdict, winding, lens, det) -> tuple:
+    """The row of an enumerated chain, from what ``toric.survey_walk`` gives
+    for it: the verdict, winding and lens pair of the walk over the chain
+    itself, -1 entries and all, and its own determinant.  No report is
+    built.  ``det_check`` reads "true" on every row: the determinant
+    identity is the k half of the one integer lens check, which the walk
+    runs on every chain and raises where it fails."""
     return (
         ",".join(map(str, chain)),
-        report.verdict._value_,
-        str(report.lens[0]),
-        str(report.lens[1]),
-        report.winding.vs_pi._value_,
-        report.winding.vs_two_pi._value_,
-        str((-1) ** (len(chain) - len(report.chain)) * report.det),
-        "true" if report.det_check else "false",
+        verdict._value_,
+        str(lens[0]),
+        str(lens[1]),
+        winding.vs_pi._value_,
+        winding.vs_two_pi._value_,
+        str(det),
+        "true",
     )
-
-
-@_printable
-def rekey_survey_row(row: tuple, chain, blow_downs: int) -> tuple:
-    """The ``survey_row`` of a reduced chain, re-keyed to the enumerated
-    ``chain`` that loses ``blow_downs`` entries to it: its own chain text, and
-    ``det`` negated when ``blow_downs`` is odd (never printed as -0)."""
-    det = row[6]
-    if blow_downs % 2 and det != "0":
-        det = det[1:] if det[0] == "-" else "-" + det
-    return (",".join(map(str, chain)),) + row[1:6] + (det, row[7])
 
 
 _CSV_HEAD = "%s\n%s\n" % (SURVEY_HEADER, ",".join(SURVEY_COLUMNS))

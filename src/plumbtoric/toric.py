@@ -352,24 +352,59 @@ def classify(s: Sequence[int], reduce: bool = False) -> BoundaryReport:
     return _fold(s, [], ())
 
 
-def classify_chains(chains) -> Iterator[Optional[BoundaryReport]]:
-    """``classify`` of each chain in turn, or None where it refuses the
-    chain, from one walk that starts each chain from the longest prefix it
-    shares with the chain before it: sorted chains share the most, and a
-    repeat costs no step at all."""
+def survey_walk(chains) -> Iterator[tuple]:
+    """(chain, verdict, winding, lens, det) of each chain, in order, that
+    ``classify(chain, reduce=True)`` accepts, with det the chain's own.
+
+    Chains are tuples of ints.  One walk starts each chain from the longest
+    prefix it shares with the chain walked before it, one step per entry
+    past it, and takes -1 entries in place (the (-1, -1) junction rule of
+    the module docstring), so a chain is neither blown down nor gated and
+    no report is built; the lens check and the count check run on every
+    chain walked.  A chain whose blow-down is one vertex is walked and
+    skipped.  A chain with no entry >= 0 has no pivot to walk: it gets
+    classify's row of its blow-down, where that has one.
+    """
     stack, prev = [], ()
     for s in chains:
-        try:
-            s = _concave_chain(s)
-        except PreconditionError:
-            yield None
+        if len(s) < 2 or max(s) < 0:
+            try:
+                r = classify(s, reduce=True)
+            except PreconditionError:
+                continue
+            yield s, r.verdict, r.winding, r.lens, (-1) ** (len(s) - len(r.chain)) * r.det
             continue
-        yield _fold(s, stack, prev)
+        winding, verdict, lens, det, b_plus, _ = _walk(s, stack, prev)
         prev = s
+        # the blow-up lemma: b-(Q) = n - 1, that is b+ + [det = 0] = 1, where
+        # the blow-down is one vertex (one >= 0, as an entry >= 0 only grows)
+        if b_plus + (det == 0) == 1 and -1 in s and len(blow_down(s)) < 2:
+            continue
+        yield s, verdict, winding, lens, det
 
 
 def _fold(s, stack: list, prev) -> BoundaryReport:
-    """The report of a gated chain s, from ``stack``, the walk's states along
+    """The report of a gated chain s from ``_walk``'s states, one
+    ``__dict__`` each for the report and its rays."""
+    winding, verdict, lens, det, _, i0 = _walk(s, stack, prev)
+    k0 = min(i0, len(s) - 1)
+    w = tuple([d[4] for d in stack[:k0]] + [d[7] for d in stack[k0:]])
+    # the rays and the report past their frozen __init__, one __dict__ each,
+    # its fields in field order
+    rays = object.__new__(RaySequence)
+    object.__setattr__(rays, "__dict__", {"w": w, "pivot": i0})
+    report = object.__new__(BoundaryReport)
+    object.__setattr__(report, "__dict__", {
+        "chain": s, "pivot": i0, "rays": rays, "winding": winding, "verdict": verdict,
+        "lens": lens, "det": det, "det_check": True,  # the lens check raised where it fails
+        "cone_is_whole_plane": winding.vs_two_pi is not Cmp.LT,
+    })
+    return report
+
+
+def _walk(s, stack: list, prev) -> tuple:
+    """(winding, verdict, lens pair, det Q, b+(Q), first valid pivot) of a
+    chain s with some entry >= 0, from ``stack``, the walk's states along
     the chain ``prev`` it walked last ([] and () for a fresh walk).
 
     stack[j - 1] is the state after s_1..s_j, a function of that prefix
@@ -384,7 +419,7 @@ def _fold(s, stack: list, prev) -> BoundaryReport:
     measured from w_0 = (1, -s_1).  A tail step has cross 1 (the step
     lemma), so its wrap is a drop in position.  The states past the common
     prefix of s and prev are dropped and s's own are pushed, one step per
-    entry.
+    entry; then the lens check and the count check run.
     """
     n, m = len(s), 0
     for x, y in zip(s, prev):
@@ -400,7 +435,8 @@ def _fold(s, stack: list, prev) -> BoundaryReport:
         t, nxt = s[j - 1], (b, d)  # nxt = head[j - 1] = M_{j-1} (0, 1)
         a, b, c, d = b - a * t, -a, d - c * t, -c  # M_j = M_{j-1} A_j
         tp0, tail = tp, (a, c)  # tail[j - 1] = M_j (1, 0)
-        tp, wrap = _step(w0x, w0y, head, hp, tail)  # the junction k = j - 1
+        # the junction k = j - 1; at a (-1, -1) one, tail[k] = head[k-1]
+        tp, wrap = (hp, 0) if t == -1 == s[j - 2] else _step(w0x, w0y, head, hp, tail)
         if tp0 is not None:
             tw += tp < tp0
         off = hw + wrap - tw
@@ -424,22 +460,8 @@ def _fold(s, stack: list, prev) -> BoundaryReport:
             "pivot %d sweep count %d != b+(Q) - 1 = %d for %s"
             % (i, 2 * (offset + tw) + end, b_plus - 1, s)
         )
-    i0 = first[0]
-    k0 = min(i0, n - 1)
-    w = tuple([d[4] for d in stack[:k0]] + [d[7] for d in stack[k0:]])
-    winding = lattice.winding_verdict(count, tp)
-    # the rays and the report past their frozen __init__, one __dict__ each,
-    # its fields in field order
-    rays = object.__new__(RaySequence)
-    object.__setattr__(rays, "__dict__", {"w": w, "pivot": i0})
-    report = object.__new__(BoundaryReport)
-    object.__setattr__(report, "__dict__", {
-        "chain": s, "pivot": i0, "rays": rays, "winding": winding,
-        "verdict": Verdict.OVERTWISTED if count >= 1 else Verdict.TIGHT,
-        "lens": lens, "det": det, "det_check": True,  # the lens check raised where it fails
-        "cone_is_whole_plane": winding.vs_two_pi is not Cmp.LT,
-    })
-    return report
+    verdict = Verdict.OVERTWISTED if count >= 1 else Verdict.TIGHT
+    return lattice.winding_verdict(count, tp), verdict, lens, det, b_plus, first[0]
 
 
 @dataclass(frozen=True)

@@ -42,7 +42,8 @@ def oracle_survey_rows(chains):
             report = classify(chain, reduce=True)
         except PreconditionError:
             continue
-        rows.append(docio.survey_row(chain, report))
+        det = (-1) ** (len(chain) - len(report.chain)) * report.det  # one flip per blow-down
+        rows.append(docio.survey_row(chain, report.verdict, report.winding, report.lens, det))
     return rows
 
 
@@ -278,7 +279,7 @@ class TestSurveyCommand:
         chains = [tuple(stem + tail) for stem, tail in pairs]
         expected = oracle_survey_rows(chains)
         assert cli.survey_rows(chains) == expected
-        with mock.patch.object(cli, "ProcessPoolExecutor", concurrent.futures.ThreadPoolExecutor):
+        with mock.patch.object(concurrent.futures, "ProcessPoolExecutor", concurrent.futures.ThreadPoolExecutor):
             assert cli.survey_rows(chains, jobs=2) == expected
 
     @pytest.mark.parametrize("jobs", [1, 2])
@@ -291,27 +292,62 @@ class TestSurveyCommand:
 
         monkeypatch.setattr(toric, "_step", one_wrap_more)
         # workers in this process, so they see the fault
-        monkeypatch.setattr(cli, "ProcessPoolExecutor", concurrent.futures.ThreadPoolExecutor)
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", concurrent.futures.ThreadPoolExecutor)
         with pytest.raises(errors.InternalInvariantError, match=r"^pivot \d+ sweep count"):
             cli.survey_rows(survey_chains((2, 4), (-3, 1)), jobs=jobs)
 
     @pytest.mark.parametrize("jobs", ["1", "2"])
-    def test_each_distinct_reduced_chain_classified_once(self, capsys, monkeypatch, jobs):
-        calls, real = [], toric.classify_chains
+    def test_one_walk_step_per_prefix_tree_node(self, capsys, monkeypatch, jobs):
+        # each chain is walked from the prefix it shares with the chain
+        # before it, so each node of the prefix tree of the enumerated chains
+        # past depth 1 takes one head step and one junction step, and a
+        # (-1, -1) junction none; under --jobs 2 each worker walks subtrees
+        # of the 25 prefixes of length 2
+        calls, real = [], toric._step
 
-        def counted(chains):
-            calls.extend(chains)
-            return real(chains)
+        def counted(*args):
+            calls.append(args)
+            return real(*args)
 
-        monkeypatch.setattr(cli.toric, "classify_chains", counted)
-        # workers in this process, so their calls are counted here
-        monkeypatch.setattr(cli, "ProcessPoolExecutor", concurrent.futures.ThreadPoolExecutor)
+        monkeypatch.setattr(toric, "_step", counted)
+        # workers in this process, so their steps are counted here
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", concurrent.futures.ThreadPoolExecutor)
         monkeypatch.setattr(cli.os, "cpu_count", lambda: 2)
         argv = ["survey", "--n", "2..4", "--range", "-3..1", "--jobs", jobs]
         assert run(capsys, *argv)[0] == 0
         chains = [c for c in survey_chains((2, 4), (-3, 1)) if max(c) >= 0]
-        reduced = {blow_down(c) if -1 in c else c for c in chains}
-        assert len(calls) == len(set(calls)) == len(reduced) < len(chains)
+        nodes = {c[:k] for c in chains for k in range(2, len(c) + 1)}
+        assert len(calls) == sum(1 + (node[-2:] != (-1, -1)) for node in nodes)
+        assert len(nodes) < sum(len(c) - 1 for c in chains)
+
+    @pytest.mark.parametrize("jobs", ["1", "2"])
+    def test_fault_in_a_subtree_walk_exits_1(self, capsys, monkeypatch, jobs):
+        real = toric._step
+
+        def one_wrap_more(w0x, w0y, u, pu, v):
+            p, wrap = real(w0x, w0y, u, pu, v)
+            return p, wrap + 1
+
+        monkeypatch.setattr(toric, "_step", one_wrap_more)
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", concurrent.futures.ThreadPoolExecutor)
+        monkeypatch.setattr(cli.os, "cpu_count", lambda: 2)
+        code, out, err = run(capsys, "survey", "--n", "2..4", "--range", "-3..1", "--jobs", jobs)
+        assert code == 1 and out == ""
+        error = json.loads(err)["error"]
+        # the first chain, in the first subtree either way
+        assert error == {
+            "type": "InternalInvariantError",
+            "message": "pivot 4 sweep count 6 != b+(Q) - 1 = 0 for (-3, -3, -3, 0)",
+        }
+
+    def test_jobs_agree_with_fewer_subtrees_than_four_per_worker(self, capsys, monkeypatch):
+        # two values and --n 2..5: the prefixes stop at length 2, four of
+        # them for two workers; the real process pool
+        monkeypatch.setattr(cli.os, "cpu_count", lambda: 2)
+        argv = ["survey", "--n", "2..5", "--range", "0..1", "--exclude-minus-one"]
+        code, serial, _ = run(capsys, *argv, "--jobs", "1")
+        assert code == 0 and serial.count("\n") == 2 + 4 + 8 + 16 + 32
+        assert run(capsys, *argv, "--jobs", "2") == (0, serial, "")
 
     @pytest.mark.parametrize("n", ["2..20000", "2..300000"])
     def test_huge_survey_refused_quickly(self, capsys, monkeypatch, n):
@@ -351,7 +387,7 @@ class TestSurveyCommand:
             def map(self, fn, chunks, chunksize=1):
                 return map(fn, chunks)
 
-        monkeypatch.setattr(cli, "ProcessPoolExecutor", FakePool)
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", FakePool)
         monkeypatch.setattr(cli.os, "cpu_count", lambda: 3)
         _, serial, _ = run(capsys, "survey", "--n", "2", "--range", "-2..1")
         code, out, _ = run(capsys, "survey", "--n", "2", "--range", "-2..1", "--jobs", "500")
