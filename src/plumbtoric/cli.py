@@ -10,17 +10,21 @@ construct without --pivot takes the smallest valid pivot.  It reads
 --heights before the --reduce blow-down and the chain gate, so a bad
 --heights is refused as MalformedDocument before a chain either refuses.
 
-The survey driver enumerates chains with some entry >= 0 (chains containing
--1 are blown down before classification unless --exclude-minus-one drops
-them); the total number of entries of the enumerated chains is capped by
-PLUMBTORIC_MAX_SURVEY (default 10^6).  Each distinct reduced chain is
-classified once, by one walk over them in sorted order that shares their
-common prefixes, and its row re-keyed to every chain that blows down to it;
---jobs (at most the CPU count) splits the sorted chains into contiguous
-slices, about four per worker process.  Rows are sorted by the chain tuple,
-so output does not depend on the worker count.  reeb-orbits refuses once it passes
-PLUMBTORIC_MAX_GENERATORS generators (default 10^5), during the orbit
-enumeration when the families' orbits alone pass it.
+The survey driver enumerates chains with some entry >= 0 (--exclude-minus-one
+drops those containing -1); the total number of entries of the enumerated
+chains is capped by PLUMBTORIC_MAX_SURVEY (default 10^6).  It enumerates
+them as one preorder walk over their prefix tree, each node's children in
+increasing entry order, so the chains come out in tuple order with no sort,
+and ``toric.survey_walk`` takes one step per entry past the prefix a chain
+shares with the one before it, -1 entries in place, writing each row as it
+goes; a chain that blows down below two vertices is skipped.  --jobs (at
+most the CPU count) sends each worker process prefixes only, the shortest,
+at most n_lo long, that give about four per worker, and each worker
+enumerates and walks their subtrees; their rows are joined in prefix order,
+so output does not depend on the worker count.  reeb-orbits refuses once it
+passes PLUMBTORIC_MAX_GENERATORS generators (default 10^5), during the orbit
+enumeration when the families' orbits alone pass it, and once the orbit
+descent visits more nodes than that cap.
 """
 
 from __future__ import annotations
@@ -191,7 +195,7 @@ def _cmd_reeb_orbits(args) -> str:
     if bound <= 0:
         raise MalformedDocument("action bound must be positive, got %s" % bound)
     try:
-        families = reeb.enumerate_orbits(itinerary, bound, max_generators=cap)
+        families = reeb.enumerate_orbits(itinerary, bound, max_generators=cap, max_nodes=cap)
         orbits = [o for fc in families for o in reeb.perturb_split(fc.family)]
         generators = reeb.enumerate_generators(orbits, bound, max_generators=cap)
     except TooManyGenerators as exc:

@@ -35,6 +35,7 @@ from bisect import bisect_right
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
+from itertools import repeat
 from math import gcd, inf
 from operator import itemgetter
 from typing import List, Optional, Sequence, Tuple
@@ -145,7 +146,7 @@ class FamilyCount:
     max_multiplicity: int
 
 
-def _cone_primitives(r_in, r_out, v, bound: Fraction, room) -> Tuple[int, int, list]:
+def _cone_primitives(r_in, r_out, v, bound: Fraction, room, nodes) -> Tuple[int, int, list]:
     """Primitive vectors strictly inside the CCW cone with <m, v> vs bound.
 
     Stern-Brocot descent on primitivized mediants.  A subcone (u, w) with
@@ -162,39 +163,44 @@ def _cone_primitives(r_in, r_out, v, bound: Fraction, room) -> Tuple[int, int, l
     unscaled descent.  Returns (D, D * bound, found) with found listing
     (m, D * <m, v>) for every m of action below the bound, stopping as soon
     as found holds more than ``room`` of them (at once when ``room`` is
-    negative).
+    negative).  Each node visited takes one item of the iterator ``nodes``;
+    found is None where they run out first.
     """
     scale, (vx, vy, top) = scale_to_ints((v[0], v[1], bound))
     found = []
-    stack = []
-    if room >= 0:
-        a_in, a_out = r_in[0] * vx + r_in[1] * vy, r_out[0] * vx + r_out[1] * vy
-        stack.append((r_in, r_out, a_in, a_out, cross(r_in, r_out)))
-    while stack:
+    if room < 0:
+        return scale, top, found
+    a_in, a_out = r_in[0] * vx + r_in[1] * vy, r_out[0] * vx + r_out[1] * vy
+    stack = [(r_in, r_out, a_in, a_out, cross(r_in, r_out))]
+    for _ in nodes:
         u, w, a_u, a_w, d = stack.pop()
         action = a_u + a_w
-        if action > d * top:
-            continue
-        m = (u[0] + w[0], u[1] + w[1])
-        if d > 1:
-            g = gcd(*m)
-            if g > 1:
-                m, action, d = (m[0] // g, m[1] // g), action // g, d // g
-        if action == top:
-            raise ActionBoundHit(
-                "orbit slope %s at vertex %s has action exactly %s" % (m, v, bound)
-            )
-        if action < top:
-            found.append((m, action))
-            if len(found) > room:
-                break
-        stack.append((u, m, a_u, action, d))
-        stack.append((m, w, action, a_w, d))
+        if action <= d * top:
+            m = (u[0] + w[0], u[1] + w[1])
+            if d > 1:
+                g = gcd(*m)
+                if g > 1:
+                    m, action, d = (m[0] // g, m[1] // g), action // g, d // g
+            if action == top:
+                raise ActionBoundHit(
+                    "orbit slope %s at vertex %s has action exactly %s" % (m, v, bound)
+                )
+            if action < top:
+                found.append((m, action))
+                if len(found) > room:
+                    break
+            stack.append((u, m, a_u, action, d))
+            stack.append((m, w, action, a_w, d))
+        if not stack:
+            break
+    else:
+        return scale, top, None
     return scale, top, found
 
 
 def enumerate_orbits(
-    it: ReebItinerary, bound, *, max_generators: Optional[int] = None
+    it: ReebItinerary, bound, *, max_generators: Optional[int] = None,
+    max_nodes: Optional[int] = None,
 ) -> List[FamilyCount]:
     """All orbit families of base action < bound, with max cover multiplicity.
 
@@ -210,7 +216,11 @@ def enumerate_orbits(
     current are generators on their own, so the descent raises that
     search's :class:`TooManyGenerators` as soon as 2 x families + 1 passes
     the cap (before it starts when the cap is 0); of that and an exact hit,
-    it raises whichever it meets first.
+    it raises whichever it meets first.  With ``max_nodes`` set, the
+    descent visits at most that many nodes over all corners and raises
+    :class:`TooManyGenerators` where it would visit more: a corner cone of
+    large cross can visit many nodes for no family (the default is no
+    bound).
     """
     bound = Fraction(bound)
     if bound <= 0:
@@ -219,13 +229,18 @@ def enumerate_orbits(
     if violations:
         raise InvalidItinerary(violations)
     room = inf if max_generators is None else (max_generators - 1) // 2  # families that fit
+    nodes = repeat(None) if max_nodes is None else repeat(None, max_nodes)  # shared by the corners
     out: List[FamilyCount] = []
     new, store = object.__new__, object.__setattr__
     # per corner scale D, which fixes top = D * bound: per scaled action, its
     # base action and max multiplicity, shared by every family at that action
     shared = {}
     for j, r_in, r_out in cones:
-        scale, top, found = _cone_primitives(r_in, r_out, it.vertices[j], bound, room)
+        scale, top, found = _cone_primitives(r_in, r_out, it.vertices[j], bound, room, nodes)
+        if found is None:
+            raise TooManyGenerators(
+                "the orbit descent visits more than %d nodes below action %s" % (max_nodes, bound)
+            )
         room -= len(found)
         if room < 0:
             break

@@ -15,11 +15,12 @@ i takes the candidate ray with b_j = 0 at positions j < k and the one with
 b_j = s_{j+1} from k on.  Both candidates at position j, the ``_step``
 position of each and the wraps along them are functions of s_1..s_(j+1)
 alone, and so is every pivot's offset: its exact count c less twice the
-wraps along the tail after it.  So one walk (``classify_chains``) keeps one
-state per prefix and starts each chain from the prefix it shares with the
-chain before it, one step per entry past it (Sedgewick and Flajolet, An
-Introduction to the Analysis of Algorithms, ch. 6); ``classify`` is that
-walk over one chain.  Each c must equal b+(Q) - 1, read by Jacobi's rule
+wraps along the tail after it.  So one walk (``_walk``) keeps one state per
+prefix and starts each chain from the prefix it shares with the chain
+before it, one step per entry past it (Sedgewick and Flajolet, An
+Introduction to the Analysis of Algorithms, ch. 6): ``classify`` is that
+walk over one chain, and ``survey_walk`` over the survey's chains in tuple
+order, a preorder of their prefix tree.  Each c must equal b+(Q) - 1, read by Jacobi's rule
 (Gantmacher, The Theory of Matrices I, ch. X; Wilkinson, The Algebraic
 Eigenvalue Problem, ch. 5) off the lens check's continuant pass: an
 identity observed on every chain tested (lengths up to 60), not proved
@@ -34,6 +35,20 @@ tail[k]) = 1 - s_k s_(k+1), and with no -1 its rays are antiparallel
 where that is 0.  So a head or tail step wraps exactly where its position
 drops, and no step of a chain without -1 meets two rays that point the
 same way.
+
+The survey walks a chain that holds -1 as it stands, where ``classify``
+blows it down first.  The (-1, -1) junction rule: where s_k = s_(k+1) = -1
+the junction's two rays are one, tail[k] = head[k-1], since A_k (-s_(k+1),
+1) = (0, 1); only pivot k reads the junction's wrap, and s_k = -1 is no
+pivot, so the walk takes tail[k]'s position from head[k-1] and no wrap.
+Every other junction is a ``_step`` with its parallel check.  The blow-up
+lemma: Q(s) = Q(s') + <-1>^r over Z, where s' is the blow-down of s after
+r steps, so b+(Q) is kept and det Q flips sign once per step; with the
+count check c = b+(Q) - 1 run on the chain itself, its verdict is that of
+s'.  That its normalized lens pair and its comparisons with pi and 2 pi
+are those of s' too is observed, not proved: on every chain of eight
+survey sets (lengths 2..6 over -3..2, 2..5 over -4..3, 2..6 over -6..1 and
+2..7 over -2..2, each with and without -1) and on random chains.
 
 Every moment polygon, constructed or blown up, is assembled by ``_polygon``:
 edge j joins vertices j and j + 1, and the picture is re-read before it is
@@ -333,7 +348,7 @@ def classify(s: Sequence[int], reduce: bool = False) -> BoundaryReport:
     """Tight/overtwisted verdict for the concave boundary of a chain.
 
     The swept-angle criterion is reported for the smallest valid pivot.
-    ``classify`` is the walk of ``classify_chains`` over the one chain: one
+    ``classify`` is the walk of the module docstring over the one chain: one
     step per entry gives the exact count c of every valid pivot.  One
     continuant pass gives det Q, the lens pair and b+(Q); its raising check
     includes the determinant identity, so ``det_check`` is always true.
@@ -362,8 +377,10 @@ def survey_walk(chains) -> Iterator[tuple]:
     the module docstring), so a chain is neither blown down nor gated and
     no report is built; the lens check and the count check run on every
     chain walked.  A chain whose blow-down is one vertex is walked and
-    skipped.  A chain with no entry >= 0 has no pivot to walk: it gets
-    classify's row of its blow-down, where that has one.
+    skipped; only a chain that holds -1 and whose signature allows that
+    is blown down to tell.  A chain with no entry >= 0, which the survey
+    never lists, has no pivot to walk: it takes what ``classify`` gives
+    for its blow-down, where that has one.
     """
     stack, prev = [], ()
     for s in chains:

@@ -34,6 +34,9 @@ RATIONAL_ITINERARY = str(GOLDEN / "itinerary_rational.json")
 # ITINERARY moved by (2, 1; 1, 1) in SL(2,Z): the same actions, but other
 # slopes, so families come out in another order and ties fall elsewhere
 IMAGE_ITINERARY = str(GOLDEN / "itinerary_image.json")
+# itinerary_rational.json with its fifth vertex's x set to 1e400: a corner
+# cone of cross about 1e400, whose descent finds no family at bound 7
+FAR_ITINERARY = str(GOLDEN / "itinerary_far_vertex.json")
 CAPS = ("PLUMBTORIC_MAX_SURVEY", "PLUMBTORIC_MAX_GENERATORS")
 
 CASES = {
@@ -91,6 +94,10 @@ CASES = {
     # 19/2 is the action of slope (-1, -3) at the corner (-3/2, -8/3)
     "error_reeb_orbits_exact_bound": [
         "reeb-orbits", "--itinerary", RATIONAL_ITINERARY, "--action-bound", "19/2",
+    ],
+    # the orbit descent passes its node budget, the generator cap
+    "error_reeb_orbits_node_budget": [
+        "reeb-orbits", "--itinerary", FAR_ITINERARY, "--action-bound", "7",
     ],
     "index": ["index", "--input", INDEX],
     "error_minus_one": ["classify", "--plumbing", "2,-1,2"],

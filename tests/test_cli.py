@@ -249,6 +249,23 @@ class TestSurveyCommand:
             assert row[6] == str(det_intersection(chain))
 
     @given(
+        st.lists(
+            st.lists(st.one_of(st.just(-1), st.integers(-4, 4)), min_size=2, max_size=12).map(tuple),
+            min_size=1,
+            max_size=20,
+        )
+    )
+    @example([(2, -1, -1, -1, 0)])  # two (-1, -1) junctions, then a pivot's
+    @example([(0, -1), (0, -1, -1), (-1, -1, 0)])  # each blows down to one vertex
+    @settings(max_examples=300, deadline=None)
+    def test_walk_with_minus_one_gives_the_oracles_rows(self, chains):
+        # -1 entries walked in place, in any order and in tuple order: each
+        # row is survey_row of classify(chain, reduce=True)
+        assert cli.survey_rows(chains) == oracle_survey_rows(chains)
+        chains.sort()
+        assert cli.survey_rows(chains) == oracle_survey_rows(chains)
+
+    @given(
         st.tuples(st.integers(2, 5), st.integers(2, 5)).map(sorted),
         st.tuples(st.integers(-4, 3), st.integers(-4, 3)).map(sorted),
     )
@@ -485,6 +502,38 @@ class TestReebOrbitsCommand:
         monkeypatch.setattr(reeb, "enumerate_generators", unreachable)
         for cap in range(15):
             refusal(cap)
+
+    # a vertex at x = 1e400 makes a corner cone of cross about 1e400; a
+    # one-corner cone of cross 20,002 once took 17 s to find no family
+    NARROW = {
+        "vertices": [["-1/20002", "-1/2"], ["0", "-1"], ["1/20002", "-1/2"]],
+        "start_ray": [-1, -10001],
+        "end_ray": [1, -10001],
+    }
+
+    @pytest.mark.parametrize("doc, bound", [(None, "7"), (NARROW, "1/2")], ids=["far", "narrow"])
+    def test_long_descent_refused_quickly(self, capsys, monkeypatch, tmp_path, doc, bound):
+        monkeypatch.delenv("PLUMBTORIC_MAX_GENERATORS", raising=False)
+        path = GOLDEN / "itinerary_far_vertex.json"
+        if doc is not None:
+            path = tmp_path / "narrow.json"
+            path.write_text(json.dumps(doc))
+        start = time.perf_counter()
+        code, out, err = run(capsys, "reeb-orbits", "--itinerary", str(path), "--action-bound", bound)
+        assert time.perf_counter() - start < 1.0
+        assert code == 2 and out == ""
+        assert json.loads(err)["error"] == {
+            "type": "TooManyGenerators",
+            "message": "the orbit descent visits more than 100000 nodes below action %s "
+            "(PLUMBTORIC_MAX_GENERATORS)" % bound,
+        }
+
+    def test_node_budget_is_the_generator_cap(self, capsys, monkeypatch):
+        monkeypatch.setenv("PLUMBTORIC_MAX_GENERATORS", "2000")
+        path = str(GOLDEN / "itinerary_far_vertex.json")
+        code, _, err = run(capsys, "reeb-orbits", "--itinerary", path, "--action-bound", "7")
+        assert code == 2
+        assert "more than 2000 nodes" in json.loads(err)["error"]["message"]
 
     @pytest.mark.parametrize(
         "bound, error",

@@ -20,7 +20,7 @@ from plumbtoric import (
     negative_gs_check,
     neumann_move,
 )
-from plumbtoric.plumbing import as_chain
+from plumbtoric.plumbing import _inertia, as_chain
 
 chains = st.lists(st.integers(-6, 4), min_size=1, max_size=8).map(tuple)
 
@@ -213,6 +213,24 @@ class TestBlowDown:
         assert continued_fraction([-1, 4]) == Fraction(-5, 4)
         assert continued_fraction([5]) == 5
         assert lens_equivalent((5, 4), (5, 1))
+
+
+class TestBlowUpLemma:
+    """Q(s) = Q(s') + <-1>^r over Z, where s' is the blow-down of s after r
+    steps: b+ is kept and det flips sign once per blow-down."""
+
+    @given(st.lists(st.one_of(st.just(-1), st.integers(-4, 4)), min_size=1, max_size=16))
+    def test_signature_and_determinant(self, entries):
+        s = tuple(entries)
+        b_plus, _, det = _inertia(s)
+        try:
+            reduced = blow_down(s)
+        except EmptyPlumbing:  # Q(s) = <-1>^n
+            assert (b_plus, det) == (0, (-1) ** len(s))
+            return
+        b_reduced, _, det_reduced = _inertia(reduced)
+        assert b_plus == b_reduced
+        assert det == (-1) ** (len(s) - len(reduced)) * det_reduced
 
 
 class TestNeumannMoves:

@@ -345,7 +345,8 @@ DESCENT_BUDGET = 300  # rough cap on the families a drawn case asks for
 def itineraries_and_bounds(draw):
     """An itinerary and a bound that is, when possible, the action of a
     primitive slope inside some corner's cone, so that the descent hits it,
-    or twice that action, where the multiplicity rule meets the bound.
+    or twice that action, where the multiplicity rule meets the bound; or
+    else a bound past some family's action.
 
     The families below a bound B at a corner V with cone (r_in, r_out) are
     about d B^2 / (2 a b) + B / a + B / b in number, with a, b the actions of
@@ -379,9 +380,13 @@ def itineraries_and_bounds(draw):
                         hits.append(cover * dot(m, verts[j]))
     if hits and draw(st.booleans()):
         return it, draw(st.sampled_from(hits))
+    # past the least of those actions, where there is one, so that some
+    # family lies below the bound
     bound = draw(st.fractions(Fraction(1, 6), 6, max_denominator=6).filter(lambda b: b > 0))
-    while families(bound) > DESCENT_BUDGET:
-        bound /= 2
+    least = min(hits, default=0)
+    bound += least
+    while families(bound) > DESCENT_BUDGET and bound - least > Fraction(1, 64):
+        bound = least + (bound - least) / 2
     return it, bound
 
 
@@ -521,6 +526,76 @@ class TestDescentOracle:
             "(Fraction(-3, 2), Fraction(-8, 3)) has action exactly 19/2"
         )
         assert outcome(enumerate_orbits, it, F(19) / 2) == expected
+
+
+def descent_nodes(it: ReebItinerary, bound) -> list:
+    """The nodes the Fraction descent visits at each corner, with no cap."""
+    counts = []
+    for j in range(1, len(it.vertices) - 1):
+        p, v, q = it.vertices[j - 1 : j + 2]
+        r_in, r_out = (
+            reeb_direction(primitive_of_rational((b[0] - a[0], b[1] - a[1])))
+            for a, b in ((p, v), (v, q))
+        )
+        stack, count = [(r_in, r_out)], 0
+        while stack:
+            u, w = stack.pop()
+            count += 1
+            if dot(u, v) + dot(w, v) <= cross(u, w) * bound:
+                m = primitive((u[0] + w[0], u[1] + w[1]))
+                stack += [(u, m), (m, w)]
+        counts.append(count)
+    return counts
+
+
+class TestNodeBudget:
+    """``max_nodes`` bounds the nodes the descent visits over all corners;
+    the CLI sets it to the generator cap."""
+
+    @pytest.mark.parametrize("bound, nodes", [(F(7), 15), (F(52) / 3, 87)])
+    def test_least_budget(self, bound, nodes):
+        assert descent_nodes(DIP, bound) == [nodes]
+        families = enumerate_orbits(DIP, bound)
+        assert enumerate_orbits(DIP, bound, max_nodes=nodes) == families
+        message = "the orbit descent visits more than %d nodes below action %s" % (nodes - 1, bound)
+        with pytest.raises(TooManyGenerators, match="^%s$" % message):
+            enumerate_orbits(DIP, bound, max_nodes=nodes - 1)
+
+    def test_budget_shared_by_the_corners(self):
+        doc = json.loads((GOLDEN / "itinerary_rational.json").read_text())
+        it = docio.itinerary_from_doc(doc)
+        bound = F(21) / 2
+        counts = descent_nodes(it, bound)
+        assert len(counts) > 1 and min(counts) > 1
+        families = enumerate_orbits(it, bound)
+        assert enumerate_orbits(it, bound, max_nodes=sum(counts)) == families
+        with pytest.raises(TooManyGenerators):
+            enumerate_orbits(it, bound, max_nodes=sum(counts) - 1)
+
+    @settings(max_examples=100, deadline=None)
+    @given(itineraries_and_bounds(), st.integers(-2, 2))
+    def test_least_budget_on_drawn_itineraries(self, case, shift):
+        it, bound = case
+        try:
+            families = enumerate_orbits(it, bound)
+        except ActionBoundHit:
+            assume(False)
+        budget = sum(descent_nodes(it, bound)) + shift
+        if shift >= 0:
+            assert enumerate_orbits(it, bound, max_nodes=budget) == families
+        else:
+            with pytest.raises(TooManyGenerators):
+                enumerate_orbits(it, bound, max_nodes=budget)
+
+    def test_far_vertex_refused(self):
+        # a corner cone of cross about 1e400 finds no family at bound 7
+        # however long it descends
+        doc = json.loads((GOLDEN / "itinerary_far_vertex.json").read_text())
+        it = docio.itinerary_from_doc(doc)
+        start = time.perf_counter()
+        with pytest.raises(TooManyGenerators, match="^the orbit descent visits more than 10000 nodes"):
+            enumerate_orbits(it, 7, max_nodes=10**4)
+        assert time.perf_counter() - start < 1.0
 
 
 class TestPerturbSplit:

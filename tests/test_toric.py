@@ -335,6 +335,23 @@ class TestStepLemma:
             classify(s)
 
 
+    @given(st.lists(st.one_of(st.just(-1), st.integers(-4, 4)), min_size=2, max_size=30))
+    @settings(max_examples=200, deadline=None)
+    def test_minus_one_junctions(self, s):
+        # at a (-1, -1) junction the rays are one ray, tail[k] = head[k-1],
+        # whose position the walk reads off the head; every other step keeps
+        # its cross and never meets two rays that point the same way
+        head, tail = toric._candidate_rays(s)
+        w0x, w0y = head[0]
+        for k in range(1, len(s)):
+            u, v = head[k - 1], tail[k]
+            assert cross(u, v) == 1 - s[k - 1] * s[k], (s, k)
+            if s[k - 1] == s[k] == -1:
+                assert u == v, (s, k)
+            else:
+                lattice._step(w0x, w0y, u, 0, v)
+
+
 def jacobi_signature(s):
     """(b+, b-) of Q by Jacobi's rule over the forward leading minors
     d_0 = 1, d_1, ..., d_n: a permanence of sign is a positive eigenvalue and
