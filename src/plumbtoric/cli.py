@@ -10,19 +10,17 @@ construct without --pivot takes the smallest valid pivot.  It reads
 --heights before the --reduce blow-down and the chain gate, so a bad
 --heights is refused as MalformedDocument before a chain either refuses.
 
-The survey driver enumerates chains with some entry >= 0 (--exclude-minus-one
-drops those containing -1); the total number of entries of the enumerated
-chains is capped by PLUMBTORIC_MAX_SURVEY (default 10^6).  It enumerates
-them as one preorder walk over their prefix tree, each node's children in
-increasing entry order, so the chains come out in tuple order with no sort,
-and ``toric.survey_walk`` takes one step per entry past the prefix a chain
-shares with the one before it, -1 entries in place, writing each row as it
-goes; a chain that blows down below two vertices is skipped.  --jobs (at
-most the CPU count) sends each worker process prefixes only, the shortest,
-at most n_lo long, that give about four per worker, and each worker
-enumerates and walks their subtrees; their rows are joined in prefix order,
-so output does not depend on the worker count.  reeb-orbits refuses once it
-passes PLUMBTORIC_MAX_GENERATORS generators (default 10^5), during the orbit
+The survey enumerates the chains with some entry >= 0 (--exclude-minus-one
+drops those with -1), whose entries PLUMBTORIC_MAX_SURVEY caps (default
+10^6), in one preorder walk of their prefix tree, children in increasing
+entry order, so in tuple order with no sort; ``toric.survey_walk`` takes
+one step per entry past the prefix a chain shares with the one before it,
+-1 entries in place.  --jobs (at most the CPU count) sends each worker
+process prefixes only, at most n_lo long and at least four per worker
+where the lengths allow, and each worker enumerates and walks their
+subtrees; the rows are joined in prefix order, so output does not depend
+on the worker count.  reeb-orbits refuses once it passes
+PLUMBTORIC_MAX_GENERATORS generators (default 10^5), during the orbit
 enumeration when the families' orbits alone pass it, and once the orbit
 descent visits more nodes than that cap.
 """
@@ -109,13 +107,12 @@ def _rows(chains) -> list:
 
 
 def _subtree(task) -> list:
-    """The rows of the chains that extend ``prefix``, of lengths n_lo..n_hi
-    over ``values`` and with some entry >= 0, in tuple order: a preorder
-    walk of the prefix tree, each node's children in increasing entry
-    order, puts a prefix before its extensions."""
+    """The rows of the chains that extend ``prefix``, n_lo..n_hi long over
+    ``values``, with some entry >= 0, in tuple order: a prefix before its
+    extensions, and children in increasing entry order."""
     prefix, n_lo, n_hi, values = task
 
-    def chains():
+    def preorder():
         stack, later = [prefix], values[::-1]
         while stack:
             s = stack.pop()
@@ -124,13 +121,12 @@ def _subtree(task) -> list:
             if len(s) < n_hi:
                 stack += [s + (v,) for v in later]
 
-    return _rows(chains())
+    return _rows(preorder())
 
 
 def _pooled(make, tasks: list, jobs: int) -> list:
-    """``make`` of each task, concatenated in task order; with ``jobs``
-    above 1 and more than one task, in a pool of that many worker
-    processes, one task at a time each."""
+    """``make`` of each task, joined in task order; with ``jobs`` above 1
+    and more than one task, in a pool of that many worker processes."""
     if jobs > 1 and len(tasks) > 1:
         # only here, so that no other command loads multiprocessing
         from concurrent.futures import ProcessPoolExecutor
@@ -144,9 +140,9 @@ def _pooled(make, tasks: list, jobs: int) -> list:
 
 def survey_rows(chains, jobs: int = 1) -> List[tuple]:
     """The survey rows of ``chains``, in their order, skipping the chains
-    ``classify(chain, reduce=True)`` refuses, from one ``toric.survey_walk``
-    over them; with ``jobs`` above 1, about four contiguous slices per
-    worker."""
+    ``classify(chain, reduce=True)`` refuses: one ``toric.survey_walk`` per
+    contiguous slice, about four slices per worker, in a pool of ``jobs``
+    worker processes when that is above 1."""
     chains = list(chains)
     size = max(1, -(-len(chains) // (4 * jobs)))
     return _pooled(_rows, [chains[i : i + size] for i in range(0, len(chains), size)], jobs)
@@ -170,9 +166,7 @@ def _cmd_survey(args) -> str:
                 "survey has more than %d chain entries (PLUMBTORIC_MAX_SURVEY)" % cap
             )
     values = [v for v in range(v_lo, v_hi + 1) if not (args.exclude_minus_one and v == -1)]
-    # the pool forks all its workers at once, so at most one per CPU; each
-    # walks the subtrees of the shortest prefixes, at most n_lo long, that
-    # make about four per worker
+    # the pool forks all its workers at once, so at most one per CPU
     jobs = min(args.jobs, os.cpu_count() or 1)
     depth = next((d for d in range(n_lo) if len(values) ** d >= 4 * jobs), n_lo)
     tasks = [(p, n_lo, n_hi, values) for p in itertools.product(values, repeat=depth)]

@@ -377,12 +377,10 @@ def index_from_doc(doc: dict) -> tuple:
 
 @_printable
 def survey_row(chain, verdict, winding, lens, det) -> tuple:
-    """The row of an enumerated chain, from what ``toric.survey_walk`` gives
-    for it: the verdict, winding and lens pair of the walk over the chain
-    itself, -1 entries and all, and its own determinant.  No report is
-    built.  ``det_check`` reads "true" on every row: the determinant
-    identity is the k half of the one integer lens check, which the walk
-    runs on every chain and raises where it fails."""
+    """The row of an enumerated chain, from ``toric.survey_walk``'s values
+    for the chain itself, -1 entries and all.  ``det_check`` reads "true":
+    the determinant identity is the k half of the one integer lens check,
+    which the walk runs on every chain and raises where it fails."""
     return (
         ",".join(map(str, chain)),
         verdict._value_,

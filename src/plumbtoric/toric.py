@@ -36,19 +36,18 @@ where that is 0.  So a head or tail step wraps exactly where its position
 drops, and no step of a chain without -1 meets two rays that point the
 same way.
 
-The survey walks a chain that holds -1 as it stands, where ``classify``
-blows it down first.  The (-1, -1) junction rule: where s_k = s_(k+1) = -1
-the junction's two rays are one, tail[k] = head[k-1], since A_k (-s_(k+1),
-1) = (0, 1); only pivot k reads the junction's wrap, and s_k = -1 is no
-pivot, so the walk takes tail[k]'s position from head[k-1] and no wrap.
-Every other junction is a ``_step`` with its parallel check.  The blow-up
-lemma: Q(s) = Q(s') + <-1>^r over Z, where s' is the blow-down of s after
-r steps, so b+(Q) is kept and det Q flips sign once per step; with the
-count check c = b+(Q) - 1 run on the chain itself, its verdict is that of
-s'.  That its normalized lens pair and its comparisons with pi and 2 pi
-are those of s' too is observed, not proved: on every chain of eight
-survey sets (lengths 2..6 over -3..2, 2..5 over -4..3, 2..6 over -6..1 and
-2..7 over -2..2, each with and without -1) and on random chains.
+The survey walks a chain that holds -1 as it stands.  The (-1, -1)
+junction rule: where s_k = s_(k+1) = -1, tail[k] = head[k-1], as A_k
+(-s_(k+1), 1) = (0, 1), and only pivot k, which s_k = -1 is not, reads
+the junction's wrap; so the walk takes its position from head[k-1] and no
+wrap, and every other junction is a ``_step`` with its parallel check.
+The blow-up lemma: Q(s) = Q(s') + <-1>^r over Z, s' the blow-down of s
+after r steps, so b+(Q) and, by the count check c = b+(Q) - 1 run on s
+itself, the verdict are those of s', and det Q flips sign once per step.
+That the normalized lens pair and the comparisons with pi and 2 pi are
+those of s' too is observed, not proved: on every chain of eight survey
+sets (lengths 2..6 over -3..2, 2..5 over -4..3, 2..6 over -6..1 and 2..7
+over -2..2, each with and without -1) and on random chains.
 
 Every moment polygon, constructed or blown up, is assembled by ``_polygon``:
 edge j joins vertices j and j + 1, and the picture is re-read before it is
@@ -368,19 +367,14 @@ def classify(s: Sequence[int], reduce: bool = False) -> BoundaryReport:
 
 
 def survey_walk(chains) -> Iterator[tuple]:
-    """(chain, verdict, winding, lens, det) of each chain, in order, that
-    ``classify(chain, reduce=True)`` accepts, with det the chain's own.
+    """(chain, verdict, winding, lens, det) of each chain, a tuple of ints,
+    that ``classify(chain, reduce=True)`` accepts, in order, det its own.
 
-    Chains are tuples of ints.  One walk starts each chain from the longest
-    prefix it shares with the chain walked before it, one step per entry
-    past it, and takes -1 entries in place (the (-1, -1) junction rule of
-    the module docstring), so a chain is neither blown down nor gated and
-    no report is built; the lens check and the count check run on every
-    chain walked.  A chain whose blow-down is one vertex is walked and
-    skipped; only a chain that holds -1 and whose signature allows that
-    is blown down to tell.  A chain with no entry >= 0, which the survey
-    never lists, has no pivot to walk: it takes what ``classify`` gives
-    for its blow-down, where that has one.
+    One walk, -1 entries in place and no report built, with the lens and
+    count checks on every chain; a chain that blows down to one vertex is
+    walked and skipped, and only where its signature allows that is it
+    blown down to tell.  A chain with no entry >= 0, which the survey never
+    lists, has no pivot to walk: it takes ``classify``'s values.
     """
     stack, prev = [], ()
     for s in chains:
@@ -401,8 +395,7 @@ def survey_walk(chains) -> Iterator[tuple]:
 
 
 def _fold(s, stack: list, prev) -> BoundaryReport:
-    """The report of a gated chain s from ``_walk``'s states, one
-    ``__dict__`` each for the report and its rays."""
+    """The report of a gated chain s, from ``_walk``'s states."""
     winding, verdict, lens, det, _, i0 = _walk(s, stack, prev)
     k0 = min(i0, len(s) - 1)
     w = tuple([d[4] for d in stack[:k0]] + [d[7] for d in stack[k0:]])
