@@ -20,15 +20,15 @@ prefix and starts each chain from the prefix it shares with the chain
 before it, one step per entry past it (Sedgewick and Flajolet, An
 Introduction to the Analysis of Algorithms, ch. 6): ``classify`` is that
 walk over one chain, and ``survey_walk`` over the survey's chains in tuple
-order, a preorder of their prefix tree.  Each c must equal b+(Q) - 1, read by Jacobi's rule
-(Gantmacher, The Theory of Matrices I, ch. X; Wilkinson, The Algebraic
-Eigenvalue Problem, ch. 5) off the lens check's continuant pass: an
-identity observed on every chain tested (lengths up to 60), not proved
-here.  It rests on two lemmas, each tested on any chain.  The ray-continuant
-lemma: the candidate rays of ``_candidate_rays`` have cross(w_0, head[j]) =
-(-1)^(j-1) K(s_1..s_(j-1)) and cross(w_0, tail[j]) = (-1)^j K(s_1..s_(j+1)),
-j = 1..n-1, so the side of w_0 each lies on is the sign of a leading minor
-of Q (K of no entries is 1).  The step lemma: the rays are columns of
+order, a preorder of their prefix tree.  Each c must equal b+(Q) - 1,
+read by Jacobi's rule (Gantmacher, The Theory of Matrices I, ch. X;
+Wilkinson, The Algebraic Eigenvalue Problem, ch. 5) off the lens check's
+continuant pass: an identity observed on every chain tested (lengths up to
+60), not proved here.  It rests on two lemmas, each tested on any chain.
+The ray-continuant lemma: the candidate rays of ``_candidate_rays`` have
+cross(w_0, head[j]) = (-1)^(j-1) K(s_1..s_(j-1)) and cross(w_0, tail[j]) =
+(-1)^j K(s_1..s_(j+1)), j = 1..n-1, so the side of w_0 each lies on is the
+sign of a leading minor of Q (K of no entries is 1).  The step lemma: the rays are columns of
 products of determinant 1, so cross(head[j-1], head[j]) = 1 and
 cross(tail[j-1], tail[j]) = 1, while the junction has cross(head[k-1],
 tail[k]) = 1 - s_k s_(k+1), and with no -1 its rays are antiparallel
