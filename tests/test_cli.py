@@ -14,7 +14,7 @@ import pytest
 from hypothesis import HealthCheck, assume, example, given, settings, strategies as st
 
 from plumbtoric import MalformedDocument, TooManyGenerators, cli, docio, errors, moment_polygon, reeb, toric
-from plumbtoric import PreconditionError, blow_down, classify, det_intersection
+from plumbtoric import PreconditionError, classify, det_intersection
 from plumbtoric.cli import main
 from plumbtoric.docio import polygon_from_doc, polygon_to_doc, render_svg
 
