@@ -76,7 +76,6 @@ from .toric import (
     lens_invariant,
     moment_polygon,
     ray_sequence,
-    survey_walk,
 )
 from .reeb import (
     ContactInvariant,

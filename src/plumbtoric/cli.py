@@ -107,9 +107,9 @@ def _rows(chains) -> list:
 
 
 def _subtree(task) -> list:
-    """The rows of the chains that extend ``prefix``, n_lo..n_hi long over
-    ``values``, with some entry >= 0, in tuple order: a prefix before its
-    extensions, and children in increasing entry order."""
+    """For task = (prefix, n_lo, n_hi, values), the rows of the chains that
+    extend prefix, n_lo..n_hi long over values, with some entry >= 0, in
+    tuple order: a prefix before its extensions, children in entry order."""
     prefix, n_lo, n_hi, values = task
 
     def preorder():
