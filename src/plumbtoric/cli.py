@@ -22,7 +22,7 @@ subtrees; the rows are joined in prefix order, so output does not depend
 on the worker count.  reeb-orbits refuses once it passes
 PLUMBTORIC_MAX_GENERATORS generators (default 10^5), during the orbit
 enumeration when the families' orbits alone pass it, and once the orbit
-descent visits more nodes than that cap.
+descent splits more cones than that cap.
 """
 
 from __future__ import annotations
@@ -35,7 +35,7 @@ import json
 import os
 import re
 import sys
-from typing import List, Optional, Sequence
+from typing import Optional, Sequence
 
 from . import docio, plumbing, reeb, toric
 from .errors import (
@@ -101,11 +101,6 @@ def _cmd_construct(args) -> str:
     return docio.dumps(docio.polygon_to_doc(poly))
 
 
-def _rows(chains) -> list:
-    """The rows of ``chains`` that ``toric.survey_walk`` keeps, in order."""
-    return [docio.survey_row(*values) for values in toric.survey_walk(chains)]
-
-
 def _subtree(task) -> list:
     """For task = (prefix, n_lo, n_hi, values), the rows of the chains that
     extend prefix, n_lo..n_hi long over values, with some entry >= 0, in
@@ -121,31 +116,7 @@ def _subtree(task) -> list:
             if len(s) < n_hi:
                 stack += [s + (v,) for v in later]
 
-    return _rows(preorder())
-
-
-def _pooled(make, tasks: list, jobs: int) -> list:
-    """``make`` of each task, joined in task order; with ``jobs`` above 1
-    and more than one task, in a pool of that many worker processes."""
-    if jobs > 1 and len(tasks) > 1:
-        # only here, so that no other command loads multiprocessing
-        from concurrent.futures import ProcessPoolExecutor
-
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            made = list(pool.map(make, tasks))
-    else:
-        made = map(make, tasks)
-    return list(itertools.chain.from_iterable(made))
-
-
-def survey_rows(chains, jobs: int = 1) -> List[tuple]:
-    """The survey rows of ``chains``, in their order, skipping the chains
-    ``classify(chain, reduce=True)`` refuses: one ``toric.survey_walk`` per
-    contiguous slice, about four slices per worker, in a pool of ``jobs``
-    worker processes when that is above 1."""
-    chains = list(chains)
-    size = max(1, -(-len(chains) // (4 * jobs)))
-    return _pooled(_rows, [chains[i : i + size] for i in range(0, len(chains), size)], jobs)
+    return [docio.survey_row(*fields) for fields in toric.survey_walk(preorder())]
 
 
 def _cmd_survey(args) -> str:
@@ -170,7 +141,15 @@ def _cmd_survey(args) -> str:
     jobs = min(args.jobs, os.cpu_count() or 1)
     depth = next((d for d in range(n_lo) if len(values) ** d >= 4 * jobs), n_lo)
     tasks = [(p, n_lo, n_hi, values) for p in itertools.product(values, repeat=depth)]
-    rows = _pooled(_subtree, tasks, jobs)
+    if jobs > 1 and len(tasks) > 1:
+        # only here, so that no other command loads multiprocessing
+        from concurrent.futures import ProcessPoolExecutor
+
+        with ProcessPoolExecutor(max_workers=jobs) as pool:
+            parts = list(pool.map(_subtree, tasks))
+    else:
+        parts = map(_subtree, tasks)
+    rows = list(itertools.chain.from_iterable(parts))
     return docio.survey_to_json(rows) if args.format == "json" else docio.survey_to_csv(rows)
 
 
@@ -189,7 +168,7 @@ def _cmd_reeb_orbits(args) -> str:
     if bound <= 0:
         raise MalformedDocument("action bound must be positive, got %s" % bound)
     try:
-        families = reeb.enumerate_orbits(itinerary, bound, max_generators=cap, max_nodes=cap)
+        families = reeb.enumerate_orbits(itinerary, bound, max_generators=cap)
         orbits = [o for fc in families for o in reeb.perturb_split(fc.family)]
         generators = reeb.enumerate_generators(orbits, bound, max_generators=cap)
     except TooManyGenerators as exc:

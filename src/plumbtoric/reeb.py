@@ -35,7 +35,6 @@ from bisect import bisect_right
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from itertools import repeat
 from math import gcd, inf
 from operator import itemgetter
 from typing import List, Optional, Sequence, Tuple
@@ -146,7 +145,7 @@ class FamilyCount:
     max_multiplicity: int
 
 
-def _cone_primitives(r_in, r_out, v, bound: Fraction, room, nodes) -> Tuple[int, int, list]:
+def _cone_primitives(r_in, r_out, v, bound: Fraction, room, budget) -> Tuple[int, int, list, int]:
     """Primitive vectors strictly inside the CCW cone with <m, v> vs bound.
 
     Stern-Brocot descent on primitivized mediants.  A subcone (u, w) with
@@ -160,47 +159,46 @@ def _cone_primitives(r_in, r_out, v, bound: Fraction, room, nodes) -> Tuple[int,
     has gcd g dividing d, and both children have cross d / g; a node with
     d = 1 needs no gcd, as its mediant is already primitive.  The descent
     order, and with it the first exact hit reported, is that of the
-    unscaled descent.  Returns (D, D * bound, found) with found listing
-    (m, D * <m, v>) for every m of action below the bound, stopping as soon
-    as found holds more than ``room`` of them (at once when ``room`` is
-    negative).  Each node visited takes one item of the iterator ``nodes``;
-    found is None where they run out first.
+    unscaled descent.  Returns (D, D * bound, found, budget) with found
+    listing (m, D * <m, v>) for every m of action below the bound, stopping
+    as soon as found holds more than ``room`` of them (at once when ``room``
+    is negative).  Each subcone split in two spends one of ``budget``, and
+    the descent stops where that would leave it below 0 (returned as -1).
     """
     scale, (vx, vy, top) = scale_to_ints((v[0], v[1], bound))
     found = []
-    if room < 0:
-        return scale, top, found
-    a_in, a_out = r_in[0] * vx + r_in[1] * vy, r_out[0] * vx + r_out[1] * vy
-    stack = [(r_in, r_out, a_in, a_out, cross(r_in, r_out))]
-    for _ in nodes:
+    stack = []
+    if room >= 0:
+        a_in, a_out = r_in[0] * vx + r_in[1] * vy, r_out[0] * vx + r_out[1] * vy
+        stack.append((r_in, r_out, a_in, a_out, cross(r_in, r_out)))
+    while stack:
         u, w, a_u, a_w, d = stack.pop()
         action = a_u + a_w
-        if action <= d * top:
-            m = (u[0] + w[0], u[1] + w[1])
-            if d > 1:
-                g = gcd(*m)
-                if g > 1:
-                    m, action, d = (m[0] // g, m[1] // g), action // g, d // g
-            if action == top:
-                raise ActionBoundHit(
-                    "orbit slope %s at vertex %s has action exactly %s" % (m, v, bound)
-                )
-            if action < top:
-                found.append((m, action))
-                if len(found) > room:
-                    break
-            stack.append((u, m, a_u, action, d))
-            stack.append((m, w, action, a_w, d))
-        if not stack:
+        if action > d * top:
+            continue
+        m = (u[0] + w[0], u[1] + w[1])
+        if d > 1:
+            g = gcd(*m)
+            if g > 1:
+                m, action, d = (m[0] // g, m[1] // g), action // g, d // g
+        if action == top:
+            raise ActionBoundHit(
+                "orbit slope %s at vertex %s has action exactly %s" % (m, v, bound)
+            )
+        if action < top:
+            found.append((m, action))
+            if len(found) > room:
+                break
+        budget -= 1
+        if budget < 0:
             break
-    else:
-        return scale, top, None
-    return scale, top, found
+        stack.append((u, m, a_u, action, d))
+        stack.append((m, w, action, a_w, d))
+    return scale, top, found, budget
 
 
 def enumerate_orbits(
-    it: ReebItinerary, bound, *, max_generators: Optional[int] = None,
-    max_nodes: Optional[int] = None,
+    it: ReebItinerary, bound, *, max_generators: Optional[int] = None
 ) -> List[FamilyCount]:
     """All orbit families of base action < bound, with max cover multiplicity.
 
@@ -216,11 +214,12 @@ def enumerate_orbits(
     current are generators on their own, so the descent raises that
     search's :class:`TooManyGenerators` as soon as 2 x families + 1 passes
     the cap (before it starts when the cap is 0); of that and an exact hit,
-    it raises whichever it meets first.  With ``max_nodes`` set, the
-    descent visits at most that many nodes over all corners and raises
-    :class:`TooManyGenerators` where it would visit more: a corner cone of
-    large cross can visit many nodes for no family (the default is no
-    bound).
+    it raises whichever it meets first.  The cap also bounds the subcones
+    the descent splits, over all corners: where it would split more, it
+    raises :class:`TooManyGenerators` naming them, as a corner cone of large
+    cross can split many subcones for few families or none.  A split with
+    cross 1 finds a family, so where every corner is unimodular the family
+    rule is met first.
     """
     bound = Fraction(bound)
     if bound <= 0:
@@ -228,22 +227,23 @@ def enumerate_orbits(
     violations, cones = _walk(it)
     if violations:
         raise InvalidItinerary(violations)
-    room = inf if max_generators is None else (max_generators - 1) // 2  # families that fit
-    nodes = repeat(None) if max_nodes is None else repeat(None, max_nodes)  # shared by the corners
+    room = budget = inf  # the families that fit, and the splits left over all corners
+    if max_generators is not None:
+        room, budget = (max_generators - 1) // 2, max_generators
     out: List[FamilyCount] = []
     new, store = object.__new__, object.__setattr__
     # per corner scale D, which fixes top = D * bound: per scaled action, its
     # base action and max multiplicity, shared by every family at that action
     shared = {}
     for j, r_in, r_out in cones:
-        scale, top, found = _cone_primitives(r_in, r_out, it.vertices[j], bound, room, nodes)
-        if found is None:
-            raise TooManyGenerators(
-                "the orbit descent visits more than %d nodes below action %s" % (max_nodes, bound)
-            )
+        scale, top, found, budget = _cone_primitives(r_in, r_out, it.vertices[j], bound, room, budget)
         room -= len(found)
         if room < 0:
             break
+        if budget < 0:
+            raise TooManyGenerators(
+                "the orbit descent splits more than %d cones below action %s" % (max_generators, bound)
+            )
         found.sort(key=itemgetter(0))  # by slope; a corner's slopes are distinct
         by_action = shared.setdefault(scale, {})
         for slope, action in found:

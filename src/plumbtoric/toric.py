@@ -97,7 +97,6 @@ from .errors import (
     NotConcaveCase,
     NotCoprime,
     NotDelzantCorner,
-    PreconditionError,
     SizeTooLarge,
     TooShort,
 )
@@ -367,24 +366,17 @@ def classify(s: Sequence[int], reduce: bool = False) -> BoundaryReport:
 
 
 def survey_walk(chains) -> Iterator[tuple]:
-    """(chain, verdict, winding, lens, det) of each chain, a tuple of ints,
-    that ``classify(chain, reduce=True)`` accepts, in order, det its own.
+    """(chain, verdict, winding, lens, det) of each chain, a tuple of ints
+    at least 2 long with some entry >= 0, that ``classify(chain,
+    reduce=True)`` accepts, in order, det its own.
 
     One walk, -1 entries in place and no report built, with the lens and
     count checks on every chain; a chain that blows down to one vertex is
     walked and skipped, and only where its signature allows that is it
-    blown down to tell.  A chain with no entry >= 0, which the survey never
-    lists, has no pivot to walk: it takes ``classify``'s values.
+    blown down to tell.
     """
     stack, prev = [], ()
     for s in chains:
-        if len(s) < 2 or max(s) < 0:
-            try:
-                r = classify(s, reduce=True)
-            except PreconditionError:
-                continue
-            yield s, r.verdict, r.winding, r.lens, (-1) ** (len(s) - len(r.chain)) * r.det
-            continue
         winding, verdict, lens, det, b_plus, _ = _walk(s, stack, prev)
         prev = s
         # the blow-up lemma: b-(Q) = n - 1, that is b+ + [det = 0] = 1, where

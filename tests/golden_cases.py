@@ -95,8 +95,8 @@ CASES = {
     "error_reeb_orbits_exact_bound": [
         "reeb-orbits", "--itinerary", RATIONAL_ITINERARY, "--action-bound", "19/2",
     ],
-    # the orbit descent passes its node budget, the generator cap
-    "error_reeb_orbits_node_budget": [
+    # the orbit descent splits more cones than the generator cap
+    "error_reeb_orbits_split_budget": [
         "reeb-orbits", "--itinerary", FAR_ITINERARY, "--action-bound", "7",
     ],
     "index": ["index", "--input", INDEX],

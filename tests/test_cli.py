@@ -47,6 +47,16 @@ def oracle_survey_rows(chains):
     return rows
 
 
+def listed(chains):
+    """The chains a survey can list: at least 2 long, with some entry >= 0."""
+    return [c for c in chains if len(c) >= 2 and max(c) >= 0]
+
+
+def walk_rows(chains):
+    """The survey's rows of listed chains, from one ``toric.survey_walk``."""
+    return [docio.survey_row(*fields) for fields in toric.survey_walk(chains)]
+
+
 class TestClassifyCommand:
     def test_tight_example(self, capsys):
         code, out, _ = run(capsys, "classify", "--plumbing", "-2,1,0,-2")
@@ -244,7 +254,7 @@ class TestSurveyCommand:
     def test_det_column_is_the_enumerated_chains(self, entries):
         # the re-keyed row negates the reduced chain's det per blow-down
         chain = tuple(entries)
-        for row in cli.survey_rows([chain]):
+        for row in walk_rows(listed([chain])):
             assert row[0] == ",".join(map(str, chain))
             assert row[6] == str(det_intersection(chain))
 
@@ -261,9 +271,10 @@ class TestSurveyCommand:
     def test_walk_with_minus_one_gives_the_oracles_rows(self, chains):
         # -1 entries walked in place, in any order and in tuple order: each
         # row is survey_row of classify(chain, reduce=True)
-        assert cli.survey_rows(chains) == oracle_survey_rows(chains)
+        chains = listed(chains)
+        assert walk_rows(chains) == oracle_survey_rows(chains)
         chains.sort()
-        assert cli.survey_rows(chains) == oracle_survey_rows(chains)
+        assert walk_rows(chains) == oracle_survey_rows(chains)
 
     @given(
         st.tuples(st.integers(2, 5), st.integers(2, 5)).map(sorted),
@@ -271,15 +282,17 @@ class TestSurveyCommand:
     )
     @settings(max_examples=40, deadline=None)
     def test_rows_are_each_chains_own(self, lengths, values):
-        # also the chains with no entry >= 0, which the survey never lists:
-        # some holding -1 blow down to nothing, and the rest are refused
-        chains = survey_chains(lengths, values)
+        # some chains holding -1 blow down to nothing and are skipped
+        chains = listed(survey_chains(lengths, values))
         assume(len(chains) <= 2500)
-        assert cli.survey_rows(chains) == oracle_survey_rows(chains)
+        assert walk_rows(chains) == oracle_survey_rows(chains)
 
-    def test_rows_in_the_pool_are_each_chains_own(self):
-        chains = survey_chains((2, 4), (-3, 1))
-        assert cli.survey_rows(chains, jobs=2) == oracle_survey_rows(chains)
+    def test_rows_in_the_pool_are_each_chains_own(self, capsys, monkeypatch):
+        # the real process pool, each worker walking its own subtrees
+        monkeypatch.setattr(cli.os, "cpu_count", lambda: 2)
+        expected = docio.survey_to_csv(oracle_survey_rows(listed(survey_chains((2, 4), (-3, 1)))))
+        argv = ["survey", "--n", "2..4", "--range", "-3..1", "--jobs", "2"]
+        assert run(capsys, *argv) == (0, expected, "")
 
     @given(
         st.lists(st.lists(st.integers(-4, 4), max_size=30), min_size=1, max_size=3).flatmap(
@@ -293,11 +306,8 @@ class TestSurveyCommand:
     def test_walk_keeps_no_state_of_other_prefixes(self, pairs):
         # chains that share long stems, with -1, repeats and in any order:
         # the walk resumes each from its common prefix with the chain before
-        chains = [tuple(stem + tail) for stem, tail in pairs]
-        expected = oracle_survey_rows(chains)
-        assert cli.survey_rows(chains) == expected
-        with mock.patch.object(concurrent.futures, "ProcessPoolExecutor", concurrent.futures.ThreadPoolExecutor):
-            assert cli.survey_rows(chains, jobs=2) == expected
+        chains = listed([tuple(stem + tail) for stem, tail in pairs])
+        assert walk_rows(chains) == oracle_survey_rows(chains)
 
     @pytest.mark.parametrize("jobs", [1, 2])
     def test_fault_in_the_walk_step_raises(self, monkeypatch, jobs):
@@ -310,8 +320,11 @@ class TestSurveyCommand:
         monkeypatch.setattr(toric, "_step", one_wrap_more)
         # workers in this process, so they see the fault
         monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", concurrent.futures.ThreadPoolExecutor)
+        monkeypatch.setattr(cli.os, "cpu_count", lambda: 2)
+        argv = ["survey", "--n", "2..4", "--range=-3..1", "--jobs", str(jobs)]
+        args = cli.build_parser().parse_args(argv)
         with pytest.raises(errors.InternalInvariantError, match=r"^pivot \d+ sweep count"):
-            cli.survey_rows(survey_chains((2, 4), (-3, 1)), jobs=jobs)
+            args.func(args)
 
     @pytest.mark.parametrize("jobs", ["1", "2"])
     def test_one_walk_step_per_prefix_tree_node(self, capsys, monkeypatch, jobs):
@@ -524,16 +537,40 @@ class TestReebOrbitsCommand:
         assert code == 2 and out == ""
         assert json.loads(err)["error"] == {
             "type": "TooManyGenerators",
-            "message": "the orbit descent visits more than 100000 nodes below action %s "
+            "message": "the orbit descent splits more than 100000 cones below action %s "
             "(PLUMBTORIC_MAX_GENERATORS)" % bound,
         }
 
-    def test_node_budget_is_the_generator_cap(self, capsys, monkeypatch):
+    def test_split_budget_is_the_generator_cap(self, capsys, monkeypatch):
         monkeypatch.setenv("PLUMBTORIC_MAX_GENERATORS", "2000")
         path = str(GOLDEN / "itinerary_far_vertex.json")
         code, _, err = run(capsys, "reeb-orbits", "--itinerary", path, "--action-bound", "7")
         assert code == 2
-        assert "more than 2000 nodes" in json.loads(err)["error"]["message"]
+        assert "more than 2000 cones" in json.loads(err)["error"]["message"]
+
+    def test_wide_cone_refused_under_its_split_count(self, capsys, monkeypatch, tmp_path):
+        # a corner cone of cross about 20: 19 families, all of action 1, so
+        # 39 generators below 3/2, but the descent splits 47 cones; a cap
+        # of 39..46 refuses what its generators would fit
+        doc = {
+            "vertices": [["-1/20", "-1/2"], ["0", "-1"], ["1/20", "-1/2"]],
+            "start_ray": [-1, -10],
+            "end_ray": [1, -10],
+        }
+        path = tmp_path / "wide.json"
+        path.write_text(json.dumps(doc))
+        argv = ["reeb-orbits", "--itinerary", str(path), "--action-bound", "3/2"]
+        monkeypatch.setenv("PLUMBTORIC_MAX_GENERATORS", "47")
+        code, out, _ = run(capsys, *argv)
+        assert code == 0 and len(json.loads(out)["generators"]) == 39
+        monkeypatch.setenv("PLUMBTORIC_MAX_GENERATORS", "46")
+        code, out, err = run(capsys, *argv)
+        assert code == 2 and out == ""
+        assert json.loads(err)["error"] == {
+            "type": "TooManyGenerators",
+            "message": "the orbit descent splits more than 46 cones below action 3/2 "
+            "(PLUMBTORIC_MAX_GENERATORS)",
+        }
 
     @pytest.mark.parametrize(
         "bound, error",

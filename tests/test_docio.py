@@ -15,7 +15,7 @@ import pytest
 from hypothesis import example, given, strategies as st
 
 import plumbtoric as pt
-from plumbtoric import cli, docio, toric
+from plumbtoric import docio, toric
 from plumbtoric.cli import main
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -200,7 +200,7 @@ class TestBulkWriters:
         chains = [
             s for n in range(2, 5) for s in itertools.product(range(-3, 3), repeat=n) if max(s) >= 0
         ]
-        rows = cli.survey_rows(sorted(chains))
+        rows = [docio.survey_row(*fields) for fields in toric.survey_walk(sorted(chains))]
         assert len(rows) > 1000
         text = docio.survey_to_csv(rows)
         assert text == oracle_survey_to_csv(rows)

@@ -528,8 +528,8 @@ class TestDescentOracle:
         assert outcome(enumerate_orbits, it, F(19) / 2) == expected
 
 
-def descent_nodes(it: ReebItinerary, bound) -> list:
-    """The nodes the Fraction descent visits at each corner, with no cap."""
+def descent_splits(it: ReebItinerary, bound) -> list:
+    """The subcones the Fraction descent splits at each corner, with no cap."""
     counts = []
     for j in range(1, len(it.vertices) - 1):
         p, v, q = it.vertices[j - 1 : j + 2]
@@ -540,52 +540,75 @@ def descent_nodes(it: ReebItinerary, bound) -> list:
         stack, count = [(r_in, r_out)], 0
         while stack:
             u, w = stack.pop()
-            count += 1
             if dot(u, v) + dot(w, v) <= cross(u, w) * bound:
+                count += 1
                 m = primitive((u[0] + w[0], u[1] + w[1]))
                 stack += [(u, m), (m, w)]
         counts.append(count)
     return counts
 
 
-class TestNodeBudget:
-    """``max_nodes`` bounds the nodes the descent visits over all corners;
-    the CLI sets it to the generator cap."""
+def wide_cone(k):
+    """One corner at (0, -1) between edges of slope -k/2 and k/2: a cone of
+    cross about k, whose families at bound 3/2 all have action 1."""
+    return make_itinerary(
+        [(-F(1) / k, -F(1) / 2), (0, -1), (F(1) / k, -F(1) / 2)], (-1, -k // 2), (1, -k // 2)
+    )
 
-    @pytest.mark.parametrize("bound, nodes", [(F(7), 15), (F(52) / 3, 87)])
-    def test_least_budget(self, bound, nodes):
-        assert descent_nodes(DIP, bound) == [nodes]
-        families = enumerate_orbits(DIP, bound)
-        assert enumerate_orbits(DIP, bound, max_nodes=nodes) == families
-        message = "the orbit descent visits more than %d nodes below action %s" % (nodes - 1, bound)
-        with pytest.raises(TooManyGenerators, match="^%s$" % message):
-            enumerate_orbits(DIP, bound, max_nodes=nodes - 1)
+
+class TestSplitBudget:
+    """``max_generators`` also bounds the subcones the descent splits, over
+    all corners."""
+
+    @pytest.mark.parametrize("bound, families", [(F(7), 7), (F(52) / 3, 43)])
+    def test_unimodular_corner_meets_the_family_rule_first(self, bound, families):
+        # each split of a cross-1 cone finds a family
+        assert descent_splits(DIP, bound) == [families]
+        assert len(enumerate_orbits(DIP, bound, max_generators=2 * families + 1)) == families
+        message = "^more than %d ECH generators below action %s$" % (2 * families, bound)
+        with pytest.raises(TooManyGenerators, match=message):
+            enumerate_orbits(DIP, bound, max_generators=2 * families)
+
+    @pytest.mark.parametrize("k, splits", [(10, 23), (20, 47), (50, 135)])
+    def test_least_budget_on_a_wide_cone(self, k, splits):
+        # more splits than the 2 x families + 1 generators: the cap refuses
+        # from one split below their count on
+        it, bound = wide_cone(k), F(3) / 2
+        families = enumerate_orbits(it, bound)
+        assert descent_splits(it, bound) == [splits]
+        assert 2 * len(families) + 1 < splits
+        assert enumerate_orbits(it, bound, max_generators=splits) == families
+        message = "^the orbit descent splits more than %d cones below action 3/2$" % (splits - 1)
+        with pytest.raises(TooManyGenerators, match=message):
+            enumerate_orbits(it, bound, max_generators=splits - 1)
 
     def test_budget_shared_by_the_corners(self):
         doc = json.loads((GOLDEN / "itinerary_rational.json").read_text())
         it = docio.itinerary_from_doc(doc)
         bound = F(21) / 2
-        counts = descent_nodes(it, bound)
-        assert len(counts) > 1 and min(counts) > 1
+        counts = descent_splits(it, bound)
+        assert max(counts) < sum(counts) - 1  # a budget per corner would not refuse
         families = enumerate_orbits(it, bound)
-        assert enumerate_orbits(it, bound, max_nodes=sum(counts)) == families
-        with pytest.raises(TooManyGenerators):
-            enumerate_orbits(it, bound, max_nodes=sum(counts) - 1)
+        assert sum(counts) > 2 * len(families) + 1
+        assert enumerate_orbits(it, bound, max_generators=sum(counts)) == families
+        with pytest.raises(TooManyGenerators, match="^the orbit descent splits"):
+            enumerate_orbits(it, bound, max_generators=sum(counts) - 1)
 
     @settings(max_examples=100, deadline=None)
     @given(itineraries_and_bounds(), st.integers(-2, 2))
     def test_least_budget_on_drawn_itineraries(self, case, shift):
+        # either rule may refuse first; both pass from the larger of the two
         it, bound = case
         try:
             families = enumerate_orbits(it, bound)
         except ActionBoundHit:
             assume(False)
-        budget = sum(descent_nodes(it, bound)) + shift
+        least = max(sum(descent_splits(it, bound)), 2 * len(families) + 1)
         if shift >= 0:
-            assert enumerate_orbits(it, bound, max_nodes=budget) == families
+            assert enumerate_orbits(it, bound, max_generators=least + shift) == families
         else:
             with pytest.raises(TooManyGenerators):
-                enumerate_orbits(it, bound, max_nodes=budget)
+                enumerate_orbits(it, bound, max_generators=least + shift)
 
     def test_far_vertex_refused(self):
         # a corner cone of cross about 1e400 finds no family at bound 7
@@ -593,8 +616,8 @@ class TestNodeBudget:
         doc = json.loads((GOLDEN / "itinerary_far_vertex.json").read_text())
         it = docio.itinerary_from_doc(doc)
         start = time.perf_counter()
-        with pytest.raises(TooManyGenerators, match="^the orbit descent visits more than 10000 nodes"):
-            enumerate_orbits(it, 7, max_nodes=10**4)
+        with pytest.raises(TooManyGenerators, match="^the orbit descent splits more than 10000 cones"):
+            enumerate_orbits(it, 7, max_generators=10**4)
         assert time.perf_counter() - start < 1.0
 
 
