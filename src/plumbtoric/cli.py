@@ -18,7 +18,9 @@ one step per entry past the prefix a chain shares with the one before it,
 -1 entries in place.  --jobs (at most the CPU count) sends each worker
 process prefixes only, at most n_lo long and at least four per worker
 where the lengths allow, and each worker enumerates and walks their
-subtrees; the rows are joined in prefix order, so output does not depend
+subtrees and returns their rows as one text in the requested format
+(``docio.survey_text``); the parent only joins these texts in prefix
+order inside the document's head or brackets, so output does not depend
 on the worker count.  reeb-orbits refuses once it passes
 PLUMBTORIC_MAX_GENERATORS generators (default 10^5), during the orbit
 enumeration when the families' orbits alone pass it, and once the orbit
@@ -101,11 +103,12 @@ def _cmd_construct(args) -> str:
     return docio.dumps(docio.polygon_to_doc(poly))
 
 
-def _subtree(task) -> list:
-    """For task = (prefix, n_lo, n_hi, values), the rows of the chains that
-    extend prefix, n_lo..n_hi long over values, with some entry >= 0, in
-    tuple order: a prefix before its extensions, children in entry order."""
-    prefix, n_lo, n_hi, values = task
+def _subtree(task) -> str:
+    """For task = (prefix, n_lo, n_hi, values, form), the text in survey
+    format form of the rows of the chains that extend prefix, n_lo..n_hi
+    long over values, with some entry >= 0, in tuple order: a prefix before
+    its extensions, children in entry order."""
+    prefix, n_lo, n_hi, values, form = task
 
     def preorder():
         stack, later = [prefix], values[::-1]
@@ -116,7 +119,8 @@ def _subtree(task) -> list:
             if len(s) < n_hi:
                 stack += [s + (v,) for v in later]
 
-    return [docio.survey_row(*fields) for fields in toric.survey_walk(preorder())]
+    rows = [docio.survey_row(*fields) for fields in toric.survey_walk(preorder())]
+    return docio.survey_text(rows, form)
 
 
 def _cmd_survey(args) -> str:
@@ -140,7 +144,7 @@ def _cmd_survey(args) -> str:
     # the pool forks all its workers at once, so at most one per CPU
     jobs = min(args.jobs, os.cpu_count() or 1)
     depth = next((d for d in range(n_lo) if len(values) ** d >= 4 * jobs), n_lo)
-    tasks = [(p, n_lo, n_hi, values) for p in itertools.product(values, repeat=depth)]
+    tasks = [(p, n_lo, n_hi, values, args.format) for p in itertools.product(values, repeat=depth)]
     if jobs > 1 and len(tasks) > 1:
         # only here, so that no other command loads multiprocessing
         from concurrent.futures import ProcessPoolExecutor
@@ -148,9 +152,8 @@ def _cmd_survey(args) -> str:
         with ProcessPoolExecutor(max_workers=jobs) as pool:
             parts = list(pool.map(_subtree, tasks))
     else:
-        parts = map(_subtree, tasks)
-    rows = list(itertools.chain.from_iterable(parts))
-    return docio.survey_to_json(rows) if args.format == "json" else docio.survey_to_csv(rows)
+        parts = list(map(_subtree, tasks))
+    return docio.survey_to_json(parts) if args.format == "json" else docio.survey_to_csv(parts)
 
 
 def _load_json(path: str) -> dict:

@@ -8,20 +8,23 @@ bit-identical documents.  ``report_to_doc`` builds a classify document
 whole, its winding and torsion parts included.
 
 Documents are written by ``dumps`` (``json.dumps(indent=2, sort_keys=True)``)
-except the reeb-orbits document, whose generator list can run to 10^5
-entries and is too slow for the indenting encoder, which is pure Python.
-``reeb_orbits_text`` writes all of it in its fixed shape, with the same
-bytes as ``dumps`` of the document: each family straight from its
-``FamilyCount``, each split orbit from one template, and each generator
-entry once per (orbit, multiplicity) entry the search shares among its
-currents, from its orbit's text up to the multiplicity (one template per
-orbit, once per call).  Each generator (``current_to_doc``) joins its
-entries' texts in the order the current lists them:
-``reeb.enumerate_generators`` decides the orbit order, and nothing here
-sorts again.  The other two bulk writers work the same way: each survey
-CSV row is one f-string, and each element of the SVG picture one template
-with its coordinates in ``%.3f`` fields.  Output with an integer too long
-to print is refused as :class:`OutputTooLarge` (``_printable``).
+except the two bulk JSON documents, the reeb-orbits listing and the survey,
+whose entries can run past 10^5 and are too slow for the indenting
+encoder, which is pure Python.  Each is written in its fixed shape, with
+the same bytes as ``dumps`` of the document.  ``reeb_orbits_text`` writes
+each family straight from its ``FamilyCount``, each split orbit from one
+template, and each generator entry once per (orbit, multiplicity) entry
+the search shares among its currents, from its orbit's text up to the
+multiplicity (one template per orbit, once per call).  Each generator
+(``current_to_doc``) joins its entries' texts in the order the current
+lists them: ``reeb.enumerate_generators`` decides the orbit order, and
+nothing here sorts again.  A survey row is one f-string template per
+format, CSV or JSON, over its ``survey_row`` fields (``survey_text``);
+the texts of consecutive runs of rows concatenate, so survey workers
+return text and ``survey_to_csv`` and ``survey_to_json`` only join it.
+Each element of the SVG picture is one template with its coordinates in
+``%.3f`` fields.  Output with an integer too long to print is refused as
+:class:`OutputTooLarge` (``_printable``).
 """
 
 from __future__ import annotations
@@ -393,20 +396,39 @@ def survey_row(chain, verdict, winding, lens, det) -> tuple:
     )
 
 
-_CSV_HEAD = "%s\n%s\n" % (SURVEY_HEADER, ",".join(SURVEY_COLUMNS))
-
-
-def survey_to_csv(rows: Sequence[tuple]) -> str:
-    """The survey table: the header, the column names, then each row as one
-    f-string over its ``SURVEY_COLUMNS`` fields, the chain column quoted."""
-    return _CSV_HEAD + "".join([
+@_printable
+def survey_text(rows: Sequence[tuple], form: str) -> str:
+    """The text of ``survey_row`` rows in survey format form, "csv" or
+    "json", each row from its format's one template, so that the texts of
+    consecutive runs of rows concatenate.  A JSON row is its object as
+    ``dumps`` indents it in the list, then ",\n"; no field needs escaping."""
+    if form == "json":
+        return "".join([
+            f'  {{\n    "det": "{det}",\n    "det_check": "{det_check}",\n    "k": "{k}",\n'
+            f'    "l": "{l}",\n    "s": "{s}",\n    "verdict": "{verdict}",\n'
+            f'    "vs_2pi": "{vs_2pi}",\n    "vs_pi": "{vs_pi}"\n  }},\n'
+            for s, verdict, k, l, vs_pi, vs_2pi, det, det_check in rows
+        ])
+    return "".join([
         f'"{s}",{verdict},{k},{l},{vs_pi},{vs_2pi},{det},{det_check}\n'
         for s, verdict, k, l, vs_pi, vs_2pi, det, det_check in rows
     ])
 
 
-def survey_to_json(rows: Sequence[tuple]) -> str:
-    return dumps([dict(zip(SURVEY_COLUMNS, row)) for row in rows])
+_CSV_HEAD = "%s\n%s\n" % (SURVEY_HEADER, ",".join(SURVEY_COLUMNS))
+
+
+def survey_to_csv(parts: Sequence[str]) -> str:
+    """The survey table from the ``survey_text`` parts of its rows, in
+    order: the header, the column names, then the parts."""
+    return _CSV_HEAD + "".join(parts)
+
+
+def survey_to_json(parts: Sequence[str]) -> str:
+    """The survey JSON document, the same bytes as ``dumps`` of the list of
+    row objects, from the ``survey_text`` parts of its rows, in order."""
+    body = "".join(parts)
+    return "[\n%s\n]\n" % body[:-2] if body else "[]\n"
 
 
 # ---------------------------------------------------------------------------

@@ -290,7 +290,8 @@ class TestSurveyCommand:
     def test_rows_in_the_pool_are_each_chains_own(self, capsys, monkeypatch):
         # the real process pool, each worker walking its own subtrees
         monkeypatch.setattr(cli.os, "cpu_count", lambda: 2)
-        expected = docio.survey_to_csv(oracle_survey_rows(listed(survey_chains((2, 4), (-3, 1)))))
+        rows = oracle_survey_rows(listed(survey_chains((2, 4), (-3, 1))))
+        expected = docio.survey_to_csv([docio.survey_text(rows, "csv")])
         argv = ["survey", "--n", "2..4", "--range", "-3..1", "--jobs", "2"]
         assert run(capsys, *argv) == (0, expected, "")
 
@@ -369,6 +370,38 @@ class TestSurveyCommand:
             "type": "InternalInvariantError",
             "message": "pivot 4 sweep count 6 != b+(Q) - 1 = 0 for (-3, -3, -3, 0)",
         }
+
+    @pytest.mark.parametrize("jobs", ["1", "2"])
+    def test_unprintable_row_in_a_subtree_exits_2(self, capsys, monkeypatch, jobs):
+        # one chain's determinant past Python's int-to-str digit limit: its
+        # row raises ValueError inside survey_row, in a worker under --jobs 2
+        real = toric.survey_walk
+
+        def one_huge_det(chains):
+            for chain, verdict, winding, lens, det in real(chains):
+                yield chain, verdict, winding, lens, 10**5000 if chain == (-1, 0, 1) else det
+
+        monkeypatch.setattr(toric, "survey_walk", one_huge_det)
+        # workers in this process, so they see the fault
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", concurrent.futures.ThreadPoolExecutor)
+        monkeypatch.setattr(cli.os, "cpu_count", lambda: 2)
+        code, out, err = run(capsys, "survey", "--n", "2..4", "--range", "-3..1", "--jobs", jobs)
+        assert code == 2 and out == ""
+        (line,) = err.splitlines()
+        error = json.loads(line)["error"]
+        assert error["type"] == "OutputTooLarge"
+        assert error["message"].startswith("output too large to print: ")
+
+    def test_unprintable_rows_in_the_pool_exit_2(self, capsys, monkeypatch):
+        # two values of 2,200 digits: four subtrees for two worker
+        # processes, and every row's determinant past the digit limit; the
+        # error pickles back to the parent, with no BrokenProcessPool
+        monkeypatch.setattr(cli.os, "cpu_count", lambda: 2)
+        lo = int("3" * 2200)
+        code, out, err = run(capsys, "survey", "--n", "2", "--range", "%d..%d" % (lo, lo + 1), "--jobs", "2")
+        assert code == 2 and out == ""
+        (line,) = err.splitlines()
+        assert json.loads(line)["error"]["type"] == "OutputTooLarge"
 
     def test_jobs_agree_with_fewer_subtrees_than_four_per_worker(self, capsys, monkeypatch):
         # two values and --n 2..5: the prefixes stop at length 2, four of

@@ -1,7 +1,7 @@
 """The document writer against oracles of its earlier code: the display-only
 swept angle, made by the writer alone with the same bits as the float loop
-``winding_compare`` used to run beside its exact count, and the SVG and CSV
-writers, with the same bytes as their helper-based versions."""
+``winding_compare`` used to run beside its exact count, and the SVG, CSV and
+survey JSON writers, with the same bytes as their helper-based versions."""
 
 import csv
 import itertools
@@ -12,10 +12,10 @@ from pathlib import Path
 from unittest import mock
 
 import pytest
-from hypothesis import example, given, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import plumbtoric as pt
-from plumbtoric import docio, toric
+from plumbtoric import cli, docio, toric
 from plumbtoric.cli import main
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -165,6 +165,19 @@ def oracle_survey_to_csv(rows):
     return "\n".join(lines) + "\n"
 
 
+def oracle_survey_to_json(rows):
+    return docio.dumps([dict(zip(docio.SURVEY_COLUMNS, row)) for row in rows])
+
+
+def survey_document(rows, form, cuts=()):
+    """The survey document the parent writes from the rows' texts, the rows
+    cut into consecutive parts before each index in cuts, as workers return
+    them."""
+    bounds = [0, *sorted(cuts), len(rows)]
+    parts = [docio.survey_text(rows[a:b], form) for a, b in zip(bounds, bounds[1:])]
+    return docio.survey_to_json(parts) if form == "json" else docio.survey_to_csv(parts)
+
+
 def sweep_polygons():
     """The first-pivot polygon of every seventh criterion-06 chain; of every
     50th of those also the polygon with heights scaled by 7/3, and of every
@@ -202,17 +215,50 @@ class TestBulkWriters:
         ]
         rows = [docio.survey_row(*fields) for fields in toric.survey_walk(sorted(chains))]
         assert len(rows) > 1000
-        text = docio.survey_to_csv(rows)
+        text = survey_document(rows, "csv")
         assert text == oracle_survey_to_csv(rows)
         # the row f-string names its fields itself, so pin their count
         records = list(csv.reader(text.splitlines()[1:]))
         assert len(records) == len(rows) + 1
         assert {len(r) for r in records} == {len(docio.SURVEY_COLUMNS)}
-        assert docio.survey_to_csv([]) == oracle_survey_to_csv([])
+        assert survey_document([], "csv") == oracle_survey_to_csv([])
 
     @given(st.lists(st.tuples(*[st.text()] * len(docio.SURVEY_COLUMNS)), max_size=5))
     def test_csv_same_bytes_on_any_strings(self, rows):
-        assert docio.survey_to_csv(rows) == oracle_survey_to_csv(rows)
+        assert survey_document(rows, "csv") == oracle_survey_to_csv(rows)
+
+    @given(
+        st.lists(
+            st.lists(st.one_of(st.just(-1), st.integers(-4, 4)), min_size=2, max_size=10).map(tuple),
+            max_size=30,
+        ),
+        st.lists(st.integers(0, 30), max_size=4),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_json_same_bytes_on_walk_rows(self, chains, cuts):
+        # -1 weighted as one choice in two; the rows cut into parts anywhere,
+        # empty parts too
+        chains = [c for c in chains if max(c) >= 0]
+        rows = [docio.survey_row(*fields) for fields in toric.survey_walk(chains)]
+        cuts = [min(c, len(rows)) for c in cuts]
+        assert survey_document(rows, "json", cuts) == oracle_survey_to_json(rows)
+        assert survey_document(rows, "csv", cuts) == oracle_survey_to_csv(rows)
+
+    def test_empty_json_survey(self, capsys):
+        argv = ["survey", "--n", "2..3", "--range", "-3..-2", "--exclude-minus-one", "--format", "json"]
+        assert main(argv) == 0
+        assert capsys.readouterr().out == oracle_survey_to_json([]) == "[]\n"
+
+    def test_json_jobs_agree_with_fewer_subtrees_than_four_per_worker(self, capsys, monkeypatch):
+        # two values and --n 2..5: four prefixes of length 2 for two workers,
+        # each subtree's rows one part; the real process pool
+        monkeypatch.setattr(cli.os, "cpu_count", lambda: 2)
+        argv = ["survey", "--n", "2..5", "--range", "0..1", "--exclude-minus-one", "--format", "json"]
+        chains = sorted(c for n in range(2, 6) for c in itertools.product((0, 1), repeat=n))
+        expected = oracle_survey_to_json([docio.survey_row(*f) for f in toric.survey_walk(chains)])
+        for jobs in ("1", "2"):
+            assert main([*argv, "--jobs", jobs]) == 0
+            assert capsys.readouterr() == (expected, "")
 
 
 def test_writers_join_edge_j_to_vertices_j_and_j_plus_1():

@@ -37,3 +37,9 @@ def test_process_pool_hands_back_the_error():
             pool.submit(toric.classify, (-2, -3)).result(timeout=60)
     assert caught.value.negative_definite is True
     assert "not concave" in str(caught.value)
+
+
+def test_output_too_large_round_trip():
+    # survey workers raise it for an unprintable row, and the pool pickles it
+    back = pickle.loads(pickle.dumps(errors.OutputTooLarge("m")))
+    assert type(back) is errors.OutputTooLarge and str(back) == "m"
