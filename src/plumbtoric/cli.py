@@ -19,7 +19,7 @@ one step per entry past the prefix a chain shares with the one before it,
 process prefixes only, at most n_lo long and at least four per worker
 where the lengths allow, and each worker enumerates and walks their
 subtrees and returns their rows as one text in the requested format
-(``docio.survey_text``); the parent only joins these texts in prefix
+(``docio.survey_row``); the parent only joins these texts in prefix
 order inside the document's head or brackets, so output does not depend
 on the worker count.  reeb-orbits refuses once it passes
 PLUMBTORIC_MAX_GENERATORS generators (default 10^5), during the orbit
@@ -119,8 +119,7 @@ def _subtree(task) -> str:
             if len(s) < n_hi:
                 stack += [s + (v,) for v in later]
 
-    rows = [docio.survey_row(*fields) for fields in toric.survey_walk(preorder())]
-    return docio.survey_text(rows, form)
+    return "".join([docio.survey_row(*fields, form) for fields in toric.survey_walk(preorder())])
 
 
 def _cmd_survey(args) -> str:

@@ -18,10 +18,11 @@ the search shares among its currents, from its orbit's text up to the
 multiplicity (one template per orbit, once per call).  Each generator
 (``current_to_doc``) joins its entries' texts in the order the current
 lists them: ``reeb.enumerate_generators`` decides the orbit order, and
-nothing here sorts again.  A survey row is one f-string template per
-format, CSV or JSON, over its ``survey_row`` fields (``survey_text``);
-the texts of consecutive runs of rows concatenate, so survey workers
-return text and ``survey_to_csv`` and ``survey_to_json`` only join it.
+nothing here sorts again.  A survey row is written by ``survey_row``
+from one f-string template per format, CSV or JSON, straight from the
+walk's values; the texts of consecutive rows concatenate, so survey
+workers return text and ``survey_to_csv`` and ``survey_to_json`` only
+join it.
 Each element of the SVG picture is one template with its coordinates in
 ``%.3f`` fields.  Output with an integer too long to print is refused as
 :class:`OutputTooLarge` (``_printable``).
@@ -379,54 +380,42 @@ def index_from_doc(doc: dict) -> tuple:
 # survey
 
 @_printable
-def survey_row(chain, verdict, winding, lens, det) -> tuple:
-    """The row of an enumerated chain, from ``toric.survey_walk``'s values
-    for the chain itself, -1 entries and all.  ``det_check`` reads "true":
-    the determinant identity is the k half of the one integer lens check,
-    which the walk runs on every chain and raises where it fails."""
-    return (
-        ",".join(map(str, chain)),
-        verdict._value_,
-        str(lens[0]),
-        str(lens[1]),
-        winding.vs_pi._value_,
-        winding.vs_two_pi._value_,
-        str(det),
-        "true",
-    )
-
-
-@_printable
-def survey_text(rows: Sequence[tuple], form: str) -> str:
-    """The text of ``survey_row`` rows in survey format form, "csv" or
-    "json", each row from its format's one template, so that the texts of
-    consecutive runs of rows concatenate.  A JSON row is its object as
-    ``dumps`` indents it in the list, then ",\n"; no field needs escaping."""
+def survey_row(chain, verdict, winding, lens, det, form) -> str:
+    """The row of an enumerated chain in survey format form, "csv" or
+    "json", from ``toric.survey_walk``'s values for the chain itself, -1
+    entries and all, written by its format's one template, so that the
+    texts of consecutive rows concatenate.  A JSON row is its object as
+    ``dumps`` indents it in the list, then ",\n"; no field needs escaping.
+    ``det_check`` reads "true": the determinant identity is the k half of
+    the one integer lens check, which the walk runs on every chain and
+    raises where it fails."""
+    s = ",".join(map(str, chain))
     if form == "json":
-        return "".join([
-            f'  {{\n    "det": "{det}",\n    "det_check": "{det_check}",\n    "k": "{k}",\n'
-            f'    "l": "{l}",\n    "s": "{s}",\n    "verdict": "{verdict}",\n'
-            f'    "vs_2pi": "{vs_2pi}",\n    "vs_pi": "{vs_pi}"\n  }},\n'
-            for s, verdict, k, l, vs_pi, vs_2pi, det, det_check in rows
-        ])
-    return "".join([
-        f'"{s}",{verdict},{k},{l},{vs_pi},{vs_2pi},{det},{det_check}\n'
-        for s, verdict, k, l, vs_pi, vs_2pi, det, det_check in rows
-    ])
+        return (
+            f'  {{\n    "det": "{det}",\n    "det_check": "true",\n    "k": "{lens[0]}",\n'
+            f'    "l": "{lens[1]}",\n    "s": "{s}",\n    "verdict": "{verdict._value_}",\n'
+            f'    "vs_2pi": "{winding.vs_two_pi._value_}",\n    "vs_pi": "{winding.vs_pi._value_}"\n  }},\n'
+        )
+    return (
+        f'"{s}",{verdict._value_},{lens[0]},{lens[1]},{winding.vs_pi._value_},'
+        f"{winding.vs_two_pi._value_},{det},true\n"
+    )
 
 
 _CSV_HEAD = "%s\n%s\n" % (SURVEY_HEADER, ",".join(SURVEY_COLUMNS))
 
 
 def survey_to_csv(parts: Sequence[str]) -> str:
-    """The survey table from the ``survey_text`` parts of its rows, in
-    order: the header, the column names, then the parts."""
+    """The survey table from the texts of consecutive runs of its
+    ``survey_row`` rows, in order: the header, the column names, then the
+    parts."""
     return _CSV_HEAD + "".join(parts)
 
 
 def survey_to_json(parts: Sequence[str]) -> str:
     """The survey JSON document, the same bytes as ``dumps`` of the list of
-    row objects, from the ``survey_text`` parts of its rows, in order."""
+    row objects, from the texts of consecutive runs of its ``survey_row``
+    rows, in order."""
     body = "".join(parts)
     return "[\n%s\n]\n" % body[:-2] if body else "[]\n"
 

@@ -1,5 +1,6 @@
 import concurrent.futures
 import contextlib
+import csv
 import io
 import itertools
 import json
@@ -17,6 +18,7 @@ from plumbtoric import MalformedDocument, TooManyGenerators, cli, docio, errors,
 from plumbtoric import PreconditionError, classify, det_intersection
 from plumbtoric.cli import main
 from plumbtoric.docio import polygon_from_doc, polygon_to_doc, render_svg
+from test_docio import oracle_csv_line, oracle_row
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -35,7 +37,8 @@ def survey_chains(lengths, values):
 
 
 def oracle_survey_rows(chains):
-    # each chain classified on its own, as the survey once did
+    # each chain classified on its own, as the survey once did; each row
+    # the CSV line of its field texts
     rows = []
     for chain in chains:
         try:
@@ -43,7 +46,7 @@ def oracle_survey_rows(chains):
         except PreconditionError:
             continue
         det = (-1) ** (len(chain) - len(report.chain)) * report.det  # one flip per blow-down
-        rows.append(docio.survey_row(chain, report.verdict, report.winding, report.lens, det))
+        rows.append(oracle_csv_line(oracle_row(chain, report.verdict, report.winding, report.lens, det)))
     return rows
 
 
@@ -53,8 +56,8 @@ def listed(chains):
 
 
 def walk_rows(chains):
-    """The survey's rows of listed chains, from one ``toric.survey_walk``."""
-    return [docio.survey_row(*fields) for fields in toric.survey_walk(chains)]
+    """The survey's CSV rows of listed chains, from one ``toric.survey_walk``."""
+    return [docio.survey_row(*fields, "csv") for fields in toric.survey_walk(chains)]
 
 
 class TestClassifyCommand:
@@ -255,8 +258,9 @@ class TestSurveyCommand:
         # the re-keyed row negates the reduced chain's det per blow-down
         chain = tuple(entries)
         for row in walk_rows(listed([chain])):
-            assert row[0] == ",".join(map(str, chain))
-            assert row[6] == str(det_intersection(chain))
+            (fields,) = csv.reader([row])
+            assert fields[0] == ",".join(map(str, chain))
+            assert fields[6] == str(det_intersection(chain))
 
     @given(
         st.lists(
@@ -290,8 +294,7 @@ class TestSurveyCommand:
     def test_rows_in_the_pool_are_each_chains_own(self, capsys, monkeypatch):
         # the real process pool, each worker walking its own subtrees
         monkeypatch.setattr(cli.os, "cpu_count", lambda: 2)
-        rows = oracle_survey_rows(listed(survey_chains((2, 4), (-3, 1))))
-        expected = docio.survey_to_csv([docio.survey_text(rows, "csv")])
+        expected = docio.survey_to_csv(oracle_survey_rows(listed(survey_chains((2, 4), (-3, 1)))))
         argv = ["survey", "--n", "2..4", "--range", "-3..1", "--jobs", "2"]
         assert run(capsys, *argv) == (0, expected, "")
 

@@ -15,12 +15,14 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import plumbtoric as pt
-from plumbtoric import cli, docio, toric
+from plumbtoric import cli, docio, lattice, toric
 from plumbtoric.cli import main
 
 GOLDEN = Path(__file__).parent / "golden"
 HUGE = int("3" * 160)  # the rays of HUGE,HUGE have cross and dot past 10^308
 SWEEP_VALUES = (-4, -3, -2, 0, 1, 2, 3)  # the criterion-06 set: [-4, 3] without -1
+# small integers and ones of up to 4,300 digits, Python's default int-to-str limit
+PRINTABLE_INTS = st.one_of(st.integers(-99, 99), st.integers(-(10**4300 - 1), 10**4300 - 1))
 
 
 def oracle_swept_degrees(rays):
@@ -158,23 +160,40 @@ def oracle_render_svg(poly):
     return "\n".join(parts) + "\n"
 
 
+def oracle_row(chain, verdict, winding, lens, det):
+    """The field texts of a survey row in ``SURVEY_COLUMNS`` order, from
+    ``toric.survey_walk``'s values, as the row tuple the oracles write."""
+    return (
+        ",".join(map(str, chain)),
+        verdict.value,
+        str(lens[0]),
+        str(lens[1]),
+        winding.vs_pi.value,
+        winding.vs_two_pi.value,
+        str(det),
+        "true",
+    )
+
+
+def oracle_csv_line(row):
+    return '"%s",%s\n' % (row[0], ",".join(row[1:]))
+
+
 def oracle_survey_to_csv(rows):
     lines = [docio.SURVEY_HEADER, ",".join(docio.SURVEY_COLUMNS)]
-    for row in rows:
-        lines.append('"%s",%s' % (row[0], ",".join(row[1:])))
-    return "\n".join(lines) + "\n"
+    return "\n".join(lines) + "\n" + "".join(map(oracle_csv_line, rows))
 
 
 def oracle_survey_to_json(rows):
     return docio.dumps([dict(zip(docio.SURVEY_COLUMNS, row)) for row in rows])
 
 
-def survey_document(rows, form, cuts=()):
-    """The survey document the parent writes from the rows' texts, the rows
-    cut into consecutive parts before each index in cuts, as workers return
-    them."""
-    bounds = [0, *sorted(cuts), len(rows)]
-    parts = [docio.survey_text(rows[a:b], form) for a, b in zip(bounds, bounds[1:])]
+def survey_document(fields, form, cuts=()):
+    """The survey document the parent writes from the ``survey_row`` texts
+    of the walk's values, the rows cut into consecutive parts before each
+    index in cuts, as workers return them."""
+    bounds = [0, *sorted(cuts), len(fields)]
+    parts = ["".join([docio.survey_row(*f, form) for f in fields[a:b]]) for a, b in zip(bounds, bounds[1:])]
     return docio.survey_to_json(parts) if form == "json" else docio.survey_to_csv(parts)
 
 
@@ -213,19 +232,49 @@ class TestBulkWriters:
         chains = [
             s for n in range(2, 5) for s in itertools.product(range(-3, 3), repeat=n) if max(s) >= 0
         ]
-        rows = [docio.survey_row(*fields) for fields in toric.survey_walk(sorted(chains))]
-        assert len(rows) > 1000
-        text = survey_document(rows, "csv")
-        assert text == oracle_survey_to_csv(rows)
+        fields = list(toric.survey_walk(sorted(chains)))
+        assert len(fields) > 1000
+        text = survey_document(fields, "csv")
+        assert text == oracle_survey_to_csv([oracle_row(*f) for f in fields])
         # the row f-string names its fields itself, so pin their count
         records = list(csv.reader(text.splitlines()[1:]))
-        assert len(records) == len(rows) + 1
+        assert len(records) == len(fields) + 1
         assert {len(r) for r in records} == {len(docio.SURVEY_COLUMNS)}
         assert survey_document([], "csv") == oracle_survey_to_csv([])
 
-    @given(st.lists(st.tuples(*[st.text()] * len(docio.SURVEY_COLUMNS)), max_size=5))
-    def test_csv_same_bytes_on_any_strings(self, rows):
-        assert survey_document(rows, "csv") == oracle_survey_to_csv(rows)
+    @given(
+        st.lists(
+            st.tuples(
+                st.lists(st.one_of(st.just(-1), st.integers(-4, 4), PRINTABLE_INTS), min_size=2, max_size=8),
+                st.sampled_from(toric.Verdict),
+                st.builds(lattice.WindingVerdict, st.sampled_from(lattice.Cmp), st.sampled_from(lattice.Cmp),
+                          st.just(0), st.just(0), st.none()),
+                st.tuples(PRINTABLE_INTS, PRINTABLE_INTS),
+                PRINTABLE_INTS,
+            ),
+            max_size=6,
+        ),
+        st.lists(st.integers(0, 6), max_size=3),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_same_bytes_on_any_walk_values(self, fields, cuts):
+        # any value the walk could yield, entries, lens and det up to the
+        # printable digit limit, negatives included; the rows cut anywhere
+        cuts = [min(c, len(fields)) for c in cuts]
+        rows = [oracle_row(*f) for f in fields]
+        assert survey_document(fields, "csv", cuts) == oracle_survey_to_csv(rows)
+        assert survey_document(fields, "json", cuts) == oracle_survey_to_json(rows)
+
+    @pytest.mark.parametrize("form", ["csv", "json"])
+    @pytest.mark.parametrize("huge", ["det", "entry"])
+    def test_unprintable_row_refused(self, form, huge):
+        ((chain, verdict, winding, lens, det),) = toric.survey_walk([(0, 1)])
+        if huge == "det":
+            det = 10**5000
+        else:
+            chain = (0, -(10**4999))  # 5,000 digits
+        with pytest.raises(pt.OutputTooLarge, match="^output too large to print: "):
+            docio.survey_row(chain, verdict, winding, lens, det, form)
 
     @given(
         st.lists(
@@ -239,10 +288,11 @@ class TestBulkWriters:
         # -1 weighted as one choice in two; the rows cut into parts anywhere,
         # empty parts too
         chains = [c for c in chains if max(c) >= 0]
-        rows = [docio.survey_row(*fields) for fields in toric.survey_walk(chains)]
+        fields = list(toric.survey_walk(chains))
+        rows = [oracle_row(*f) for f in fields]
         cuts = [min(c, len(rows)) for c in cuts]
-        assert survey_document(rows, "json", cuts) == oracle_survey_to_json(rows)
-        assert survey_document(rows, "csv", cuts) == oracle_survey_to_csv(rows)
+        assert survey_document(fields, "json", cuts) == oracle_survey_to_json(rows)
+        assert survey_document(fields, "csv", cuts) == oracle_survey_to_csv(rows)
 
     def test_empty_json_survey(self, capsys):
         argv = ["survey", "--n", "2..3", "--range", "-3..-2", "--exclude-minus-one", "--format", "json"]
@@ -255,7 +305,7 @@ class TestBulkWriters:
         monkeypatch.setattr(cli.os, "cpu_count", lambda: 2)
         argv = ["survey", "--n", "2..5", "--range", "0..1", "--exclude-minus-one", "--format", "json"]
         chains = sorted(c for n in range(2, 6) for c in itertools.product((0, 1), repeat=n))
-        expected = oracle_survey_to_json([docio.survey_row(*f) for f in toric.survey_walk(chains)])
+        expected = oracle_survey_to_json([oracle_row(*f) for f in toric.survey_walk(chains)])
         for jobs in ("1", "2"):
             assert main([*argv, "--jobs", jobs]) == 0
             assert capsys.readouterr() == (expected, "")
