@@ -13,15 +13,18 @@ construct without --pivot takes the smallest valid pivot.  It reads
 The survey enumerates the chains with some entry >= 0 (--exclude-minus-one
 drops those with -1), whose entries PLUMBTORIC_MAX_SURVEY caps (default
 10^6), in one preorder walk of their prefix tree, children in increasing
-entry order, so in tuple order with no sort; ``toric.survey_walk`` takes
+entry order, so in tuple order with no sort; each node carries on the
+preorder's stack whether some entry of it is >= 0, which its children
+inherit, so no chain is scanned for it.  ``toric.survey_walk`` takes
 one step per entry past the prefix a chain shares with the one before it,
 -1 entries in place.  --jobs (at most the CPU count) sends each worker
 process prefixes only, at most n_lo long and at least four per worker
 where the lengths allow, and each worker enumerates and walks their
 subtrees and returns their rows as one text in the requested format
-(``docio.survey_row``); the parent only joins these texts in prefix
-order inside the document's head or brackets, so output does not depend
-on the worker count.  reeb-orbits refuses once it passes
+(``docio.survey_row``, whose chain column is one ``%d`` template per
+chain length, from a bounded cache); the parent only joins these texts
+in prefix order inside the document's head or brackets, so output does
+not depend on the worker count.  reeb-orbits refuses once it passes
 PLUMBTORIC_MAX_GENERATORS generators (default 10^5), during the orbit
 enumeration when the families' orbits alone pass it, and once the orbit
 descent splits more cones than that cap.
@@ -111,13 +114,14 @@ def _subtree(task) -> str:
     prefix, n_lo, n_hi, values, form = task
 
     def preorder():
-        stack, later = [prefix], values[::-1]
+        # each node with its flag "some entry >= 0", which its children inherit
+        stack, later = [(prefix, max(prefix, default=-1) >= 0)], values[::-1]
         while stack:
-            s = stack.pop()
-            if len(s) >= n_lo and max(s) >= 0:
+            s, listed = stack.pop()
+            if listed and len(s) >= n_lo:
                 yield s
             if len(s) < n_hi:
-                stack += [s + (v,) for v in later]
+                stack += [(s + (v,), listed or v >= 0) for v in later]
 
     return "".join([docio.survey_row(*fields, form) for fields in toric.survey_walk(preorder())])
 

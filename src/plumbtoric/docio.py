@@ -20,9 +20,11 @@ multiplicity (one template per orbit, once per call).  Each generator
 lists them: ``reeb.enumerate_generators`` decides the orbit order, and
 nothing here sorts again.  A survey row is written by ``survey_row``
 from one f-string template per format, CSV or JSON, straight from the
-walk's values; the texts of consecutive rows concatenate, so survey
-workers return text and ``survey_to_csv`` and ``survey_to_json`` only
-join it.
+walk's values, its chain column from one ``%d`` template per chain length
+(``_chain_template``, a cache of 64 lengths); the texts of consecutive
+rows concatenate, so survey workers return text and ``survey_to_csv`` and
+``survey_to_json`` only join it.  ``families_to_doc`` formats each
+distinct base action object once per call.
 Each element of the SVG picture is one template with its coordinates in
 ``%.3f`` fields.  Output with an integer too long to print is refused as
 :class:`OutputTooLarge` (``_printable``).
@@ -235,15 +237,24 @@ def itinerary_from_doc(doc: dict) -> ReebItinerary:
 
 @_printable
 def families_to_doc(families: Sequence[reeb.FamilyCount]) -> list:
-    return [
-        {
-            "vertex": fc.family.vertex,
-            "slope": _vec(fc.family.slope),
-            "base_action": format_fraction(fc.family.base_action),
+    """The families as documents.  Each distinct base action object is
+    formatted once per call (``enumerate_orbits`` shares one ``Fraction``
+    among the families at one action); the table keeps each action with its
+    text under ``id(action)``, so no other object can take that id during
+    the call, even where ``families`` makes each family anew."""
+    texts, out = {}, []
+    for fc in families:
+        family, base = fc.family, fc.family.base_action
+        held = texts.get(id(base))
+        if held is None:
+            held = texts[id(base)] = (base, format_fraction(base))
+        out.append({
+            "vertex": family.vertex,
+            "slope": _vec(family.slope),
+            "base_action": held[1],
             "max_multiplicity": fc.max_multiplicity,
-        }
-        for fc in families
-    ]
+        })
+    return out
 
 
 def _entry_heads(orbits) -> tuple:
@@ -379,6 +390,14 @@ def index_from_doc(doc: dict) -> tuple:
 # ---------------------------------------------------------------------------
 # survey
 
+@functools.lru_cache(maxsize=64)
+def _chain_template(n: int) -> str:
+    """The chain column of a survey row of n entries, "%d,%d,...,%d", kept
+    for at most 64 lengths: ``%d`` prints an int as ``str`` does, under the
+    same digit limit."""
+    return ",".join(["%d"] * n)
+
+
 @_printable
 def survey_row(chain, verdict, winding, lens, det, form) -> str:
     """The row of an enumerated chain in survey format form, "csv" or
@@ -388,8 +407,9 @@ def survey_row(chain, verdict, winding, lens, det, form) -> str:
     ``dumps`` indents it in the list, then ",\n"; no field needs escaping.
     ``det_check`` reads "true": the determinant identity is the k half of
     the one integer lens check, which the walk runs on every chain and
-    raises where it fails."""
-    s = ",".join(map(str, chain))
+    raises where it fails.  The chain column is ``_chain_template`` of the
+    chain's length applied to ``tuple(chain)``."""
+    s = _chain_template(len(chain)) % tuple(chain)
     if form == "json":
         return (
             f'  {{\n    "det": "{det}",\n    "det_check": "true",\n    "k": "{lens[0]}",\n'

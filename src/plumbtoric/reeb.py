@@ -24,8 +24,9 @@ generator search also packs each entry's sort key into one int, keeps each
 node's keys sorted as it extends the node, and sorts its generators on flat
 tuples of ints.
 Fractions are built only for what is returned: one base action per distinct
-scaled action, shared by every family at that action.  Families and currents
-are built past their frozen ``__init__``, field by field (``toric``'s rule).
+scaled action, shared by every family at that action and by the two
+orbits each family splits into.  Families and currents are built past
+their frozen ``__init__``, field by field (``toric``'s rule).
 """
 
 from __future__ import annotations
@@ -292,19 +293,26 @@ class PerturbedOrbit:
         return (self.base_action, self.eps_exponent)
 
 
+def _exact(base_action) -> Fraction:
+    """A ``Fraction`` base action itself, so that a family's split orbits
+    share its action object; anything else converted."""
+    return base_action if type(base_action) is Fraction else Fraction(base_action)
+
+
 def elliptic_orbit(base_action, family: Optional[OrbitFamily] = None) -> PerturbedOrbit:
-    return PerturbedOrbit(OrbitKind.ELLIPTIC, Fraction(base_action), +1, 1, family)
+    return PerturbedOrbit(OrbitKind.ELLIPTIC, _exact(base_action), +1, 1, family)
 
 
 def hyperbolic_orbit(base_action, family: Optional[OrbitFamily] = None) -> PerturbedOrbit:
     return PerturbedOrbit(
-        OrbitKind.POSITIVE_HYPERBOLIC, Fraction(base_action), -1, 0, family
+        OrbitKind.POSITIVE_HYPERBOLIC, _exact(base_action), -1, 0, family
     )
 
 
 def perturb_split(family: OrbitFamily) -> Tuple[PerturbedOrbit, PerturbedOrbit]:
     """Split a Morse-Bott family into its elliptic and positive hyperbolic
-    orbits, with CZ(e) = 1 and CZ(h) = 0 in the toric trivialization."""
+    orbits, with CZ(e) = 1 and CZ(h) = 0 in the toric trivialization.  Both
+    keep the family's base action ``Fraction`` itself."""
     return (
         elliptic_orbit(family.base_action, family),
         hyperbolic_orbit(family.base_action, family),

@@ -20,9 +20,14 @@ prefix and starts each chain from the prefix it shares with the chain
 before it, one step per entry past it (Sedgewick and Flajolet, An
 Introduction to the Analysis of Algorithms, ch. 6): ``classify`` is that
 walk over one chain, and ``survey_walk`` over the survey's chains in tuple
-order, a preorder of their prefix tree.  Each c must equal b+(Q) - 1,
-read by Jacobi's rule (Gantmacher, The Theory of Matrices I, ch. X;
-Wilkinson, The Algebraic Eigenvalue Problem, ch. 5) off the lens check's
+order, a preorder of their prefix tree.  In a preorder the parent of a
+chain, its first n - 1 entries, is a prefix of the node visited before it,
+and nearly always of the chain listed before it, so one slice comparison
+finds the shared prefix, and a scan runs only where the comparison fails;
+the length is exact either way, so no node of the tree is stepped twice.
+Each c must equal b+(Q) - 1, read by Jacobi's rule (Gantmacher, The
+Theory of Matrices I, ch. X; Wilkinson, The Algebraic Eigenvalue Problem,
+ch. 5) off the lens check's
 continuant pass: an identity observed on every chain tested (lengths up to
 60), not proved here.  It rests on two lemmas, each tested on any chain.
 The ray-continuant lemma: the candidate rays of ``_candidate_rays`` have
@@ -421,13 +426,21 @@ def _walk(s, stack: list, prev) -> tuple:
     measured from w_0 = (1, -s_1).  A tail step has cross 1 (the step
     lemma), so its wrap is a drop in position.  The states past the common
     prefix of s and prev are dropped and s's own are pushed, one step per
-    entry; then the lens check and the count check run.
+    entry; then the lens check and the count check run.  Where s[:-1] ==
+    prev[:n-1], as in a preorder wherever s's parent is a prefix of prev,
+    the common prefix is n - 1 long, or n where s is a prefix of prev too;
+    otherwise an entry-by-entry scan finds it.  Either way its length is
+    exact, so a chain costs the steps of its entries past it and no more.
     """
-    n, m = len(s), 0
-    for x, y in zip(s, prev):
-        if x != y:
-            break
-        m += 1
+    n = len(s)
+    if s[:-1] == prev[: n - 1]:  # s extends prev's first n - 1 entries
+        m = n - 1 if len(prev) < n or prev[n - 1] != s[-1] else n
+    else:
+        m = 0
+        for x, y in zip(s, prev):
+            if x != y:
+                break
+            m += 1
     del stack[m:]
     w0x, w0y = 1, -s[0]
     if not stack:

@@ -60,6 +60,34 @@ def walk_rows(chains):
     return [docio.survey_row(*fields, "csv") for fields in toric.survey_walk(chains)]
 
 
+WALK_ENTRIES = st.one_of(st.just(-1), st.integers(-3, 3))
+
+
+@st.composite
+def chain_lists(draw):
+    """Chains that each follow the one before by a repeat, a prefix of it, a
+    shorter or equal chain that agrees with it on all but its last entry, an
+    extension by a run of -1 or by drawn entries, or a fresh draw."""
+    chains = [tuple(draw(st.lists(WALK_ENTRIES, min_size=2, max_size=8)))]
+    for _ in range(draw(st.integers(0, 12))):
+        prev = chains[-1]
+        how = draw(st.sampled_from(["repeat", "prefix", "last", "run", "extend", "fresh"]))
+        if how == "repeat":
+            s = prev
+        elif how == "prefix":
+            s = prev[: draw(st.integers(1, len(prev)))]
+        elif how == "last":
+            s = prev[: draw(st.integers(1, len(prev))) - 1] + (draw(WALK_ENTRIES),)
+        elif how == "run":
+            s = prev + (-1,) * draw(st.integers(1, 4))
+        elif how == "extend":
+            s = prev + tuple(draw(st.lists(WALK_ENTRIES, min_size=1, max_size=4)))
+        else:
+            s = tuple(draw(st.lists(WALK_ENTRIES, min_size=2, max_size=8)))
+        chains.append(s)
+    return chains
+
+
 class TestClassifyCommand:
     def test_tight_example(self, capsys):
         code, out, _ = run(capsys, "classify", "--plumbing", "-2,1,0,-2")
@@ -353,6 +381,32 @@ class TestSurveyCommand:
         nodes = {c[:k] for c in chains for k in range(2, len(c) + 1)}
         assert len(calls) == sum(1 + (node[-2:] != (-1, -1)) for node in nodes)
         assert len(nodes) < sum(len(c) - 1 for c in chains)
+
+    @given(chain_lists())
+    @example([(0, 1), (0, 1), (0,), (0, 1, -1, -1, -1, 2), (0, 1, -1, -1, -1), (0, 1, -1, 5), (0, 1)])
+    @settings(max_examples=300, deadline=None)
+    def test_one_walk_step_per_entry_past_the_shared_prefix(self, chains):
+        # any chain list, not only the survey's preorder: each entry past
+        # the exact common prefix with the chain before takes one head step
+        # and one junction step, a (-1, -1) junction none; the first entry
+        # of a chain walked afresh takes none
+        chains = listed(chains)
+        calls, real = [], toric._step
+
+        def counted(*args):
+            calls.append(args)
+            return real(*args)
+
+        with mock.patch.object(toric, "_step", counted):
+            walked = list(toric.survey_walk(chains))
+        expected, prev = 0, ()
+        for s in chains:
+            m = next((j for j, (x, y) in enumerate(zip(s, prev)) if x != y), min(len(s), len(prev)))
+            expected += sum(1 + (s[j - 2 : j] != (-1, -1)) for j in range(max(m, 1) + 1, len(s) + 1))
+            prev = s
+        assert len(calls) == expected
+        # and resumed walks give what fresh ones give
+        assert walked == [f for s in chains for f in toric.survey_walk([s])]
 
     @pytest.mark.parametrize("jobs", ["1", "2"])
     def test_fault_in_a_subtree_walk_exits_1(self, capsys, monkeypatch, jobs):

@@ -7,6 +7,7 @@ import csv
 import itertools
 import math
 import random
+import sys
 from fractions import Fraction
 from pathlib import Path
 from unittest import mock
@@ -275,6 +276,34 @@ class TestBulkWriters:
             chain = (0, -(10**4999))  # 5,000 digits
         with pytest.raises(pt.OutputTooLarge, match="^output too large to print: "):
             docio.survey_row(chain, verdict, winding, lens, det, form)
+
+    def test_chain_column_from_templates_per_length(self):
+        # lengths 1..200 and back again, past the template cache's 64
+        # lengths, so that it evicts and refills; tuples and lists, entries
+        # of many digits, negatives included
+        ((_, verdict, winding, lens, det),) = toric.survey_walk([(0, 1)])
+        rng = random.Random(34)
+        lengths = [*range(1, 201), *range(200, 0, -1)]
+        for k, n in enumerate(lengths):
+            chain = [rng.choice([-1, 0, 3, -(10**40) - 7, 10**120, -(10**299) + 1]) for _ in range(n)]
+            chain = chain if k % 2 else tuple(chain)
+            row = oracle_row(chain, verdict, winding, lens, det)
+            assert row[0] == ",".join(map(str, chain))
+            assert docio.survey_row(chain, verdict, winding, lens, det, "csv") == oracle_csv_line(row)
+            text = docio.survey_row(chain, verdict, winding, lens, det, "json")
+            assert docio.survey_to_json([text]) == oracle_survey_to_json([row])
+        assert docio._chain_template.cache_info().currsize <= 64
+
+    @pytest.mark.parametrize("form", ["csv", "json"])
+    def test_chain_entry_past_the_digit_limit_refused(self, form):
+        # one entry of limit + 1 digits in a long chain; limit digits print
+        ((_, verdict, winding, lens, det),) = toric.survey_walk([(0, 1)])
+        limit = sys.get_int_max_str_digits()
+        for chain in ([3] * 99 + [-(10**limit)], (10**limit,) + (0,) * 99):
+            with pytest.raises(pt.OutputTooLarge, match="^output too large to print: "):
+                docio.survey_row(chain, verdict, winding, lens, det, form)
+        chain = [3] * 99 + [-(10 ** (limit - 1))]
+        assert docio.survey_row(chain, verdict, winding, lens, det, form).count("0") >= limit - 1
 
     @given(
         st.lists(

@@ -630,6 +630,27 @@ class TestPerturbSplit:
         assert (e.eps_exponent, h.eps_exponent) == (1, -1)
         assert h.action_key < e.action_key  # A(e) > A(h), lexicographically
 
+    def test_split_orbits_keep_the_family_action(self):
+        # the families at one action share one Fraction, and so do their orbits
+        families = enumerate_orbits(DIP, F(52) / 3)
+        orbits = [o for fc in families for o in perturb_split(fc.family)]
+        assert all(o.base_action is o.family.base_action for o in orbits)
+        assert len({id(o.base_action) for o in orbits}) < len(families)
+
+    @pytest.mark.parametrize("make", [elliptic_orbit, hyperbolic_orbit])
+    def test_other_actions_are_converted(self, make):
+        action = F(7) / 3
+        assert make(action).base_action is action
+        for value in (2, "7/3", 2.5, True):
+            got = make(value).base_action
+            assert type(got) is Fraction and got == Fraction(value)
+
+        class Half(Fraction):
+            pass
+
+        got = make(Half(1, 2)).base_action
+        assert type(got) is Fraction and got == F(1) / 2
+
 
 class TestEnumerateGenerators:
     def test_single_pair(self):
@@ -1230,6 +1251,30 @@ class TestFamiliesToDoc:
 
         for _ in range(2):
             assert docio.families_to_doc(temporary()) == oracle_families_to_doc(temporary())
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.lists(st.tuples(st.integers(-20, 20), st.integers(1, 6)), min_size=1, max_size=4),
+        st.lists(
+            st.tuples(st.integers(0, 3), st.integers(-3, 3), st.integers(0, 4), st.integers(1, 5)),
+            max_size=40,
+        ),
+    )
+    def test_fresh_families_give_the_list_document(self, actions, specs):
+        # the list shares one action object among the families at one
+        # action, as enumerate_orbits does; the generator makes each family
+        # and its action anew and drops it once read, so a freed action's id
+        # may come back for another
+        shared = [Fraction(p, q) for p, q in actions]
+        listed = [family((k, -1), v, shared[a % len(shared)], m) for a, k, v, m in specs]
+
+        def fresh():
+            for a, k, v, m in specs:
+                yield family((k, -1), v, Fraction(*actions[a % len(actions)]), m)
+
+        expected = oracle_families_to_doc(listed)
+        assert docio.families_to_doc(listed) == expected
+        assert docio.families_to_doc(fresh()) == expected
 
 
 def current(*entries):
