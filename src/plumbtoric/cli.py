@@ -12,22 +12,19 @@ construct without --pivot takes the smallest valid pivot.  It reads
 
 The survey enumerates the chains with some entry >= 0 (--exclude-minus-one
 drops those with -1), whose entries PLUMBTORIC_MAX_SURVEY caps (default
-10^6), in one preorder walk of their prefix tree, children in increasing
-entry order, so in tuple order with no sort; each node carries on the
-preorder's stack whether some entry of it is >= 0, which its children
-inherit, so no chain is scanned for it.  ``toric.survey_walk`` takes
-one step per entry past the prefix a chain shares with the one before it,
--1 entries in place.  --jobs (at most the CPU count) sends each worker
-process prefixes only, at most n_lo long and at least four per worker
-where the lengths allow, and each worker enumerates and walks their
-subtrees and returns their rows as one text in the requested format
-(``docio.survey_row``, whose chain column is one ``%d`` template per
-chain length, from a bounded cache); the parent only joins these texts
-in prefix order inside the document's head or brackets, so output does
-not depend on the worker count.  reeb-orbits refuses once it passes
-PLUMBTORIC_MAX_GENERATORS generators (default 10^5), during the orbit
-enumeration when the families' orbits alone pass it, and once the orbit
-descent splits more cones than that cap.
+10^6), by ``toric.survey_walk``: one preorder walk of their prefix tree,
+children in increasing entry order, so in tuple order with no sort, each
+node stepped once from its parent's state, -1 entries in place.  --jobs
+(at most the CPU count) sends each worker process prefixes only, at most
+n_lo long and at least four per worker where the lengths allow, and each
+worker walks their subtrees and returns their rows as one text in the
+requested format (``docio.survey_row``, whose chain column is one ``%d``
+template per chain length, from a bounded cache); the parent only joins
+these texts in prefix order inside the document's head or brackets, so
+output does not depend on the worker count.  reeb-orbits refuses once it
+passes PLUMBTORIC_MAX_GENERATORS generators (default 10^5), during the
+orbit enumeration when the families' orbits alone pass it, and once the
+orbit descent splits more cones than that cap.
 """
 
 from __future__ import annotations
@@ -108,22 +105,10 @@ def _cmd_construct(args) -> str:
 
 def _subtree(task) -> str:
     """For task = (prefix, n_lo, n_hi, values, form), the text in survey
-    format form of the rows of the chains that extend prefix, n_lo..n_hi
-    long over values, with some entry >= 0, in tuple order: a prefix before
-    its extensions, children in entry order."""
-    prefix, n_lo, n_hi, values, form = task
-
-    def preorder():
-        # each node with its flag "some entry >= 0", which its children inherit
-        stack, later = [(prefix, max(prefix, default=-1) >= 0)], values[::-1]
-        while stack:
-            s, listed = stack.pop()
-            if listed and len(s) >= n_lo:
-                yield s
-            if len(s) < n_hi:
-                stack += [(s + (v,), listed or v >= 0) for v in later]
-
-    return "".join([docio.survey_row(*fields, form) for fields in toric.survey_walk(preorder())])
+    format form of the rows of ``toric.survey_walk(prefix, n_lo, n_hi,
+    values)``, in tuple order."""
+    *walk, form = task
+    return "".join([docio.survey_row(*fields, form) for fields in toric.survey_walk(*walk)])
 
 
 def _cmd_survey(args) -> str:

@@ -15,16 +15,14 @@ i takes the candidate ray with b_j = 0 at positions j < k and the one with
 b_j = s_{j+1} from k on.  Both candidates at position j, the ``_step``
 position of each and the wraps along them are functions of s_1..s_(j+1)
 alone, and so is every pivot's offset: its exact count c less twice the
-wraps along the tail after it.  So one walk (``_walk``) keeps one state per
-prefix and starts each chain from the prefix it shares with the chain
-before it, one step per entry past it (Sedgewick and Flajolet, An
-Introduction to the Analysis of Algorithms, ch. 6): ``classify`` is that
-walk over one chain, and ``survey_walk`` over the survey's chains in tuple
-order, a preorder of their prefix tree.  In a preorder the parent of a
-chain, its first n - 1 entries, is a prefix of the node visited before it,
-and nearly always of the chain listed before it, so one slice comparison
-finds the shared prefix, and a scan runs only where the comparison fails;
-the length is exact either way, so no node of the tree is stepped twice.
+wraps along the tail after it.  So the walk keeps one state per prefix, and
+one step (``_advance``) takes the state of a prefix to that of the prefix
+one entry longer; ``_finish`` reads a chain's verdict off its own state.
+``classify`` folds the step along its one chain, and ``survey_walk``
+along the survey's prefix tree in preorder, each node stepped once from
+its parent's state, which rides on the stack with it (Sedgewick and
+Flajolet, An Introduction to the Analysis of Algorithms, ch. 6), so the
+chains come out in tuple order and no node of the tree is stepped twice.
 Each c must equal b+(Q) - 1, read by Jacobi's rule (Gantmacher, The
 Theory of Matrices I, ch. X; Wilkinson, The Algebraic Eigenvalue Problem,
 ch. 5) off the lens check's
@@ -359,43 +357,21 @@ def classify(s: Sequence[int], reduce: bool = False) -> BoundaryReport:
     the ray walk (an :class:`InternalInvariantError` flags a difference
     loudly).
     The report's verdicts are shared immutable instances
-    (``lattice.winding_verdict``), and ``_fold`` builds the report and its
-    rays from their checked fields without the frozen ``__init__``, one
+    (``lattice.winding_verdict``), and the report and its rays are built
+    from their checked fields without the frozen ``__init__``, one
     ``__dict__`` each; the report compares, hashes, copies and pickles as
     one built by the public constructor.
     With ``reduce`` set, -1 entries are blown down first; otherwise they
     raise, so the standing assumption s_j != -1 stays visible to the caller.
     """
     s = _concave_chain(blow_down(s) if reduce else s)
-    return _fold(s, [], ())
-
-
-def survey_walk(chains) -> Iterator[tuple]:
-    """(chain, verdict, winding, lens, det) of each chain, a tuple of ints
-    at least 2 long with some entry >= 0, that ``classify(chain,
-    reduce=True)`` accepts, in order, det its own.
-
-    One walk, -1 entries in place and no report built, with the lens and
-    count checks on every chain; a chain that blows down to one vertex is
-    walked and skipped, and only where its signature allows that is it
-    blown down to tell.
-    """
-    stack, prev = [], ()
-    for s in chains:
-        winding, verdict, lens, det, b_plus, _ = _walk(s, stack, prev)
-        prev = s
-        # the blow-up lemma: b-(Q) = n - 1, that is b+ + [det = 0] = 1, where
-        # the blow-down is one vertex (one >= 0, as an entry >= 0 only grows)
-        if b_plus + (det == 0) == 1 and -1 in s and len(blow_down(s)) < 2:
-            continue
-        yield s, verdict, winding, lens, det
-
-
-def _fold(s, stack: list, prev) -> BoundaryReport:
-    """The report of a gated chain s, from ``_walk``'s states."""
-    winding, verdict, lens, det, _, i0 = _walk(s, stack, prev)
+    state, states = None, []
+    for j in range(1, len(s) + 1):
+        state = _advance(state, s, j)
+        states.append(state)
+    winding, verdict, lens, det, _, i0 = _finish(s, state)
     k0 = min(i0, len(s) - 1)
-    w = tuple([d[4] for d in stack[:k0]] + [d[7] for d in stack[k0:]])
+    w = tuple([d[4] for d in states[:k0]] + [d[7] for d in states[k0:]])
     # the rays and the report past their frozen __init__, one __dict__ each,
     # its fields in field order
     rays = object.__new__(RaySequence)
@@ -409,59 +385,89 @@ def _fold(s, stack: list, prev) -> BoundaryReport:
     return report
 
 
-def _walk(s, stack: list, prev) -> tuple:
-    """(winding, verdict, lens pair, det Q, b+(Q), first valid pivot) of a
-    chain s with some entry >= 0, from ``stack``, the walk's states along
-    the chain ``prev`` it walked last ([] and () for a fresh walk).
+def survey_walk(prefix: tuple, n_lo: int, n_hi: int, values) -> Iterator[tuple]:
+    """(chain, verdict, winding, lens, det) of each chain that extends the
+    tuple ``prefix``, 1..n_hi long, by entries of the increasing ``values``
+    to n_lo..n_hi entries (n_lo >= 2), with some entry >= 0, that
+    ``classify(chain, reduce=True)`` accepts, in tuple order, det its own.
 
-    stack[j - 1] is the state after s_1..s_j, a function of that prefix
-    alone: the product M_j = A_2 ... A_j as four ints; head[j - 1] with its
-    ``_step`` position and the wraps along head[0..j-1]; tail[j - 1] with its
-    position and the wraps along tail[1..j-1] (None, None and 0 at j = 1);
-    the offset of the junction k = j - 1, before[k] + wrap(head[k-1] ->
-    tail[k]) - (tail wraps up to k); and (i, offset) of the first valid
-    pivot i < j and of the first later one whose offset differs (None where
-    there is none).  Pivot k's count is 2 (offset + all tail wraps) + end,
-    so the pivots agree exactly when their offsets do.  Positions are
-    measured from w_0 = (1, -s_1).  A tail step has cross 1 (the step
-    lemma), so its wrap is a drop in position.  The states past the common
-    prefix of s and prev are dropped and s's own are pushed, one step per
-    entry; then the lens check and the count check run.  Where s[:-1] ==
-    prev[:n-1], as in a preorder wherever s's parent is a prefix of prev,
-    the common prefix is n - 1 long, or n where s is a prefix of prev too;
-    otherwise an entry-by-entry scan finds it.  Either way its length is
-    exact, so a chain costs the steps of its entries past it and no more.
+    The iterative preorder of the chains' prefix tree, a node before its
+    children and these in entry order.  The stack holds each node with its
+    flag "some entry >= 0", which its children inherit, and its parent's
+    state; each node is stepped once from that state, -1 entries in place.
+    A node is pushed only where it heads a listed chain, so a range with no
+    entry >= 0 takes no step.  The lens and count checks run on every listed
+    chain and no report is built; a chain that blows down to one vertex is
+    walked and skipped, and only where its signature allows that is it
+    blown down to tell.
     """
-    n = len(s)
-    if s[:-1] == prev[: n - 1]:  # s extends prev's first n - 1 entries
-        m = n - 1 if len(prev) < n or prev[n - 1] != s[-1] else n
-    else:
-        m = 0
-        for x, y in zip(s, prev):
-            if x != y:
-                break
-            m += 1
-    del stack[m:]
+    grows = max(values, default=-1) >= 0  # an entry past a node can be >= 0
+    listed, state = max(prefix) >= 0, None
+    if not (listed or grows and len(prefix) < n_hi):
+        return
+    for j in range(1, len(prefix)):
+        state = _advance(state, prefix, j)
+    stack, later = [(prefix, listed, state)], values[::-1]
+    while stack:
+        s, listed, state = stack.pop()
+        n = len(s)
+        state = _advance(state, s, n)
+        if n < n_hi:
+            heads = listed or grows and n + 1 < n_hi  # every child heads a listed chain
+            stack += [(s + (v,), listed or v >= 0, state) for v in later if heads or v >= 0]
+        if listed and n >= n_lo:
+            winding, verdict, lens, det, b_plus, _ = _finish(s, state)
+            # the blow-up lemma: b-(Q) = n - 1, that is b+ + [det = 0] = 1, where
+            # the blow-down is one vertex (one >= 0, as an entry >= 0 only grows)
+            if b_plus + (det == 0) == 1 and -1 in s and len(blow_down(s)) < 2:
+                continue
+            yield s, verdict, winding, lens, det
+
+
+def _advance(state, s, j: int) -> tuple:
+    """The walk's state after s_1..s_j, one node of the prefix tree, from
+    ``state``, the one after s_1..s_(j-1) (None at j = 1).
+
+    The state after s_1..s_j is a function of that prefix alone: the
+    product M_j = A_2 ... A_j as four ints; head[j - 1] with its ``_step``
+    position and the wraps along head[0..j-1]; tail[j - 1] with its position
+    and the wraps along tail[1..j-1] (None, None and 0 at j = 1); the offset
+    of the junction k = j - 1, before[k] + wrap(head[k-1] -> tail[k]) - (tail
+    wraps up to k); and (i, offset) of the first valid pivot i < j and of
+    the first later one whose offset differs (None where there is none).
+    Pivot k's count is 2 (offset + all tail wraps) + end, so the pivots
+    agree exactly when their offsets do.  Positions are measured from w_0 =
+    (1, -s_1).  A tail step has cross 1 (the step lemma), so its wrap is a
+    drop in position.  Past j = 1 a step is one head ``_step`` and one
+    junction ``_step``, none at a (-1, -1) junction.
+    """
     w0x, w0y = 1, -s[0]
-    if not stack:
-        stack.append((1, 0, 0, 1, (w0x, w0y), 0, 0, None, None, 0, None, None, None))
-    a, b, c, d, head, hp, hw, tail, tp, tw, off, first, other = stack[-1]
-    for j in range(len(stack) + 1, n + 1):
-        t, nxt = s[j - 1], (b, d)  # nxt = head[j - 1] = M_{j-1} (0, 1)
-        a, b, c, d = b - a * t, -a, d - c * t, -c  # M_j = M_{j-1} A_j
-        tp0, tail = tp, (a, c)  # tail[j - 1] = M_j (1, 0)
-        # the junction k = j - 1; at a (-1, -1) one, tail[k] = head[k-1]
-        tp, wrap = (hp, 0) if t == -1 == s[j - 2] else _step(w0x, w0y, head, hp, tail)
-        if tp0 is not None:
-            tw += tp < tp0
-        off = hw + wrap - tw
-        hp, wrap = _step(w0x, w0y, head, hp, nxt)
-        head, hw = nxt, hw + wrap
-        if s[j - 2] >= 0:  # pivot j - 1
-            first = first or (j - 1, off)
-            if other is None and off != first[1]:
-                other = (j - 1, off)
-        stack.append((a, b, c, d, head, hp, hw, tail, tp, tw, off, first, other))
+    if j == 1:
+        return (1, 0, 0, 1, (w0x, w0y), 0, 0, None, None, 0, None, None, None)
+    a, b, c, d, head, hp, hw, tail, tp, tw, off, first, other = state
+    t, u, nxt = s[j - 1], s[j - 2], (b, d)  # nxt = head[j - 1] = M_{j-1} (0, 1)
+    a, b, c, d = b - a * t, -a, d - c * t, -c  # M_j = M_{j-1} A_j
+    tp0, tail = tp, (a, c)  # tail[j - 1] = M_j (1, 0)
+    # the junction k = j - 1; at a (-1, -1) one, tail[k] = head[k-1]
+    tp, wrap = (hp, 0) if t == -1 == u else _step(w0x, w0y, head, hp, tail)
+    if tp0 is not None:
+        tw += tp < tp0
+    off = hw + wrap - tw
+    hp, wrap = _step(w0x, w0y, head, hp, nxt)
+    head, hw = nxt, hw + wrap
+    if u >= 0:  # pivot j - 1
+        first = first or (j - 1, off)
+        if other is None and off != first[1]:
+            other = (j - 1, off)
+    return (a, b, c, d, head, hp, hw, tail, tp, tw, off, first, other)
+
+
+def _finish(s, state) -> tuple:
+    """(winding, verdict, lens pair, det Q, b+(Q), first valid pivot) of a
+    chain s with some entry >= 0, from ``state``, the walk's state after
+    all of s: the pivot-n case, then the lens check and the count check."""
+    n = len(s)
+    tail, tp, tw, off, first, other = state[7:]
     if s[-1] >= 0 > s[-2]:  # pivot n, where it is not pivot n - 1's twin
         first = first or (n, off)
         if other is None and off != first[1]:
@@ -477,7 +483,6 @@ def _walk(s, stack: list, prev) -> tuple:
         )
     verdict = Verdict.OVERTWISTED if count >= 1 else Verdict.TIGHT
     return lattice.winding_verdict(count, tp), verdict, lens, det, b_plus, first[0]
-
 
 @dataclass(frozen=True)
 class PolygonEdge:

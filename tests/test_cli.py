@@ -18,7 +18,7 @@ from plumbtoric import MalformedDocument, TooManyGenerators, cli, docio, errors,
 from plumbtoric import PreconditionError, classify, det_intersection
 from plumbtoric.cli import main
 from plumbtoric.docio import polygon_from_doc, polygon_to_doc, render_svg
-from test_docio import oracle_csv_line, oracle_row
+from test_docio import chain_fields, oracle_csv_line, oracle_row, tree_fields
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -56,36 +56,15 @@ def listed(chains):
 
 
 def walk_rows(chains):
-    """The survey's CSV rows of listed chains, from one ``toric.survey_walk``."""
-    return [docio.survey_row(*fields, "csv") for fields in toric.survey_walk(chains)]
+    """The survey's CSV rows of listed chains, each walked on its own."""
+    return [docio.survey_row(*fields, "csv") for fields in chain_fields(chains)]
 
 
-WALK_ENTRIES = st.one_of(st.just(-1), st.integers(-3, 3))
-
-
-@st.composite
-def chain_lists(draw):
-    """Chains that each follow the one before by a repeat, a prefix of it, a
-    shorter or equal chain that agrees with it on all but its last entry, an
-    extension by a run of -1 or by drawn entries, or a fresh draw."""
-    chains = [tuple(draw(st.lists(WALK_ENTRIES, min_size=2, max_size=8)))]
-    for _ in range(draw(st.integers(0, 12))):
-        prev = chains[-1]
-        how = draw(st.sampled_from(["repeat", "prefix", "last", "run", "extend", "fresh"]))
-        if how == "repeat":
-            s = prev
-        elif how == "prefix":
-            s = prev[: draw(st.integers(1, len(prev)))]
-        elif how == "last":
-            s = prev[: draw(st.integers(1, len(prev))) - 1] + (draw(WALK_ENTRIES),)
-        elif how == "run":
-            s = prev + (-1,) * draw(st.integers(1, 4))
-        elif how == "extend":
-            s = prev + tuple(draw(st.lists(WALK_ENTRIES, min_size=1, max_size=4)))
-        else:
-            s = tuple(draw(st.lists(WALK_ENTRIES, min_size=2, max_size=8)))
-        chains.append(s)
-    return chains
+def tree_rows(lengths, values):
+    """The survey's CSV rows over ``survey_chains(lengths, values)``, one
+    walk of the prefix tree per first entry."""
+    entries = range(values[0], values[1] + 1)
+    return [docio.survey_row(*fields, "csv") for fields in tree_fields(lengths, entries)]
 
 
 class TestClassifyCommand:
@@ -317,7 +296,7 @@ class TestSurveyCommand:
         # some chains holding -1 blow down to nothing and are skipped
         chains = listed(survey_chains(lengths, values))
         assume(len(chains) <= 2500)
-        assert walk_rows(chains) == oracle_survey_rows(chains)
+        assert tree_rows(lengths, values) == oracle_survey_rows(chains)
 
     def test_rows_in_the_pool_are_each_chains_own(self, capsys, monkeypatch):
         # the real process pool, each worker walking its own subtrees
@@ -325,21 +304,6 @@ class TestSurveyCommand:
         expected = docio.survey_to_csv(oracle_survey_rows(listed(survey_chains((2, 4), (-3, 1)))))
         argv = ["survey", "--n", "2..4", "--range", "-3..1", "--jobs", "2"]
         assert run(capsys, *argv) == (0, expected, "")
-
-    @given(
-        st.lists(st.lists(st.integers(-4, 4), max_size=30), min_size=1, max_size=3).flatmap(
-            lambda stems: st.lists(
-                st.tuples(st.sampled_from(stems), st.lists(st.integers(-4, 4), max_size=10)),
-                max_size=12,
-            )
-        )
-    )
-    @settings(max_examples=150, deadline=None)
-    def test_walk_keeps_no_state_of_other_prefixes(self, pairs):
-        # chains that share long stems, with -1, repeats and in any order:
-        # the walk resumes each from its common prefix with the chain before
-        chains = listed([tuple(stem + tail) for stem, tail in pairs])
-        assert walk_rows(chains) == oracle_survey_rows(chains)
 
     @pytest.mark.parametrize("jobs", [1, 2])
     def test_fault_in_the_walk_step_raises(self, monkeypatch, jobs):
@@ -358,13 +322,18 @@ class TestSurveyCommand:
         with pytest.raises(errors.InternalInvariantError, match=r"^pivot \d+ sweep count"):
             args.func(args)
 
-    @pytest.mark.parametrize("jobs", ["1", "2"])
-    def test_one_walk_step_per_prefix_tree_node(self, capsys, monkeypatch, jobs):
-        # each chain is walked from the prefix it shares with the chain
-        # before it, so each node of the prefix tree of the enumerated chains
-        # past depth 1 takes one head step and one junction step, and a
-        # (-1, -1) junction none; under --jobs 2 each worker walks subtrees
-        # of the 25 prefixes of length 2
+    @pytest.mark.parametrize(
+        "jobs, values",
+        [("1", "-3..1"), ("2", "-3..1"), ("1", "-3..-2"), ("2", "-3..-2")],
+        ids=["1", "2", "1-all-negative", "2-all-negative"],
+    )
+    def test_one_walk_step_per_prefix_tree_node(self, capsys, monkeypatch, jobs, values):
+        # each node of the prefix tree of the enumerated chains past depth 1
+        # is stepped once from its parent's state: one head step and one
+        # junction step, and a (-1, -1) junction none; under --jobs 2 each
+        # worker walks subtrees of the prefixes of length 2.  A node that
+        # heads no listed chain takes no step, so a range with no entry
+        # >= 0 takes none
         calls, real = [], toric._step
 
         def counted(*args):
@@ -375,38 +344,15 @@ class TestSurveyCommand:
         # workers in this process, so their steps are counted here
         monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", concurrent.futures.ThreadPoolExecutor)
         monkeypatch.setattr(cli.os, "cpu_count", lambda: 2)
-        argv = ["survey", "--n", "2..4", "--range", "-3..1", "--jobs", jobs]
+        argv = ["survey", "--n", "2..4", "--range", values, "--jobs", jobs]
         assert run(capsys, *argv)[0] == 0
-        chains = [c for c in survey_chains((2, 4), (-3, 1)) if max(c) >= 0]
+        chains = listed(survey_chains((2, 4), cli._parse_range(values)))
         nodes = {c[:k] for c in chains for k in range(2, len(c) + 1)}
         assert len(calls) == sum(1 + (node[-2:] != (-1, -1)) for node in nodes)
-        assert len(nodes) < sum(len(c) - 1 for c in chains)
-
-    @given(chain_lists())
-    @example([(0, 1), (0, 1), (0,), (0, 1, -1, -1, -1, 2), (0, 1, -1, -1, -1), (0, 1, -1, 5), (0, 1)])
-    @settings(max_examples=300, deadline=None)
-    def test_one_walk_step_per_entry_past_the_shared_prefix(self, chains):
-        # any chain list, not only the survey's preorder: each entry past
-        # the exact common prefix with the chain before takes one head step
-        # and one junction step, a (-1, -1) junction none; the first entry
-        # of a chain walked afresh takes none
-        chains = listed(chains)
-        calls, real = [], toric._step
-
-        def counted(*args):
-            calls.append(args)
-            return real(*args)
-
-        with mock.patch.object(toric, "_step", counted):
-            walked = list(toric.survey_walk(chains))
-        expected, prev = 0, ()
-        for s in chains:
-            m = next((j for j, (x, y) in enumerate(zip(s, prev)) if x != y), min(len(s), len(prev)))
-            expected += sum(1 + (s[j - 2 : j] != (-1, -1)) for j in range(max(m, 1) + 1, len(s) + 1))
-            prev = s
-        assert len(calls) == expected
-        # and resumed walks give what fresh ones give
-        assert walked == [f for s in chains for f in toric.survey_walk([s])]
+        if values == "-3..-2":
+            assert calls == []
+        else:
+            assert len(nodes) < sum(len(c) - 1 for c in chains)
 
     @pytest.mark.parametrize("jobs", ["1", "2"])
     def test_fault_in_a_subtree_walk_exits_1(self, capsys, monkeypatch, jobs):
@@ -434,8 +380,8 @@ class TestSurveyCommand:
         # row raises ValueError inside survey_row, in a worker under --jobs 2
         real = toric.survey_walk
 
-        def one_huge_det(chains):
-            for chain, verdict, winding, lens, det in real(chains):
+        def one_huge_det(*walk):
+            for chain, verdict, winding, lens, det in real(*walk):
                 yield chain, verdict, winding, lens, 10**5000 if chain == (-1, 0, 1) else det
 
         monkeypatch.setattr(toric, "survey_walk", one_huge_det)
@@ -468,6 +414,16 @@ class TestSurveyCommand:
         code, serial, _ = run(capsys, *argv, "--jobs", "1")
         assert code == 0 and serial.count("\n") == 2 + 4 + 8 + 16 + 32
         assert run(capsys, *argv, "--jobs", "2") == (0, serial, "")
+
+    def test_survey_deeper_than_the_recursion_limit(self, capsys):
+        # one value: the prefix tree is a path 1,100 nodes deep, which a
+        # recursive walk could not descend
+        assert sys.getrecursionlimit() < 1100
+        code, out, err = run(capsys, "survey", "--n", "2..1100", "--range", "3..3")
+        assert (code, err) == (0, "")
+        rows = out.splitlines(keepends=True)[2:]
+        assert len(rows) == 1099
+        assert rows[-1:] == oracle_survey_rows([(3,) * 1100])
 
     @pytest.mark.parametrize("n", ["2..20000", "2..300000"])
     def test_huge_survey_refused_quickly(self, capsys, monkeypatch, n):

@@ -189,6 +189,19 @@ def oracle_survey_to_json(rows):
     return docio.dumps([dict(zip(docio.SURVEY_COLUMNS, row)) for row in rows])
 
 
+def chain_fields(chains):
+    """``toric.survey_walk``'s values of each chain walked on its own, as
+    the prefix tree of the one chain."""
+    return [f for s in chains for f in toric.survey_walk(s, len(s), len(s), ())]
+
+
+def tree_fields(lengths, values):
+    """``toric.survey_walk``'s values over every chain n_lo..n_hi long over
+    values, one walk of the prefix tree per first entry."""
+    n_lo, n_hi = lengths
+    return [f for v in values for f in toric.survey_walk((v,), n_lo, n_hi, values)]
+
+
 def survey_document(fields, form, cuts=()):
     """The survey document the parent writes from the ``survey_row`` texts
     of the walk's values, the rows cut into consecutive parts before each
@@ -230,10 +243,7 @@ class TestBulkWriters:
         assert count >= 20000
 
     def test_csv_same_bytes_on_survey_rows(self):
-        chains = [
-            s for n in range(2, 5) for s in itertools.product(range(-3, 3), repeat=n) if max(s) >= 0
-        ]
-        fields = list(toric.survey_walk(sorted(chains)))
+        fields = tree_fields((2, 4), range(-3, 3))
         assert len(fields) > 1000
         text = survey_document(fields, "csv")
         assert text == oracle_survey_to_csv([oracle_row(*f) for f in fields])
@@ -269,7 +279,7 @@ class TestBulkWriters:
     @pytest.mark.parametrize("form", ["csv", "json"])
     @pytest.mark.parametrize("huge", ["det", "entry"])
     def test_unprintable_row_refused(self, form, huge):
-        ((chain, verdict, winding, lens, det),) = toric.survey_walk([(0, 1)])
+        ((chain, verdict, winding, lens, det),) = toric.survey_walk((0, 1), 2, 2, ())
         if huge == "det":
             det = 10**5000
         else:
@@ -281,7 +291,7 @@ class TestBulkWriters:
         # lengths 1..200 and back again, past the template cache's 64
         # lengths, so that it evicts and refills; tuples and lists, entries
         # of many digits, negatives included
-        ((_, verdict, winding, lens, det),) = toric.survey_walk([(0, 1)])
+        ((_, verdict, winding, lens, det),) = toric.survey_walk((0, 1), 2, 2, ())
         rng = random.Random(34)
         lengths = [*range(1, 201), *range(200, 0, -1)]
         for k, n in enumerate(lengths):
@@ -297,7 +307,7 @@ class TestBulkWriters:
     @pytest.mark.parametrize("form", ["csv", "json"])
     def test_chain_entry_past_the_digit_limit_refused(self, form):
         # one entry of limit + 1 digits in a long chain; limit digits print
-        ((_, verdict, winding, lens, det),) = toric.survey_walk([(0, 1)])
+        ((_, verdict, winding, lens, det),) = toric.survey_walk((0, 1), 2, 2, ())
         limit = sys.get_int_max_str_digits()
         for chain in ([3] * 99 + [-(10**limit)], (10**limit,) + (0,) * 99):
             with pytest.raises(pt.OutputTooLarge, match="^output too large to print: "):
@@ -318,7 +328,7 @@ class TestBulkWriters:
         # -1 weighted as one choice in two; the rows cut into parts anywhere,
         # empty parts too
         chains = [c for c in chains if max(c) >= 0]
-        fields = list(toric.survey_walk(chains))
+        fields = chain_fields(chains)
         rows = [oracle_row(*f) for f in fields]
         cuts = [min(c, len(rows)) for c in cuts]
         assert survey_document(fields, "json", cuts) == oracle_survey_to_json(rows)
@@ -334,8 +344,7 @@ class TestBulkWriters:
         # each subtree's rows one part; the real process pool
         monkeypatch.setattr(cli.os, "cpu_count", lambda: 2)
         argv = ["survey", "--n", "2..5", "--range", "0..1", "--exclude-minus-one", "--format", "json"]
-        chains = sorted(c for n in range(2, 6) for c in itertools.product((0, 1), repeat=n))
-        expected = oracle_survey_to_json([oracle_row(*f) for f in toric.survey_walk(chains)])
+        expected = oracle_survey_to_json([oracle_row(*f) for f in tree_fields((2, 5), (0, 1))])
         for jobs in ("1", "2"):
             assert main([*argv, "--jobs", jobs]) == 0
             assert capsys.readouterr() == (expected, "")

@@ -262,8 +262,10 @@ def sweep_counts(s):
     with k = min(i, n - 1), counts 2 (offset + tail wraps) + end, where the
     offset is the one of the state after s_1..s_(k+1) and the tail wraps and
     the last position are those of the state after all of s."""
-    stack = []
-    toric._fold(s, stack, ())
+    stack = [toric._advance(None, s, 1)]
+    for j in range(2, len(s) + 1):
+        stack.append(toric._advance(stack[-1], s, j))
+    toric._finish(s, stack[-1])
     tail_pos, tail_wraps = stack[-1][8:10]
     end = (tail_pos == 3) - (tail_pos == 0)
     return [(i, 2 * (stack[min(i, len(s) - 1)][10] + tail_wraps) + end) for i in pivots_of(s)]
