@@ -23,8 +23,8 @@ from one f-string template per format, CSV or JSON, straight from the
 walk's values, its chain column from one ``%d`` template per chain length
 (``_chain_template``, a cache of 64 lengths); the texts of consecutive
 rows concatenate, so survey workers return text and ``survey_to_csv`` and
-``survey_to_json`` only join it.  ``families_to_doc`` formats each
-distinct base action object once per call.
+``survey_to_json`` only join it.  ``families_to_doc`` and
+``reeb_orbits_text`` format each distinct base action object once per call.
 Each element of the SVG picture is one template with its coordinates in
 ``%.3f`` fields.  Output with an integer too long to print is refused as
 :class:`OutputTooLarge` (``_printable``).
@@ -235,38 +235,45 @@ def itinerary_from_doc(doc: dict) -> ReebItinerary:
     return ReebItinerary(vertices=vertices, start_ray=start_ray, end_ray=end_ray)
 
 
+def _action_texts():
+    """A formatter that formats each distinct action object once: the
+    families at one action share one ``Fraction``, and a split orbit keeps
+    its family's.  Its table keeps each action with its text under
+    ``id(action)``, so no other object takes that id while it lives."""
+    texts = {}
+
+    def text(action) -> str:
+        if id(action) not in texts:
+            texts[id(action)] = (action, format_fraction(action))
+        return texts[id(action)][1]
+
+    return text
+
+
 @_printable
 def families_to_doc(families: Sequence[reeb.FamilyCount]) -> list:
-    """The families as documents.  Each distinct base action object is
-    formatted once per call (``enumerate_orbits`` shares one ``Fraction``
-    among the families at one action); the table keeps each action with its
-    text under ``id(action)``, so no other object can take that id during
-    the call, even where ``families`` makes each family anew."""
-    texts, out = {}, []
-    for fc in families:
-        family, base = fc.family, fc.family.base_action
-        held = texts.get(id(base))
-        if held is None:
-            held = texts[id(base)] = (base, format_fraction(base))
-        out.append({
-            "vertex": family.vertex,
-            "slope": _vec(family.slope),
-            "base_action": held[1],
+    """The families as documents, each distinct base action object formatted
+    once per call (``_action_texts``), even where ``families`` makes each
+    family anew."""
+    text = _action_texts()
+    return [
+        {
+            "vertex": fc.family.vertex,
+            "slope": _vec(fc.family.slope),
+            "base_action": text(fc.family.base_action),
             "max_multiplicity": fc.max_multiplicity,
-        })
-    return out
+        }
+        for fc in families
+    ]
 
 
-def _entry_heads(orbits) -> tuple:
+def _entry_heads(orbits, text=format_fraction) -> tuple:
     """The writer's entry texts for one document: each orbit's generator-entry
-    text up to the multiplicity, keyed by ``id(orbit)`` (the search's
-    currents hold these very objects, and hashing one goes through two
-    Fractions and its family), and an empty table that ``current_to_doc``
-    fills with each entry's whole text."""
-    heads = {
-        id(o): _ENTRY_TEXT % (format_fraction(o.base_action), o.cz, o.eps_exponent, o.kind.value)
-        for o in orbits
-    }
+    text up to the multiplicity, its action formatted by ``text``, keyed by
+    ``id(orbit)`` (the search's currents hold these very objects, and
+    hashing one goes through two Fractions and its family), and an empty
+    table that ``current_to_doc`` fills with each entry's whole text."""
+    heads = {id(o): _ENTRY_TEXT % (text(o.base_action), o.cz, o.eps_exponent, o.kind.value) for o in orbits}
     return heads, {}
 
 
@@ -320,24 +327,18 @@ def reeb_orbits_text(bound, families, orbits, generators) -> str:
     """The reeb-orbits document; each split orbit names its family's corner
     and slope.  The same bytes as ``dumps`` of the document, written in its
     fixed shape: rationals print as "p/q" and the orbit kinds are plain
-    words, so no string needs JSON escaping."""
-    heads = _entry_heads(orbits)
+    words, so no string needs JSON escaping.  Each distinct base action
+    object is formatted once per call, for the families, the orbits and the
+    generator entries alike (``_action_texts``)."""
+    text = _action_texts()
+    heads = _entry_heads(orbits, text)
     families_text = [
-        _FAMILY_TEXT
-        % (format_fraction(fc.family.base_action), fc.max_multiplicity, *fc.family.slope, fc.family.vertex)
+        _FAMILY_TEXT % (text(fc.family.base_action), fc.max_multiplicity, *fc.family.slope, fc.family.vertex)
         for fc in families
     ]
     orbits_text = [
         _ORBIT_TEXT
-        % (
-            format_fraction(o.base_action),
-            o.cz,
-            o.eps_exponent,
-            o.kind.value,
-            o.family.slope[0],
-            o.family.slope[1],
-            o.family.vertex,
-        )
+        % (text(o.base_action), o.cz, o.eps_exponent, o.kind.value, *o.family.slope, o.family.vertex)
         for o in orbits
     ]
     return '{\n  "action_bound": "%s",\n  "families": %s,\n  "generators": %s,\n  "orbits": %s\n}\n' % (

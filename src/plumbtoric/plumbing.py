@@ -4,9 +4,9 @@ A chain is the ordered tuple of self-intersection numbers (s_1, ..., s_n);
 all plumbing edges are taken positive.  Indices in error messages and in
 the Neumann-move interface are 1-based, matching the usual notation.
 
-The leading principal minors of Q come from one recurrence, ``_minors``,
-and its inertia from one pass over them by Jacobi's rule, ``_inertia``;
-``blow_down`` is one pass, with a stack of reduced vertices and a carry.
+The leading principal minors of Q follow one recurrence, ``_minors`` (the
+``toric`` walk steps it on its state), and Jacobi's rule, ``_inertia``,
+reads the inertia off them; ``blow_down`` is one pass with a stack and a carry.
 """
 
 from __future__ import annotations

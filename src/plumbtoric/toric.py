@@ -4,10 +4,11 @@ A linear plumbing chain with some entry >= 0 is decomposed into L-shapes,
 one per consecutive pair, which are glued by the SL(2,Z) matrices
 A_j = [[-s_j, -1], [1, 0]].  The glued image determines a sequence of
 integer rays; the exact angle they sweep decides tight versus overtwisted,
-and the terminal ray r gives the lens pair (cross(w_0, r), r_x), checked on
-every chain to equal the continuants (-1)^(n-1) (K(s_1..s_n), K(s_2..s_n)).
-Its k half is the identity det Q = (-1)^(n-1) cross(w_0, r), so every report
-``classify`` returns has ``det_check`` true.
+and the terminal ray r gives the lens pair (cross(w_0, r), r_x) =
+(-1)^(n-1) (K(s_1..s_n), K(s_2..s_n)), checked on every chain against the
+minors d_j = K(s_1..s_j) the walk carries (``lens_invariant``).  Its k half
+is the identity det Q = d_n, so every report ``classify`` returns has
+``det_check`` true.
 
 The verdict does not depend on the pivot, and ``classify`` checks that for
 every valid pivot at about the cost of one.  With k = min(i, n - 1), pivot
@@ -25,9 +26,10 @@ Flajolet, An Introduction to the Analysis of Algorithms, ch. 6), so the
 chains come out in tuple order and no node of the tree is stepped twice.
 Each c must equal b+(Q) - 1, read by Jacobi's rule (Gantmacher, The
 Theory of Matrices I, ch. X; Wilkinson, The Algebraic Eigenvalue Problem,
-ch. 5) off the lens check's
-continuant pass: an identity observed on every chain tested (lengths up to
-60), not proved here.  It rests on two lemmas, each tested on any chain.
+ch. 5) off those minors, which follow their own recurrence d_j = s_j
+d_(j-1) - d_(j-2), apart from the ray steps: an identity observed on every
+chain tested (lengths up to 60), not proved here.  It rests on two lemmas,
+each tested on any chain.
 The ray-continuant lemma: the candidate rays of ``_candidate_rays`` have
 cross(w_0, head[j]) = (-1)^(j-1) K(s_1..s_(j-1)) and cross(w_0, tail[j]) =
 (-1)^j K(s_1..s_(j+1)), j = 1..n-1, so the side of w_0 each lies on is the
@@ -104,7 +106,7 @@ from .errors import (
     TooShort,
 )
 from .lattice import Cmp, MatSL2Z, WindingVerdict, _step, cross
-from .plumbing import _inertia, area_vector, as_chain, blow_down, is_negative_definite
+from .plumbing import area_vector, as_chain, blow_down, is_negative_definite
 
 
 def gluing_matrix(s_j: int) -> MatSL2Z:
@@ -279,32 +281,14 @@ def boundary_rays(s: Sequence[int], i: Optional[int] = None) -> Tuple[tuple, tup
 def lens_invariant(s: Sequence[int]) -> Tuple[int, int]:
     """(k, l) with boundary L(k, l): k >= 0 and l in [0, k), or (0, 1) for k = 0.
 
-    Read off the terminal ray r as (cross(w_0, r), r_x), then checked, on
-    every chain, against the continuant pair: it must equal
-    (-1)^(n-1) (K(s_1..s_n), K(s_2..s_n)), all in ints.
+    The lens pair of ``classify(s)``: the terminal ray r gives the raw pair
+    (cross(w_0, r), r_x) = (-1)^(n-1) (K(s_1..s_n), K(s_2..s_n)), checked on
+    every chain, in ints, against the minors d_(n-1), d_n: its k is (-1)^(n-1)
+    d_n exactly, and by the unit identity d_(n-1) K(s_2..s_n) - d_n
+    K(s_2..s_(n-1)) = 1 its l has (-1)^(n-1) l d_(n-1) = 1 mod k, and = 1
+    where k = 0.  That fixes l mod k, so the printed l is checked too.
     """
-    s = _concave_chain(s)
-    return _lens_from_terminal_ray(s, _candidate_rays(s)[1][-1])[0]
-
-
-def _lens_from_terminal_ray(s, r) -> Tuple[Tuple[int, int], int, int]:
-    """(lens pair, det Q, b+(Q)) from one ``_inertia`` pass over the
-    reversed chain, whose last two minors are K(s_2..s_n), K(s_1..s_n)."""
-    k_raw, l_raw = s[0] * r[0] + r[1], r[0]  # cross(w_0, r), r_x
-    b_plus, l, k = _inertia(s[::-1])
-    sign = (-1) ** (len(s) - 1)
-    if k_raw != sign * k or l_raw != sign * l:
-        raise InconsistentInvariant(
-            "ray pair (%d, %d) disagrees with continuant pair (%d, %d) for %s"
-            % (k_raw, l_raw, sign * k, sign * l, s)
-        )
-    if k_raw < 0:
-        k_raw, l_raw = -k_raw, -l_raw
-    if k_raw:
-        l_raw %= k_raw  # l in [0, k), so L(1, 0) for k = 1
-    else:
-        l_raw = 1  # L(0, 1); here l_raw = +-1, as K(s_1..s_n) and K(s_2..s_n) are coprime
-    return (k_raw, l_raw), k, b_plus  # and K(s_1..s_n) = det Q
+    return classify(s).lens
 
 
 def lens_equivalent(a: Tuple[int, int], b: Tuple[int, int]) -> bool:
@@ -350,12 +334,12 @@ def classify(s: Sequence[int], reduce: bool = False) -> BoundaryReport:
 
     The swept-angle criterion is reported for the smallest valid pivot.
     ``classify`` is the walk of the module docstring over the one chain: one
-    step per entry gives the exact count c of every valid pivot.  One
-    continuant pass gives det Q, the lens pair and b+(Q); its raising check
-    includes the determinant identity, so ``det_check`` is always true.
-    Every pivot's c must equal b+(Q) - 1, a route that shares nothing with
-    the ray walk (an :class:`InternalInvariantError` flags a difference
-    loudly).
+    step per entry gives the exact count c of every valid pivot, and the
+    leading minors, which give det Q and b+(Q) and check the lens pair; that
+    raising check includes the determinant identity, so ``det_check`` is
+    always true.  Every pivot's c must equal b+(Q) - 1, a route whose
+    recurrence shares nothing with the ray steps (an
+    :class:`InternalInvariantError` flags a difference loudly).
     The report's verdicts are shared immutable instances
     (``lattice.winding_verdict``), and the report and its rays are built
     from their checked fields without the frozen ``__init__``, one
@@ -433,18 +417,19 @@ def _advance(state, s, j: int) -> tuple:
     position and the wraps along head[0..j-1]; tail[j - 1] with its position
     and the wraps along tail[1..j-1] (None, None and 0 at j = 1); the offset
     of the junction k = j - 1, before[k] + wrap(head[k-1] -> tail[k]) - (tail
-    wraps up to k); and (i, offset) of the first valid pivot i < j and of
-    the first later one whose offset differs (None where there is none).
+    wraps up to k); (i, offset) of the first valid pivot i < j and of
+    the first later one whose offset differs (None where there is none); and
+    d_(j-1), d_j and b+ of Q(s_1..s_j), as ``plumbing._inertia`` gives them.
     Pivot k's count is 2 (offset + all tail wraps) + end, so the pivots
     agree exactly when their offsets do.  Positions are measured from w_0 =
     (1, -s_1).  A tail step has cross 1 (the step lemma), so its wrap is a
-    drop in position.  Past j = 1 a step is one head ``_step`` and one
-    junction ``_step``, none at a (-1, -1) junction.
+    drop in position.  Past j = 1 a step is one head ``_step``, one
+    junction ``_step`` (none at a (-1, -1) junction) and one minor.
     """
     w0x, w0y = 1, -s[0]
     if j == 1:
-        return (1, 0, 0, 1, (w0x, w0y), 0, 0, None, None, 0, None, None, None)
-    a, b, c, d, head, hp, hw, tail, tp, tw, off, first, other = state
+        return (1, 0, 0, 1, (w0x, w0y), 0, 0, None, None, 0, None, None, None, 1, s[0], int(s[0] > 0))
+    a, b, c, d, head, hp, hw, tail, tp, tw, off, first, other, d0, d1, b_plus = state
     t, u, nxt = s[j - 1], s[j - 2], (b, d)  # nxt = head[j - 1] = M_{j-1} (0, 1)
     a, b, c, d = b - a * t, -a, d - c * t, -c  # M_j = M_{j-1} A_j
     tp0, tail = tp, (a, c)  # tail[j - 1] = M_j (1, 0)
@@ -459,20 +444,34 @@ def _advance(state, s, j: int) -> tuple:
         first = first or (j - 1, off)
         if other is None and off != first[1]:
             other = (j - 1, off)
-    return (a, b, c, d, head, hp, hw, tail, tp, tw, off, first, other)
+    d0, d1 = d1, t * d1 - d0
+    b_plus += d0 * d1 > 0 or d0 == 0
+    return (a, b, c, d, head, hp, hw, tail, tp, tw, off, first, other, d0, d1, b_plus)
 
 
 def _finish(s, state) -> tuple:
     """(winding, verdict, lens pair, det Q, b+(Q), first valid pivot) of a
     chain s with some entry >= 0, from ``state``, the walk's state after
-    all of s: the pivot-n case, then the lens check and the count check."""
+    all of s: the pivot-n case, then the lens check of ``lens_invariant``
+    and the count check, on the minors and b+(Q) the state carries."""
     n = len(s)
-    tail, tp, tw, off, first, other = state[7:]
+    tail, tp, tw, off, first, other, d0, det, b_plus = state[7:]
     if s[-1] >= 0 > s[-2]:  # pivot n, where it is not pivot n - 1's twin
         first = first or (n, off)
         if other is None and off != first[1]:
             other = (n, off)
-    lens, det, b_plus = _lens_from_terminal_ray(s, tail)
+    k, l = s[0] * tail[0] + tail[1], tail[0]  # cross(w_0, r), r_x
+    sign = -1 if n % 2 == 0 else 1  # (-1)^(n-1)
+    unit = sign * l * d0 - 1  # 0 mod k by the unit identity, and 0 where k = 0
+    if k != sign * det or (unit % k if k else unit):
+        raise InconsistentInvariant(
+            "ray pair (%d, %d) disagrees with continuant pair (d_n, d_(n-1)) = (%d, %d) for %s"
+            % (k, l, det, d0, s)
+        )
+    if k < 0:
+        k, l = -k, -l
+    # l in [0, k), so L(1, 0) for k = 1; L(0, 1) where k = 0, as l = +-1 there
+    lens = (k, l % k) if k else (0, 1)
     end = (tp == 3) - (tp == 0)
     count = 2 * (first[1] + tw) + end
     if count != b_plus - 1 or other:  # the first pivot whose count is not b+(Q) - 1

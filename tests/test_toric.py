@@ -257,14 +257,22 @@ class TestTrustedReport:
         assert any(r.cone_is_whole_plane for r in reports)
 
 
+def fold(s):
+    """The walk's state after each prefix s_1..s_j, j = 1..n, as ``classify``
+    folds ``toric._advance``; the last three fields of each are d_(j-1),
+    d_j and b+ of Q(s_1..s_j)."""
+    stack = [toric._advance(None, s, 1)]
+    for j in range(2, len(s) + 1):
+        stack.append(toric._advance(stack[-1], s, j))
+    return stack
+
+
 def sweep_counts(s):
     """Every valid pivot's count from the walk ``classify`` makes: pivot i,
     with k = min(i, n - 1), counts 2 (offset + tail wraps) + end, where the
     offset is the one of the state after s_1..s_(k+1) and the tail wraps and
     the last position are those of the state after all of s."""
-    stack = [toric._advance(None, s, 1)]
-    for j in range(2, len(s) + 1):
-        stack.append(toric._advance(stack[-1], s, j))
+    stack = fold(s)
     toric._finish(s, stack[-1])
     tail_pos, tail_wraps = stack[-1][8:10]
     end = (tail_pos == 3) - (tail_pos == 0)
@@ -355,13 +363,15 @@ class TestStepLemma:
 
 
 def jacobi_signature(s):
-    """(b+, b-) of Q by Jacobi's rule over the forward leading minors
-    d_0 = 1, d_1, ..., d_n: a permanence of sign is a positive eigenvalue and
-    a change a negative one.  An interior zero takes the sign of the minor
-    before it (d_{j+1} = -d_{j-1} then, so the pair around it counts once
-    either way); a final zero is the kernel and counts for neither."""
+    """(b+, b-) of Q by Jacobi's rule over the leading minors of the
+    reversed chain, 1, K(s_n), K(s_(n-1), s_n), ..., K(s_1..s_n), those of
+    Q with its order reversed: a permanence of sign is a positive eigenvalue
+    and a change a negative one.  An interior zero takes the sign of the
+    minor before it (the next minor is minus the one before it then, so the
+    pair around it counts once either way); a final zero is the kernel and
+    counts for neither."""
     signs = [1]
-    for d in plumbing._minors(s):
+    for d in plumbing._minors(s[::-1]):
         signs.append((d > 0) - (d < 0) or signs[-1])
     steps = list(zip(signs, signs[1:]))
     if d == 0:
@@ -371,8 +381,8 @@ def jacobi_signature(s):
 
 class TestSignature:
     """The sweep count of every pivot is b+(Q) - 1, read here off the
-    forward minors, a different nested sequence from the reversed one
-    classify uses."""
+    minors of the reversed chain, a different nested sequence from the
+    forward one classify carries."""
 
     @given(
         st.lists(st.integers(-8, 8).filter(lambda v: v != -1), min_size=2, max_size=60)
@@ -403,25 +413,46 @@ class TestSignature:
     )
     def test_zero_minors(self, s, signature):
         # (1, 1) ends on a zero minor (a kernel); (0, 0) and (1, 1, 1) have
-        # an interior one, in both directions
+        # an interior one, in both directions; b+ is read off the folded state
         assert jacobi_signature(s) == signature
-        last = toric._candidate_rays(s)[1][-1]
-        assert toric._lens_from_terminal_ray(s, last)[2] == signature[0]
+        assert fold(s)[-1][-1] == signature[0]
+
+    @given(st.lists(st.integers(-8, 8), min_size=1, max_size=60).map(tuple))
+    @settings(max_examples=200, deadline=None)
+    def test_carried_minors(self, s):
+        # each prefix state carries d_(j-1), d_j and b+ as _minors and
+        # _inertia give them; the last two meet K(s_2..s_n) and K(s_2..s_(n-1))
+        # in the unit identity of the lens check; and b+ is the same from
+        # either end of the chain (Sylvester's law of inertia)
+        for j, state in enumerate(fold(s), start=1):
+            d = [1, *plumbing._minors(s[:j])]
+            b_plus, d0, d1 = plumbing._inertia(s[:j])
+            assert state[-3:] == (d[-2], d[-1], b_plus) == (d0, d1, b_plus), (s, j)
+        tails = [0, 1, *plumbing._minors(s[1:])]  # tails[m] = K(s_2..s_m)
+        d0, det = fold(s)[-1][-3:-1]
+        assert d0 * tails[-1] - det * tails[-2] == 1, s
+        assert plumbing._inertia(s)[0] == plumbing._inertia(s[::-1])[0], s
 
 
 class TestCrossChecksFire:
     """Each internal cross-check of classify raises on bad data."""
 
     def test_lens_routes(self, monkeypatch):
-        # the reversed pass over (3, -2, -2) ends in K(s_2..s_n) = 3 and
-        # K(s_1..s_n) = det Q = 11; (3, 7) breaks only the determinant
-        # identity (the k half) and (4, 11) only the l half
-        assert list(plumbing._minors((3, -2, -2)[::-1])) == [-2, 3, 11]
-        for pair in ((3, 7), (4, 11)):
-            monkeypatch.setattr(plumbing, "_minors", lambda s: iter(pair))
-            with pytest.raises(InconsistentInvariant):
+        # the forward minors of (3, -2, -2) are 3, -7, 11 and its ray pair is
+        # (11, 3): det Q = 11 is the k half, and 3 d_2 = -21 = 1 mod 11 the
+        # l half; the carried (d_2, d_3) = (-7, 12) breaks only the k half and
+        # (-6, 11) only the l half
+        assert fold((3, -2, -2))[-1][-3:-1] == (-7, 11)
+        real = toric._advance
+        for pair in ((-7, 12), (-6, 11)):
+            def corrupt(state, s, j, pair=pair):
+                new = real(state, s, j)
+                return new[:-3] + pair + new[-1:] if j == len(s) else new
+
+            monkeypatch.setattr(toric, "_advance", corrupt)
+            with pytest.raises(InconsistentInvariant, match=r"^ray pair \(11, 3\) disagrees"):
                 classify((3, -2, -2))
-            with pytest.raises(InconsistentInvariant):
+            with pytest.raises(InconsistentInvariant, match=r"^ray pair \(11, 3\) disagrees"):
                 lens_invariant((3, -2, -2))
 
     def test_lens_routes_zero_tail(self, monkeypatch):
@@ -429,27 +460,38 @@ class TestCrossChecksFire:
         # (r_x + 1, r_y - 3) keeps cross(w_0, r) = 3 r_x + r_y but moves
         # l = r_x, so the terminal ray (-1, 0) becomes (0, -3), which
         # normalizes to (3, 0) in place of (3, 1).
-        # lens_invariant reads the ray off _candidate_rays; classify's walk
-        # hands it to the lens check.
-        real, real_check = toric._candidate_rays, toric._lens_from_terminal_ray
+        # The walk's last state carries the ray to the lens check, which
+        # lens_invariant and classify both run.
+        real = toric._advance
 
-        def corrupt_last(s):
-            head, tail = real(s)
-            rx, ry = tail[-1]
-            tail[-1] = (rx + 1, ry - 3)
-            return head, tail
+        def corrupt_last(state, s, j):
+            new = real(state, s, j)
+            if j < len(s):
+                return new
+            rx, ry = new[7]
+            return new[:7] + ((rx + 1, ry - 3),) + new[8:]
 
         assert lens_invariant((3, 0, 0)) == (3, 1)
         message = r"^ray pair \(-3, 0\) disagrees"
-        monkeypatch.setattr(toric, "_candidate_rays", corrupt_last)
+        monkeypatch.setattr(toric, "_advance", corrupt_last)
         with pytest.raises(InconsistentInvariant, match=message):
             lens_invariant((3, 0, 0))
-        monkeypatch.undo()
-        monkeypatch.setattr(
-            toric, "_lens_from_terminal_ray", lambda s, r: real_check(s, (r[0] + 1, r[1] - 3))
-        )
         with pytest.raises(InconsistentInvariant, match=message):
             classify((3, 0, 0))
+
+    def test_lens_routes_zero_k(self, monkeypatch):
+        # where k = 0 the l half is exact: (1, 1) has k = d_2 = 0 and d_1 = 1,
+        # so its l = -1 is the only value that passes, and d_1 = -1 raises
+        real = toric._advance
+
+        def corrupt(state, s, j):
+            new = real(state, s, j)
+            return new[:-3] + (-1,) + new[-2:] if j == len(s) else new
+
+        assert fold((1, 1))[-1][-3:-1] == (1, 0)
+        monkeypatch.setattr(toric, "_advance", corrupt)
+        with pytest.raises(InconsistentInvariant, match=r"^ray pair \(0, -1\) disagrees"):
+            classify((1, 1))
 
     def test_pivot_independence(self, monkeypatch):
         # (2, 1, 3) is overtwisted; one wrap less at pivot 2's junction,
@@ -514,50 +556,58 @@ class TestCrossChecksFire:
             classify((2, -2, 3))
 
     def test_signature_sign(self, monkeypatch):
-        # the reversed pass over (2, 1, 3) is 3, 2, 1, so b+(Q) = 3; negating
-        # the first minor keeps the last two, and with them the lens check,
-        # but leaves b+(Q) = 1 against the sweep's count of 2
-        real = plumbing._minors
+        # the forward minors of (2, 1, 3) are 2, 1, 1, so b+(Q) = 3; a sign
+        # test that reads one permanence as a change keeps the minors, and
+        # with them the lens check, but leaves b+(Q) = 2 against the sweep's
+        # count of 2, whichever step it strikes
+        assert [state[-3:] for state in fold((2, 1, 3))] == [(1, 2, 1), (2, 1, 2), (1, 1, 3)]
+        real = toric._advance
+        message = "pivot 1 sweep count 2 != b+(Q) - 1 = 1 for (2, 1, 3)"
+        for j0 in (1, 2, 3):
+            def corrupt(state, s, j, j0=j0):
+                new = real(state, s, j)
+                return new[:-1] + (new[-1] - (j == j0),)
 
-        def negate_first(chain):
-            first, *rest = real(chain)
-            return iter([-first] + rest)
-
-        assert list(real((2, 1, 3)[::-1])) == [3, 2, 1]
-        monkeypatch.setattr(plumbing, "_minors", negate_first)
-        message = "pivot 1 sweep count 2 != b+(Q) - 1 = 0 for (2, 1, 3)"
-        with pytest.raises(InternalInvariantError, match=re.escape(message)):
-            classify((2, 1, 3))
+            monkeypatch.setattr(toric, "_advance", corrupt)
+            with pytest.raises(InternalInvariantError, match=re.escape(message)):
+                classify((2, 1, 3))
 
     def test_determinant_identity(self, monkeypatch):
         # det Q = (-1)^(n-1) cross(w_0, w_last) is the k half of the lens
-        # check: it holds on good data, and shifting det Q alone raises
+        # check: it holds on good data, and shifting the carried det Q alone
+        # raises
         for s in ((3, -2, -2), (2, 1, 3), (0, -3, 2, -5)):
             report = classify(s)
             assert report.det_check and report.det == det_intersection(s)
-        real = plumbing._minors
+        real = toric._advance
 
-        def shift_det(chain):
-            *rest, det = real(chain)
-            return iter(rest + [det + 1])
+        def shift_det(state, s, j):
+            new = real(state, s, j)
+            return new[:-2] + (new[-2] + 1, new[-1]) if j == len(s) else new
 
-        monkeypatch.setattr(plumbing, "_minors", shift_det)
+        monkeypatch.setattr(toric, "_advance", shift_det)
         for s in ((3, -2, -2), (2, 1, 3), (0, -3, 2, -5)):
             with pytest.raises(InconsistentInvariant, match="disagrees with continuant pair"):
                 classify(s)
 
     @pytest.mark.parametrize("s", [(3, -2, -2), (3, 0, 0), (2, 1, 3), (0, -3, 2, -5)])
     def test_one_continuant_pass(self, monkeypatch, s):
-        # det Q and the lens pair come from the same single pass
-        real, calls = plumbing._minors, []
+        # det Q, the lens check and b+(Q) ride on the walk's one step per
+        # entry, with no continuant pass of their own
+        real_step, real_minors, calls = toric._advance, plumbing._minors, []
 
-        def counted(chain):
-            calls.append(chain)
-            return real(chain)
+        def counted_step(state, chain, j):
+            calls.append("step")
+            return real_step(state, chain, j)
 
-        monkeypatch.setattr(plumbing, "_minors", counted)
+        def counted_minors(chain):
+            calls.append("minors")
+            return real_minors(chain)
+
+        monkeypatch.setattr(toric, "_advance", counted_step)
+        monkeypatch.setattr(plumbing, "_minors", counted_minors)
         classify(s)
-        assert len(calls) == 1
+        assert calls == ["step"] * len(s)
 
 
 class TestRaySequenceChecksFire:
